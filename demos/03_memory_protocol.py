@@ -1,9 +1,9 @@
 """Appearance-memory protocol: adopt, blend, freeze, re-blend.
 
-The memory starts empty, copies the first confidently-seen feature into
-all slots, then blends new candidates by the gated weight. Invalid steps
-freeze the slots bit-for-bit while still counting against the history
-mean.
+The memory starts empty, adopts the first confidently-seen feature as
+its one feature vector, then blends new candidates in by the gated
+weight. Invalid steps freeze the vector bit-for-bit while still counting
+against the history mean.
 """
 
 import numpy as np
@@ -22,15 +22,15 @@ def sharp(logit):  # logits of chosen sharpness over the 2-token vocabulary
 target = np.array([1.0, 0.0, 0.0, 0.0])
 lookalike = np.array([0.6, 0.8, 0.0, 0.0])
 
-mem = TargetMemory.empty(num_slots=4)
+mem = TargetMemory.empty()
 print(f"start: digest={mem.digest()}")
 
 mem = update_memory(mem, SEEN, sharp(6.0), target, grid)
-print(f"adopt first sighting: slot0={mem.slots[0]}, digest={mem.digest()}")
+print(f"adopt first sighting: memory={mem.slots}, digest={mem.digest()}")
 
 noisy = target + 0.05 * np.array([1.0, -1.0, 1.0, -1.0])
 mem = update_memory(mem, SEEN, sharp(6.0), noisy, grid)
-print(f"confident refinement: slot0={np.round(mem.slots[0], 3)}")
+print(f"confident refinement: memory={np.round(mem.slots, 3)}")
 
 frozen_digest = mem.digest()
 for _ in range(40):
@@ -45,4 +45,4 @@ print(f"similarity(lookalike) = {memory_similarity(mem, lookalike):+.3f}")
 print("the frozen memory still separates the two on re-detection.")
 
 mem = update_memory(mem, SEEN, sharp(6.0), target, grid)
-print(f"\nre-detection blends hard after the slump: slot0={np.round(mem.slots[0], 3)}")
+print(f"\nre-detection blends hard after the slump: memory={np.round(mem.slots, 3)}")

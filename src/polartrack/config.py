@@ -1,7 +1,7 @@
 """Run configuration: one JSON file drives benches, datasets and replays.
 
-Every block is optional and falls back to the package defaults; parse
-errors name the offending field. The master seed plus (scenario index,
+Every block is optional and falls back to the package defaults; unknown
+keys are rejected and parse errors name the offending field. The master seed plus (scenario index,
 episode index) deterministically derive every episode seed, and the same
 episode seed is shared across ablation arms so arm comparisons are
 paired.
@@ -91,13 +91,46 @@ class RunConfig:
         }
 
 
+TOP_KEYS = (
+    "master_seed", "jobs", "grid", "rig", "perception", "rules", "limits",
+    "vis_rules", "policy", "count_invalid_in_mean", "arms", "scenarios",
+)
+POLICY_KEYS = ("standoff", "invalid_mode")
+LIMITS_KEYS = ("max_speed", "max_turn")
+# "resolved" is accepted and ignored
+SCENARIO_KEYS = (
+    "name", "n_distractors", "sigma_app", "feature_dim", "max_steps", "episodes", "resolved",
+)
+
+
+def _reject_unknown(d: dict, allowed: tuple, prefix: str = "") -> None:
+    for key in d:
+        if key not in allowed:
+            raise ConfigError(
+                f"config field '{prefix}{key}': unknown key, expected one of {list(allowed)}"
+            )
+
+
 def _section(d: dict, name: str, parser, default):
     if name not in d:
         return default
     try:
         return parser(d[name])
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"config field '{name}': {e}") from e
+
+
+def _parse_limits(x) -> MotionLimits:
+    _reject_unknown(x, LIMITS_KEYS, "limits.")
+    return MotionLimits(float(x["max_speed"]), float(x["max_turn"]))
+
+
+def _parse_bool(x) -> bool:
+    if not isinstance(x, bool):
+        raise TypeError(f"expected true or false, got {x!r}")
+    return x
 
 
 def _parse_scenarios(raw) -> list:
@@ -105,9 +138,8 @@ def _parse_scenarios(raw) -> list:
     for i, s in enumerate(raw):
         try:
             s = dict(s)
+            _reject_unknown(s, SCENARIO_KEYS, f"scenarios[{i}].")
             episodes = int(s.pop("episodes", 1))
-            # spec dicts round-trip resolved distractor counts
-            s.pop("resolved", None)
             sigma = s.get("sigma_app")
             spec = ScenarioSpec(
                 name=s["name"],
@@ -117,6 +149,8 @@ def _parse_scenarios(raw) -> list:
                 max_steps=int(s.get("max_steps", 500)),
             )
             runs.append(ScenarioRun(spec=spec, episodes=episodes))
+        except ConfigError:
+            raise
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"config field 'scenarios[{i}]': {e}") from e
     if not runs:
@@ -148,26 +182,25 @@ def load_config(path) -> RunConfig:
 
 
 def config_from_dict(d: dict) -> RunConfig:
+    _reject_unknown(d, TOP_KEYS)
     cfg = RunConfig()
     cfg.grid = _section(d, "grid", PolarGrid.from_dict, cfg.grid)
     cfg.rig = _section(d, "rig", CameraRig.from_dict, cfg.rig)
     cfg.perception = _section(d, "perception", PerceptionParams.from_dict, cfg.perception)
     cfg.rules = _section(d, "rules", MetricRules.from_dict, cfg.rules)
-    cfg.limits = _section(
-        d,
-        "limits",
-        lambda x: MotionLimits(float(x["max_speed"]), float(x["max_turn"])),
-        cfg.limits,
-    )
+    cfg.limits = _section(d, "limits", _parse_limits, cfg.limits)
     cfg.vis_rules = _section(d, "vis_rules", VisibilityRules.from_dict, cfg.vis_rules)
     policy = _section(d, "policy", dict, {})
+    _reject_unknown(policy, POLICY_KEYS, "policy.")
     cfg.standoff = float(policy.get("standoff", cfg.standoff))
     cfg.invalid_mode = policy.get("invalid_mode", cfg.invalid_mode)
     if cfg.invalid_mode not in INVALID_MODES:
         raise ConfigError(
             f"config field 'policy.invalid_mode': {cfg.invalid_mode!r} not in {INVALID_MODES}"
         )
-    cfg.count_invalid_in_mean = bool(d.get("count_invalid_in_mean", True))
+    cfg.count_invalid_in_mean = _section(
+        d, "count_invalid_in_mean", _parse_bool, cfg.count_invalid_in_mean
+    )
     cfg.master_seed = _section(d, "master_seed", int, cfg.master_seed)
     cfg.jobs = _section(d, "jobs", int, cfg.jobs)
     if cfg.jobs < 1:

@@ -19,10 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .metrics import EpisodeOutcome, MetricRules
-from .perception import CameraRig, CameraView, PerceptionParams
+from .perception import CameraRig, CameraView, PerceptionParams, is_observable
 from .polar import PolarGrid, PolarPoint, encode
 from .scenarios import ScenarioSpec, make_scenario
-from .world import World, relative_polar
+from .world import World
 
 SCHEMA_VERSION = "1"
 
@@ -52,15 +52,11 @@ def annotate_frame(
 
     Invalid when the target is occluded, outside every camera's field of
     view, outside the annulus, or apparently too small."""
-    target = world.target
-    rel = relative_polar(world.agent, target.position())
-    if not (grid.r_min <= rel.dist <= grid.r_max):
+    s = world.target_sighting
+    rel = s.rel
+    if not is_observable(s, rig, grid):
         return None, grid.invalid_index
-    if not rig.covers(rel.theta):
-        return None, grid.invalid_index
-    if not world.line_of_sight((world.agent.x, world.agent.y), target.position()):
-        return None, grid.invalid_index
-    if rel.dist > 0 and target.radius / rel.dist < vis_rules.min_apparent_size:
+    if rel.dist > 0 and s.entity.radius / rel.dist < vis_rules.min_apparent_size:
         return None, grid.invalid_index
     return rel, encode(grid, rel)
 
@@ -68,11 +64,9 @@ def annotate_frame(
 def view_visibility(world: World, rig: CameraRig, grid: PolarGrid) -> list[bool]:
     """Per-view summary: does this view see the target (annulus, field of
     view, line of sight)."""
-    target = world.target
-    rel = relative_polar(world.agent, target.position())
-    in_range = grid.r_min <= rel.dist <= grid.r_max
-    los = world.line_of_sight((world.agent.x, world.agent.y), target.position())
-    return [bool(in_range and los and v.covers(rel.theta)) for v in rig.views]
+    s = world.target_sighting
+    seen = s.los and grid.r_min <= s.rel.dist <= grid.r_max
+    return [seen and v.covers(s.rel.theta) for v in rig.views]
 
 
 @dataclass
@@ -94,7 +88,7 @@ class FrameRecord:
     confidence: float
     expert_traj: list  # 8 x [x, y, theta]
     mem_digest: str
-    mem_slot0: Optional[list]  # first 3 coords of slot 0
+    mem_slot0: Optional[list]  # first 3 coords of the memory vector
     collided: bool
     logits_topk: Optional[list] = None  # [[index, value], ...]
 
@@ -327,8 +321,8 @@ Lines 2..N-1  frame (one per executed step):
   token            token the policy consumed this step
   confidence       entropy confidence of this step's prediction
   expert_traj      8 x [x, y, theta]: oracle pursuit plan from gt_token
-  mem_digest       fingerprint of the memory slots after this step's update
-  mem_slot0        first 3 coords of slot 0, null while memory is empty
+  mem_digest       fingerprint of the memory vector after this step's update
+  mem_slot0        first 3 coords of the memory vector, null while empty
   collided         whether this step's motion caused a collision
   logits_topk      [[token, logit] ...] of the top-k logits, null if not kept
 

@@ -1,10 +1,10 @@
 """Target appearance memory with confidence-gated updates.
 
-The memory holds a small bank of feature slots describing what the target
-looks like. It starts empty, adopts the first confidently-seen feature
+The memory holds one feature vector describing what the target looks
+like. It starts empty, adopts the first confidently-seen feature
 wholesale, and afterwards blends each new candidate in with a weight set
 by the entropy confidence of the prediction relative to its history. An
-invalid token freezes the slots and records zero confidence, so the last
+invalid token freezes the vector and records zero confidence, so the last
 reliable appearance survives occlusions untouched.
 """
 
@@ -19,32 +19,29 @@ import numpy as np
 from .gating import ConfidenceTrace, confidence, gate_weight
 from .polar import PolarGrid
 
-DEFAULT_SLOTS = 4
 DEFAULT_FEATURE_DIM = 16
 
 
 @dataclass(frozen=True)
 class TargetMemory:
-    """Feature slots (num_slots x dim) or None before the first valid
-    sighting, plus the confidence history feeding the gate."""
+    """The remembered feature vector (``slots``, shape (dim,)) or None
+    before the first valid sighting, plus the confidence history feeding
+    the gate."""
 
     slots: Optional[np.ndarray]
     trace: ConfidenceTrace
-    num_slots: int = DEFAULT_SLOTS
 
     @classmethod
-    def empty(cls, num_slots: int = DEFAULT_SLOTS) -> "TargetMemory":
-        if num_slots < 1:
-            raise ValueError("need at least one slot")
-        return cls(slots=None, trace=ConfidenceTrace(), num_slots=num_slots)
+    def empty(cls) -> "TargetMemory":
+        return cls(slots=None, trace=ConfidenceTrace())
 
     @property
     def is_empty(self) -> bool:
         return self.slots is None
 
     def digest(self) -> str:
-        """Stable fingerprint of the slot contents, for logs and replay
-        checks. Distinct strings imply distinct slot bytes."""
+        """Stable fingerprint of the feature vector, for logs and replay
+        checks. Distinct strings imply distinct vector bytes."""
         if self.slots is None:
             return "empty"
         h = hashlib.sha256(np.ascontiguousarray(self.slots).tobytes())
@@ -62,10 +59,10 @@ def update_memory(
 ) -> TargetMemory:
     """One memory step for the reasoner output produced last step.
 
-    Invalid token: slots unchanged, confidence zero recorded (unless
+    Invalid token: vector unchanged, confidence zero recorded (unless
     ``count_invalid_in_mean`` is off, which skips the record entirely; the
     default matches a history sum over every step). First valid sighting:
-    the candidate is copied into every slot. Otherwise each slot moves
+    the candidate is adopted as the vector. Otherwise the vector moves
     toward the candidate by the gate weight.
 
     ``precomputed_confidence`` lets a caller that already scored the
@@ -77,7 +74,7 @@ def update_memory(
             raise ValueError("invalid token must not carry a candidate feature")
         if not count_invalid_in_mean:
             return mem
-        return TargetMemory(mem.slots, mem.trace.record(0.0), mem.num_slots)
+        return TargetMemory(mem.slots, mem.trace.record(0.0))
 
     if not grid.is_valid_token(token):
         raise ValueError(f"token {token} out of range for grid")
@@ -91,29 +88,26 @@ def update_memory(
 
     c = precomputed_confidence if precomputed_confidence is not None else confidence(logits)
     if mem.is_empty:
-        slots = np.tile(cand, (mem.num_slots, 1))
-        return TargetMemory(slots, mem.trace.record(c), mem.num_slots)
+        return TargetMemory(cand.copy(), mem.trace.record(c))
 
-    if cand.shape[0] != mem.slots.shape[1]:
+    if cand.shape != mem.slots.shape:
         raise ValueError(
-            f"candidate dim {cand.shape[0]} != memory dim {mem.slots.shape[1]}"
+            f"candidate dim {cand.shape[0]} != memory dim {mem.slots.shape[0]}"
         )
     w = gate_weight(mem.trace, c)
-    slots = (1.0 - w) * mem.slots + w * cand
-    return TargetMemory(slots, mem.trace.record(c), mem.num_slots)
+    return TargetMemory((1.0 - w) * mem.slots + w * cand, mem.trace.record(c))
 
 
 def memory_similarity(mem: TargetMemory, feature) -> float:
-    """Cosine similarity between a feature and the mean of the slots.
+    """Cosine similarity between a feature and the remembered vector.
     Zero-norm inputs score 0."""
     if mem.is_empty:
         raise ValueError("similarity against empty memory; callers must branch")
     f = np.asarray(feature, dtype=np.float64)
-    if f.shape != (mem.slots.shape[1],):
-        raise ValueError(f"feature shape {f.shape} != ({mem.slots.shape[1]},)")
-    ref = mem.slots.mean(axis=0)
+    if f.shape != mem.slots.shape:
+        raise ValueError(f"feature shape {f.shape} != {mem.slots.shape}")
     nf = np.linalg.norm(f)
-    nr = np.linalg.norm(ref)
+    nr = np.linalg.norm(mem.slots)
     if nf == 0.0 or nr == 0.0:
         return 0.0
-    return float(np.dot(f, ref) / (nf * nr))
+    return float(np.dot(f, mem.slots) / (nf * nr))

@@ -2,25 +2,28 @@
 
 Stands in for a learned perception stack: ground-truth visibility plus
 appearance similarity against the target memory are turned into a logit
-vector over the cell tokens. An entity is observable when it sits inside
-the annulus, inside some camera's field of view, and has line of sight to
-the agent. Each detected entity puts mass on its (noise-jittered) cell;
-how much depends on how similar it looks to the remembered target, which
-is what lets a bootstrapped memory pull the argmax onto the true target
-and away from look-alikes. The invalid entry gets a small standing bias,
-plus a large bonus when nothing is detected at all.
+vector over the cell tokens. Positions and line of sight come from the
+world's per-step ``sightings``; nothing here recomputes them. An entity is
+observable when it sits inside the annulus, inside some camera's field of
+view, and has line of sight to the agent. Each detected entity puts mass
+on its (noise-jittered) cell; how much depends on how similar it looks to
+the remembered target, which is what lets a bootstrapped memory pull the
+argmax onto the true target and away from look-alikes. The invalid entry
+gets a small standing bias, plus a large bonus when nothing is detected
+at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .memory import TargetMemory, memory_similarity
 from .polar import PolarGrid, PolarPoint, encode, signed_degrees
-from .world import Entity, World, relative_polar
+from .world import Sighting, World
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,10 @@ class PerceptionParams:
     empty_mem_similarity: float = 0.85  # kind-blind stand-in before bootstrap
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
         if self.angle_noise < 0 or self.dist_noise < 0 or self.feature_noise < 0:
             raise ValueError("noise stddevs must be >= 0")
         if self.sim_temperature <= 0:
@@ -122,13 +129,8 @@ class ReasonerOutput:
     candidate: Optional[np.ndarray]
 
 
-def is_observable(world: World, rig: CameraRig, grid: PolarGrid, entity: Entity) -> bool:
-    rel = relative_polar(world.agent, entity.position())
-    if not (grid.r_min <= rel.dist <= grid.r_max):
-        return False
-    if not rig.covers(rel.theta):
-        return False
-    return world.line_of_sight((world.agent.x, world.agent.y), entity.position())
+def is_observable(s: Sighting, rig: CameraRig, grid: PolarGrid) -> bool:
+    return grid.r_min <= s.rel.dist <= grid.r_max and rig.covers(s.rel.theta) and s.los
 
 
 def observe(
@@ -150,20 +152,19 @@ def observe(
 
     cell_owner: dict[int, tuple[float, np.ndarray]] = {}
     detected_any = False
-    for e in world.entities:
-        if not is_observable(world, rig, grid, e):
+    for s in world.sightings:
+        if not is_observable(s, rig, grid):
             continue
         if params.base_detectability < 1.0 and rng.random() >= params.base_detectability:
             continue
         detected_any = True
-        rel = relative_polar(world.agent, e.position())
-        theta = rel.theta + rng.normal() * params.angle_noise
-        dist = rel.dist + rng.normal() * params.dist_noise
+        theta = s.rel.theta + rng.normal() * params.angle_noise
+        dist = s.rel.dist + rng.normal() * params.dist_noise
         # the entity was deemed observable from its true range; noise only
         # jitters the cell, it cannot push the detection out of the annulus
         dist = min(max(dist, grid.r_min), grid.r_max)
         cell = encode(grid, PolarPoint(theta, dist))
-        feat = e.appearance
+        feat = s.entity.appearance
         if params.feature_noise > 0.0:
             feat = feat + rng.normal(size=feat.size) * params.feature_noise
         if mem.is_empty:
@@ -207,18 +208,16 @@ def nearest_detection(
     detected entity, with no tokenization, no invalid semantics and no
     appearance handling. This is the degraded front end used by the arm
     that runs without spatial-token reasoning."""
-    best: Optional[tuple[float, Entity]] = None
-    for e in world.entities:
-        if not is_observable(world, rig, grid, e):
+    best: Optional[PolarPoint] = None
+    for s in world.sightings:
+        if not is_observable(s, rig, grid):
             continue
         if params.base_detectability < 1.0 and rng.random() >= params.base_detectability:
             continue
-        rel = relative_polar(world.agent, e.position())
-        if best is None or rel.dist < best[0]:
-            best = (rel.dist, e)
+        if best is None or s.rel.dist < best.dist:
+            best = s.rel
     if best is None:
         return None
-    rel = relative_polar(world.agent, best[1].position())
-    theta = rel.theta + rng.normal() * params.angle_noise
-    dist = max(rel.dist + rng.normal() * params.dist_noise, 0.0)
+    theta = best.theta + rng.normal() * params.angle_noise
+    dist = max(best.dist + rng.normal() * params.dist_noise, 0.0)
     return PolarPoint(theta, dist)

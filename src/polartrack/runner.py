@@ -29,7 +29,7 @@ from .episodes import (
     view_visibility,
 )
 from .gating import confidence
-from .memory import DEFAULT_SLOTS, TargetMemory, update_memory
+from .memory import TargetMemory, update_memory
 from .metrics import MetricRules, score_episode
 from .perception import (
     CameraRig,
@@ -74,7 +74,6 @@ class AgentRuntime:
     invalid_mode: str = HOLD
     use_tokens: bool = True
     use_memory: bool = True
-    num_slots: int = DEFAULT_SLOTS
     count_invalid_in_mean: bool = True
     vis_rules: VisibilityRules = VisibilityRules()
     log_topk: int = 0
@@ -114,7 +113,7 @@ def run_episode(
         raise ValueError("run_episode needs a fresh world")
 
     grid, rig, params = runtime.grid, runtime.rig, runtime.params
-    mem = TargetMemory.empty(runtime.num_slots)
+    mem = TargetMemory.empty()
     pstate = PursuitState(standoff=runtime.standoff)
     expert_state = PursuitState(standoff=runtime.standoff)
     pending: Optional[ReasonerOutput] = None
@@ -190,7 +189,7 @@ def run_episode(
         except Exception as e:
             raise RuntimeError(f"episode failed at step {world.step_index}: {e}") from e
 
-        slot0 = None if mem.is_empty else [float(v) for v in mem.slots[0][:3]]
+        slot0 = None if mem.is_empty else [float(v) for v in mem.slots[:3]]
         frames.append(
             FrameRecord(
                 step=len(frames),

@@ -12,8 +12,8 @@ bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -203,21 +203,30 @@ def _proper_intersect(p, q, a, b) -> bool:
     return d1 * d2 < 0 and d3 * d4 < 0
 
 
+class Sighting(NamedTuple):
+    """One entity as the agent stands right now: its position in agent
+    polar coordinates and whether the agent has line of sight to it."""
+
+    entity: Entity
+    rel: PolarPoint
+    los: bool
+
+
 @dataclass
 class StepEvents:
-    """What one world step produced: collision flag (and who), the exact
-    target position in agent polar coordinates, and per-entity line-of-
-    sight from the agent."""
+    """What one world step produced: collision flag (and who) and the
+    exact post-step target position in agent polar coordinates."""
 
     collided: bool
     collided_with: Optional[str]
     target_rel: PolarPoint
-    visible: dict[int, bool] = field(default_factory=dict)
 
 
 class World:
     """Mutable episode state. One world per episode; the owning runner is
-    the only mutator."""
+    the only mutator. ``sightings`` (one per entity, in entity order) and
+    ``target_sighting`` describe the current poses: they are refreshed at
+    construction and after every step, and everything else reads them."""
 
     def __init__(
         self,
@@ -240,13 +249,8 @@ class World:
         self.limits = limits
         self.max_steps = max_steps
         self.step_index = 0
-
-    @property
-    def target(self) -> Entity:
-        for e in self.entities:
-            if e.kind == TARGET:
-                return e
-        raise RuntimeError("unreachable: no target")
+        self.target = targets[0]
+        self._sight()
 
     @property
     def terminated(self) -> bool:
@@ -325,12 +329,19 @@ class World:
                     collided_with = f"obstacle:{k}"
                     break
 
-        visible = {
-            e.id: self.line_of_sight(apos, e.position()) for e in self.entities
-        }
+        self._sight()
         return StepEvents(
             collided=collided,
             collided_with=collided_with,
-            target_rel=relative_polar(self.agent, self.target.position()),
-            visible=visible,
+            target_rel=self.target_sighting.rel,
         )
+
+    def _sight(self) -> None:
+        apos = (self.agent.x, self.agent.y)
+        self.sightings = []
+        for e in self.entities:
+            pos = e.position()
+            s = Sighting(e, relative_polar(self.agent, pos), self.line_of_sight(apos, pos))
+            self.sightings.append(s)
+            if e is self.target:
+                self.target_sighting = s

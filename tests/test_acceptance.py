@@ -116,20 +116,20 @@ def test_criterion_4_memory_protocol():
     f3 = np.array([5.0, 5.0, 5.0, 5.0])
     c1, c3 = 0.8, 0.9
 
-    mem = TargetMemory.empty(num_slots=4)
+    mem = TargetMemory.empty()
     # leading invalid: freeze (still empty) and one recorded zero
     mem = update_memory(mem, TINY.invalid_index, None, None, TINY)
     assert mem.is_empty and mem.trace.count == 1
 
     # first valid: adopt f1 wholesale
     mem = update_memory(mem, 0, logits_with_confidence(c1), f1, TINY)
-    assert np.array_equal(mem.slots, np.tile(f1, (4, 1)))
+    assert np.array_equal(mem.slots, f1)
 
     # second valid with confidence equal to the running mean: w = 1/2
     c2 = mem.trace.mean
     mem = update_memory(mem, 0, logits_with_confidence(c2), f2, TINY)
     mid = 0.5 * (f1 + f2)
-    assert mem.slots == pytest.approx(np.tile(mid, (4, 1)), abs=1e-8)
+    assert mem.slots == pytest.approx(mid, abs=1e-8)
 
     # 50 invalid steps: bitwise frozen, 50 zeros recorded
     frozen = mem.slots.tobytes()

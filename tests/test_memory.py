@@ -34,29 +34,31 @@ def test_logit_constructor_oracle():
 
 
 def test_bootstrap_adopts_first_valid_feature():
-    mem = TargetMemory.empty(num_slots=4)
+    mem = TargetMemory.empty()
     f1 = np.array([1.0, 0.0, 0.0])
     out = update_memory(mem, VALID, logits_with_confidence(0.2), f1, TINY)
-    assert out.slots.shape == (4, 3)
-    assert np.array_equal(out.slots, np.tile(f1, (4, 1)))
+    assert out.slots.shape == (3,)
+    assert np.array_equal(out.slots, f1)
+    # adopted by copy: the caller's array stays its own
+    assert out.slots is not f1
     # sharpness of the bootstrap logits must not matter
     out2 = update_memory(mem, VALID, logits_with_confidence(0.95), f1, TINY)
     assert np.array_equal(out2.slots, out.slots)
 
 
 def test_blend_midpoint_at_half_weight():
-    mem = TargetMemory.empty(num_slots=2)
+    mem = TargetMemory.empty()
     f1 = np.array([1.0, 0.0])
     f2 = np.array([0.0, 1.0])
     c1 = 0.8
     mem = update_memory(mem, VALID, logits_with_confidence(c1), f1, TINY)
     # trace = {0.8}: picking c2 = mean yields w = 0.5 exactly
     mem = update_memory(mem, VALID, logits_with_confidence(c1), f2, TINY)
-    assert mem.slots == pytest.approx(np.tile([0.5, 0.5], (2, 1)), abs=1e-8)
+    assert mem.slots == pytest.approx(np.array([0.5, 0.5]), abs=1e-8)
 
 
 def test_invalid_freezes_slots_and_records_zero():
-    mem = TargetMemory.empty(num_slots=3)
+    mem = TargetMemory.empty()
     f1 = np.array([0.3, -0.7, 2.0, 0.0])
     mem = update_memory(mem, VALID, logits_with_confidence(0.9), f1, TINY)
     before = mem.slots.tobytes()
@@ -103,7 +105,7 @@ def test_contract_violations():
 
 
 def test_similarity_examples():
-    mem = TargetMemory.empty(num_slots=2)
+    mem = TargetMemory.empty()
     mem = update_memory(mem, VALID, logits_with_confidence(0.5), np.array([1.0, 0.0]), TINY)
     assert memory_similarity(mem, [1.0, 0.0]) == pytest.approx(1.0)
     assert memory_similarity(mem, [0.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
@@ -128,11 +130,11 @@ def test_convexity_and_boundedness():
         mem = update_memory(
             mem, VALID, logits_with_confidence(float(rng.uniform(0, 1))), cand, TINY
         )
-        lo = np.minimum(prev, cand[None, :])
-        hi = np.maximum(prev, cand[None, :])
+        lo = np.minimum(prev, cand)
+        hi = np.maximum(prev, cand)
         assert np.all(mem.slots >= lo - 1e-12)
         assert np.all(mem.slots <= hi + 1e-12)
-        assert np.all(np.linalg.norm(mem.slots, axis=1) <= bound * np.sqrt(dim) + 1e-9)
+        assert np.linalg.norm(mem.slots) <= bound * np.sqrt(dim) + 1e-9
 
 
 def test_norm_bound_is_preserved():
@@ -147,7 +149,7 @@ def test_norm_bound_is_preserved():
         mem = update_memory(
             mem, VALID, logits_with_confidence(float(rng.uniform(0, 1))), cand, TINY
         )
-        assert np.all(np.linalg.norm(mem.slots, axis=1) <= b + 1e-9)
+        assert np.linalg.norm(mem.slots) <= b + 1e-9
 
 
 def test_idempotent_convergence():
@@ -157,7 +159,7 @@ def test_idempotent_convergence():
     errs = []
     for _ in range(40):
         mem = update_memory(mem, VALID, logits_with_confidence(0.8), goal, TINY)
-        errs.append(float(np.abs(mem.slots - goal[None, :]).max()))
+        errs.append(float(np.abs(mem.slots - goal).max()))
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-3
 

@@ -41,8 +41,8 @@ def static_world(entities, obstacles=()):
     )
 
 
-def bootstrapped(appearance, num_slots=4):
-    mem = TargetMemory.empty(num_slots)
+def bootstrapped(appearance):
+    mem = TargetMemory.empty()
     tiny = PolarGrid(r_min=1, r_max=2, n_angle=1, n_dist=1)
     logits = np.array([5.0, 0.0])
     return update_memory(mem, 0, logits, np.asarray(appearance, dtype=float), tiny)
@@ -161,8 +161,8 @@ def test_determinism_given_rng_state():
     params = PerceptionParams()
     w1 = static_world([entity(0, "target", (2.5, 1.2), app)])
     w2 = static_world([entity(0, "target", (2.5, 1.2), app)])
-    o1 = observe(w1, RING, bootstrapped(app, 2), GRID, params, np.random.default_rng(42))
-    o2 = observe(w2, RING, bootstrapped(app, 2), GRID, params, np.random.default_rng(42))
+    o1 = observe(w1, RING, bootstrapped(app), GRID, params, np.random.default_rng(42))
+    o2 = observe(w2, RING, bootstrapped(app), GRID, params, np.random.default_rng(42))
     assert o1.token == o2.token
     assert np.array_equal(o1.logits, o2.logits)
     assert np.array_equal(o1.candidate, o2.candidate)
@@ -222,3 +222,10 @@ def test_perception_params_validation():
         PerceptionParams(sim_temperature=0.0)
     with pytest.raises(ValueError):
         PerceptionParams(base_detectability=1.5)
+
+
+def test_perception_params_reject_non_finite():
+    for name in ("invalid_bias", "angle_noise", "no_detection_bonus"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=name):
+                PerceptionParams(**{name: bad})

@@ -6,6 +6,7 @@ from polartrack.perception import CameraRig, PerceptionParams
 from polartrack.polar import PolarGrid
 from polartrack.runner import ARMS, AgentRuntime, arm_switches, run_episode
 from polartrack.scenarios import ScenarioSpec, make_scenario
+from polartrack.world import World
 
 GRID = PolarGrid()
 
@@ -45,6 +46,25 @@ def test_requires_fresh_world():
     w.step(Command(0.0, 0.0))
     with pytest.raises(ValueError):
         run_episode(w, runtime(), spec, 0)
+
+
+def test_line_of_sight_once_per_entity_per_step(monkeypatch):
+    calls = 0
+    los = World.line_of_sight
+
+    def counting(self, a, b):
+        nonlocal calls
+        calls += 1
+        return los(self, a, b)
+
+    monkeypatch.setattr(World, "line_of_sight", counting)
+    for name, arm in (("stt", "full"), ("dt", "full"), ("dt", "no_cot")):
+        spec = ScenarioSpec(name, max_steps=60)
+        calls = 0
+        w = make_scenario(spec, 1)
+        log = run_episode(w, runtime(arm), spec, 1)
+        # one sighting per entity at construction and after every step
+        assert calls == (len(log.frames) + 1) * len(w.entities), (name, arm)
 
 
 def test_memory_frozen_through_occlusion_window():

@@ -1,0 +1,63 @@
+"""The benchmark's tracer (perfbench/instrument.py) wraps polartrack's
+names by lookup. A rename under src/ that breaks it fails here."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from polartrack import bench
+from polartrack.config import RunConfig, ScenarioRun
+from polartrack.runner import ARMS
+from polartrack.scenarios import ScenarioSpec
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def instrument():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import instrument
+
+        yield instrument
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def run(out_dir):
+    cfg = RunConfig(
+        master_seed=4,
+        arms=list(ARMS),
+        scenarios=[ScenarioRun(ScenarioSpec("dt", max_steps=40), 1)],
+    )
+    report, results = bench.run_bench(cfg, jobs=1, out_dir=out_dir)
+    assert all(r.error is None for r in results)
+    logs = {p.name: p.read_bytes() for p in sorted(Path(out_dir).glob("*.jsonl"))}
+    assert len(logs) == len(ARMS)
+    return report, results, logs
+
+
+def test_traced_episodes_match_untraced(instrument, tmp_path):
+    plain = run(tmp_path / "plain")
+    tracer = instrument.Tracer()
+    tracer.install()
+    try:
+        traced = run(tmp_path / "traced")
+    finally:
+        tracer.uninstall()
+    assert traced[0] == plain[0]
+    assert traced[2] == plain[2]
+
+    counts = tracer.snapshot()
+    steps = {r.arm: r.outcome.episode_length for r in traced[1]}
+    entities = len(bench.make_scenario(ScenarioSpec("dt"), 0).entities)
+    # the expert plans every step and is told apart from the agent by
+    # call order; the agent plans only in the token arms
+    assert counts["policy.plan_expert"] == sum(steps.values())
+    assert counts["policy.plan_agent"] == steps["full"] + steps["no_tim"]
+    assert counts["perception.nearest_detection"] == steps["no_cot"]
+    assert counts["world.step"] == sum(steps.values())
+    # one line-of-sight query per entity per step, none repeated
+    assert counts["los_calls"] == sum(n + 1 for n in steps.values()) * entities
+    assert counts["los_distinct"] == counts["los_calls"]

@@ -191,19 +191,30 @@ def test_obstacle_validation():
     assert o.distance_to((0.5, 0.5)) == 0.0
 
 
+def assert_sightings_fresh(w: World):
+    """Every sighting equals a fresh computation, bit for bit."""
+    apos = (w.agent.x, w.agent.y)
+    assert len(w.sightings) == len(w.entities)
+    for s, e in zip(w.sightings, w.entities):
+        assert s.entity is e
+        assert s.rel == relative_polar(w.agent, e.position())
+        assert s.los == w.line_of_sight(apos, e.position())
+    assert w.target_sighting.entity is w.target
+
+
 def test_target_rel_matches_recomputation():
-    spec = ScenarioSpec("stt")
-    w = make_scenario(spec, 2)
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        cmd = Command(
-            v=float(rng.uniform(0, w.limits.max_speed)),
-            dtheta=float(rng.uniform(-w.limits.max_turn, w.limits.max_turn)),
-        )
-        ev = w.step(cmd)
-        expected = relative_polar(w.agent, w.target.position())
-        assert ev.target_rel.theta == pytest.approx(expected.theta)
-        assert ev.target_rel.dist == pytest.approx(expected.dist)
+    for name in ("stt", "dt", "obstacle"):
+        w = make_scenario(ScenarioSpec(name), 2)
+        assert_sightings_fresh(w)
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            cmd = Command(
+                v=float(rng.uniform(0, w.limits.max_speed)),
+                dtheta=float(rng.uniform(-w.limits.max_turn, w.limits.max_turn)),
+            )
+            ev = w.step(cmd)
+            assert ev.target_rel == relative_polar(w.agent, w.target.position())
+            assert_sightings_fresh(w)
 
 
 def test_world_requires_one_target():
