@@ -1,15 +1,20 @@
 """Run configuration: one JSON file drives benches, datasets and replays.
 
-Every block is optional and falls back to the package defaults; unknown
-keys are rejected and parse errors name the offending field. The master seed plus (scenario index,
-episode index) deterministically derive every episode seed, and the same
-episode seed is shared across ablation arms so arm comparisons are
-paired.
+Each block is read as the record it sets (``grid`` as a ``PolarGrid``,
+``scenarios[i]`` as a ``ScenarioSpec`` plus ``episodes``, ...), and one
+rule holds everywhere: omitted fields take their defaults, while unknown
+keys and values of the wrong JSON type are rejected (an int may stand in
+for a float; nothing else converts). Errors are ``ConfigError``s naming
+the dotted field, e.g. ``'rig.views[0].fov'``. The master seed plus
+(scenario index, episode index) deterministically derive every episode
+seed, and the same episode seed is shared across ablation arms so arm
+comparisons are paired.
 """
 
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,6 +23,7 @@ from .metrics import MetricRules
 from .perception import CameraRig, PerceptionParams
 from .polar import PolarGrid
 from .policy import HOLD, INVALID_MODES
+from .records import FieldError, check, check_keys
 from .runner import ARMS, AgentRuntime
 from .scenarios import ScenarioSpec
 from .world import MotionLimits
@@ -50,8 +56,8 @@ class RunConfig:
     count_invalid_in_mean: bool = True
     master_seed: int = 0
     jobs: int = 1
-    arms: list = field(default_factory=lambda: ["full", "no_tim", "no_cot"])
-    scenarios: list = field(
+    arms: list[str] = field(default_factory=lambda: ["full", "no_tim", "no_cot"])
+    scenarios: list[ScenarioRun] = field(
         default_factory=lambda: [
             ScenarioRun(ScenarioSpec("stt"), 20),
             ScenarioRun(ScenarioSpec("dt"), 20),
@@ -59,8 +65,8 @@ class RunConfig:
     )
 
     def runtime_for_arm(self, arm: str) -> AgentRuntime:
-        return AgentRuntime.for_arm(
-            arm,
+        return AgentRuntime(
+            arm=arm,
             grid=self.grid,
             rig=self.rig,
             params=self.perception,
@@ -80,7 +86,7 @@ class RunConfig:
             "rig": self.rig.to_dict(),
             "perception": self.perception.to_dict(),
             "rules": self.rules.to_dict(),
-            "limits": {"max_speed": self.limits.max_speed, "max_turn": self.limits.max_turn},
+            "limits": self.limits.to_dict(),
             "vis_rules": self.vis_rules.to_dict(),
             "policy": {"standoff": self.standoff, "invalid_mode": self.invalid_mode},
             "count_invalid_in_mean": self.count_invalid_in_mean,
@@ -95,77 +101,16 @@ TOP_KEYS = (
     "master_seed", "jobs", "grid", "rig", "perception", "rules", "limits",
     "vis_rules", "policy", "count_invalid_in_mean", "arms", "scenarios",
 )
-POLICY_KEYS = ("standoff", "invalid_mode")
-LIMITS_KEYS = ("max_speed", "max_turn")
-# "resolved" is accepted and ignored
-SCENARIO_KEYS = (
-    "name", "n_distractors", "sigma_app", "feature_dim", "max_steps", "episodes", "resolved",
-)
 
 
-def _reject_unknown(d: dict, allowed: tuple, prefix: str = "") -> None:
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(
-                f"config field '{prefix}{key}': unknown key, expected one of {list(allowed)}"
-            )
-
-
-def _section(d: dict, name: str, parser, default):
-    if name not in d:
-        return default
+def _scenario_run(raw, path: str) -> ScenarioRun:
+    s = dict(check(dict, raw, path))
+    episodes = check(int, s.pop("episodes", 1), f"{path}.episodes")
+    spec = ScenarioSpec.from_dict(s, path)
     try:
-        return parser(d[name])
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"config field '{name}': {e}") from e
-
-
-def _parse_limits(x) -> MotionLimits:
-    _reject_unknown(x, LIMITS_KEYS, "limits.")
-    return MotionLimits(float(x["max_speed"]), float(x["max_turn"]))
-
-
-def _parse_bool(x) -> bool:
-    if not isinstance(x, bool):
-        raise TypeError(f"expected true or false, got {x!r}")
-    return x
-
-
-def _parse_scenarios(raw) -> list:
-    runs = []
-    for i, s in enumerate(raw):
-        try:
-            s = dict(s)
-            _reject_unknown(s, SCENARIO_KEYS, f"scenarios[{i}].")
-            episodes = int(s.pop("episodes", 1))
-            sigma = s.get("sigma_app")
-            spec = ScenarioSpec(
-                name=s["name"],
-                n_distractors=s.get("n_distractors"),
-                sigma_app=None if sigma is None else float(sigma),
-                feature_dim=int(s.get("feature_dim", 16)),
-                max_steps=int(s.get("max_steps", 500)),
-            )
-            runs.append(ScenarioRun(spec=spec, episodes=episodes))
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"config field 'scenarios[{i}]': {e}") from e
-    if not runs:
-        raise ConfigError("config field 'scenarios': needs at least one entry")
-    return runs
-
-
-def _parse_arms(raw) -> list:
-    arms = list(raw)
-    for a in arms:
-        if a not in ARMS:
-            raise ConfigError(f"config field 'arms': unknown arm {a!r}, expected {ARMS}")
-    if not arms:
-        raise ConfigError("config field 'arms': needs at least one arm")
-    return arms
+        return ScenarioRun(spec=spec, episodes=episodes)
+    except ValueError as e:
+        raise FieldError(f"{path}.episodes", str(e)) from e
 
 
 def load_config(path) -> RunConfig:
@@ -182,33 +127,37 @@ def load_config(path) -> RunConfig:
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    _reject_unknown(d, TOP_KEYS)
+    try:
+        return _parse(d)
+    except FieldError as e:
+        raise ConfigError(f"config field {e}") from e
+
+
+def _parse(d: dict) -> RunConfig:
+    d = check_keys(d, TOP_KEYS)
+    policy = check_keys(d.get("policy", {}), ("standoff", "invalid_mode"), "policy")
+    # every other block and scalar is read as the RunConfig field it sets
+    types = typing.get_type_hints(RunConfig)
     cfg = RunConfig()
-    cfg.grid = _section(d, "grid", PolarGrid.from_dict, cfg.grid)
-    cfg.rig = _section(d, "rig", CameraRig.from_dict, cfg.rig)
-    cfg.perception = _section(d, "perception", PerceptionParams.from_dict, cfg.perception)
-    cfg.rules = _section(d, "rules", MetricRules.from_dict, cfg.rules)
-    cfg.limits = _section(d, "limits", _parse_limits, cfg.limits)
-    cfg.vis_rules = _section(d, "vis_rules", VisibilityRules.from_dict, cfg.vis_rules)
-    policy = _section(d, "policy", dict, {})
-    _reject_unknown(policy, POLICY_KEYS, "policy.")
-    cfg.standoff = float(policy.get("standoff", cfg.standoff))
-    cfg.invalid_mode = policy.get("invalid_mode", cfg.invalid_mode)
+    for name, value in d.items():
+        if name not in ("policy", "scenarios"):
+            setattr(cfg, name, check(types[name], value, name))
+    for name, value in policy.items():
+        setattr(cfg, name, check(types[name], value, f"policy.{name}"))
     if cfg.invalid_mode not in INVALID_MODES:
-        raise ConfigError(
-            f"config field 'policy.invalid_mode': {cfg.invalid_mode!r} not in {INVALID_MODES}"
-        )
-    cfg.count_invalid_in_mean = _section(
-        d, "count_invalid_in_mean", _parse_bool, cfg.count_invalid_in_mean
-    )
-    cfg.master_seed = _section(d, "master_seed", int, cfg.master_seed)
-    cfg.jobs = _section(d, "jobs", int, cfg.jobs)
+        raise FieldError("policy.invalid_mode", f"{cfg.invalid_mode!r} not in {INVALID_MODES}")
     if cfg.jobs < 1:
-        raise ConfigError("config field 'jobs': must be >= 1")
-    if "arms" in d:
-        cfg.arms = _parse_arms(d["arms"])
+        raise FieldError("jobs", "must be >= 1")
+    for i, arm in enumerate(cfg.arms):
+        if arm not in ARMS:
+            raise FieldError(f"arms[{i}]", f"unknown arm {arm!r}, expected {ARMS}")
+    if not cfg.arms:
+        raise FieldError("arms", "needs at least one arm")
     if "scenarios" in d:
-        cfg.scenarios = _parse_scenarios(d["scenarios"])
+        raw = check(list, d["scenarios"], "scenarios")
+        cfg.scenarios = [_scenario_run(s, f"scenarios[{i}]") for i, s in enumerate(raw)]
+        if not cfg.scenarios:
+            raise FieldError("scenarios", "needs at least one entry")
     return cfg
 
 

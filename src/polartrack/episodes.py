@@ -18,9 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import EpisodeOutcome, MetricRules
+from .metrics import EpisodeOutcome, MetricRules, score_episode
 from .perception import CameraRig, CameraView, PerceptionParams, is_observable
 from .polar import PolarGrid, PolarPoint, encode
+from .records import Record, check
 from .scenarios import ScenarioSpec, make_scenario
 from .world import World
 
@@ -28,7 +29,7 @@ SCHEMA_VERSION = "1"
 
 
 @dataclass(frozen=True)
-class VisibilityRules:
+class VisibilityRules(Record):
     """Ground-truth annotation knobs. ``min_apparent_size`` is the
     radius/distance ratio below which the target counts as too small to
     see, standing in for a pixel-count cutoff. The default puts the
@@ -36,13 +37,6 @@ class VisibilityRules:
     obstacle split annotates 10-30% of frames invalid."""
 
     min_apparent_size: float = 0.075
-
-    def to_dict(self) -> dict:
-        return {"min_apparent_size": self.min_apparent_size}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VisibilityRules":
-        return cls(min_apparent_size=float(d["min_apparent_size"]))
 
 
 def annotate_frame(
@@ -180,22 +174,22 @@ class EpisodeHeader:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EpisodeHeader":
-        pol = d["policy"]
+        pol = check(dict, d["policy"], "policy")
         return cls(
-            scenario=d["scenario"],
-            seed=int(d["seed"]),
-            grid=PolarGrid.from_dict(d["grid"]),
-            rig=CameraRig.from_dict(d["rig"]),
-            perception=PerceptionParams.from_dict(d["perception"]),
-            rules=MetricRules.from_dict(d["rules"]),
-            vis_rules=VisibilityRules.from_dict(d["vis_rules"]),
-            max_steps=int(d["max_steps"]),
-            standoff=float(pol["standoff"]),
-            invalid_mode=str(pol["invalid_mode"]),
-            max_speed=float(pol["max_speed"]),
-            max_turn=float(pol["max_turn"]),
-            arm=str(d["arm"]),
-            expert=str(d["expert"]),
+            scenario=check(dict, d["scenario"], "scenario"),
+            seed=check(int, d["seed"], "seed"),
+            grid=PolarGrid.from_dict(d["grid"], "grid"),
+            rig=CameraRig.from_dict(d["rig"], "rig"),
+            perception=PerceptionParams.from_dict(d["perception"], "perception"),
+            rules=MetricRules.from_dict(d["rules"], "rules"),
+            vis_rules=VisibilityRules.from_dict(d["vis_rules"], "vis_rules"),
+            max_steps=check(int, d["max_steps"], "max_steps"),
+            standoff=check(float, pol["standoff"], "policy.standoff"),
+            invalid_mode=check(str, pol["invalid_mode"], "policy.invalid_mode"),
+            max_speed=check(float, pol["max_speed"], "policy.max_speed"),
+            max_turn=check(float, pol["max_turn"], "policy.max_turn"),
+            arm=check(str, d["arm"], "arm"),
+            expert=check(str, d["expert"], "expert"),
         )
 
 
@@ -229,8 +223,10 @@ def write_episode(log: EpisodeLog, path) -> None:
 
 
 def read_episode(path) -> EpisodeLog:
-    """Parse and validate one episode file. Errors carry the 1-based line
-    number of the offending line."""
+    """Parse and validate one episode file, including that the footer's
+    outcome is what the frames score under the header's rules. Errors
+    carry the 1-based line number of the offending line and, where one
+    is at fault, the field."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines:
@@ -238,11 +234,22 @@ def read_episode(path) -> EpisodeLog:
 
     def parse(i: int) -> dict:
         try:
-            return json.loads(lines[i])
+            d = json.loads(lines[i])
         except json.JSONDecodeError as e:
             raise EpisodeFormatError(
                 f"{path}: malformed JSON at line {i + 1} (last good line {i})"
             ) from e
+        if not isinstance(d, dict):
+            raise EpisodeFormatError(f"{path}: line {i + 1} is not a JSON object")
+        return d
+
+    def build(i: int, make, d: dict):
+        try:
+            return make(d)
+        except KeyError as e:
+            raise EpisodeFormatError(f"{path}: line {i + 1}: missing field {e}") from e
+        except (IndexError, TypeError, ValueError) as e:
+            raise EpisodeFormatError(f"{path}: line {i + 1}: {e}") from e
 
     head = parse(0)
     if head.get("type") != "header":
@@ -252,17 +259,17 @@ def read_episode(path) -> EpisodeLog:
             f"{path}: schema version {head.get('version')!r} unsupported "
             f"(expected {SCHEMA_VERSION!r})"
         )
-    header = EpisodeHeader.from_json_dict(head)
+    header = build(0, EpisodeHeader.from_json_dict, head)
 
     frames: list[FrameRecord] = []
     outcome: Optional[EpisodeOutcome] = None
     for i in range(1, len(lines)):
         d = parse(i)
         kind = d.get("type")
+        if outcome is not None:
+            raise EpisodeFormatError(f"{path}: line {i + 1}: record after the footer")
         if kind == "frame":
-            if outcome is not None:
-                raise EpisodeFormatError(f"{path}: frame after footer at line {i + 1}")
-            f = FrameRecord.from_json_dict(d)
+            f = build(i, FrameRecord.from_json_dict, d)
             if f.step != len(frames):
                 raise EpisodeFormatError(
                     f"{path}: line {i + 1}: step {f.step}, expected {len(frames)}"
@@ -276,14 +283,25 @@ def read_episode(path) -> EpisodeLog:
                 )
             frames.append(f)
         elif kind == "footer":
-            outcome = EpisodeOutcome.from_dict(d["outcome"])
+            outcome = build(i, lambda d: EpisodeOutcome.from_dict(d["outcome"], "outcome"), d)
+            footer = i + 1
         else:
             raise EpisodeFormatError(f"{path}: line {i + 1}: unknown record type {kind!r}")
     if outcome is None:
         raise EpisodeFormatError(
             f"{path}: missing footer (last good line {len(lines)})"
         )
-    return EpisodeLog(header=header, frames=frames, outcome=outcome)
+    log = EpisodeLog(header=header, frames=frames, outcome=outcome)
+    try:
+        rescored = score_episode(log, header.rules)
+    except ValueError as e:
+        raise EpisodeFormatError(f"{path}: {e}") from e
+    if rescored != outcome:
+        raise EpisodeFormatError(
+            f"{path}: line {footer}: footer outcome {outcome} disagrees with "
+            f"the frames, which score {rescored}"
+        )
+    return log
 
 
 def schema_description() -> str:

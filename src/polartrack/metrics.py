@@ -18,10 +18,11 @@ import numpy as np
 
 from .policy import NUM_WAYPOINTS
 from .polar import signed_degrees
+from .records import Record
 
 
 @dataclass(frozen=True)
-class MetricRules:
+class MetricRules(Record):
     orient_tol: float = 30.0  # deg, final-step "correctly oriented"
     track_dist: float = 3.0  # m, per-step tracked flag
     track_bearing: float = 60.0  # deg, per-step tracked flag
@@ -29,50 +30,14 @@ class MetricRules:
     lost_patience: int = 50  # ...for this many consecutive steps
     band: tuple[float, float] = (1.0, 3.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "orient_tol": self.orient_tol,
-            "track_dist": self.track_dist,
-            "track_bearing": self.track_bearing,
-            "lost_radius": self.lost_radius,
-            "lost_patience": self.lost_patience,
-            "band": list(self.band),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricRules":
-        d = dict(d)
-        if "band" in d:
-            d["band"] = tuple(d["band"])
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class EpisodeOutcome:
+class EpisodeOutcome(Record):
     success: bool
     tracking_rate: float
     collided: bool
     episode_length: int
     reason: str  # cap | collision | lost
-
-    def to_dict(self) -> dict:
-        return {
-            "success": self.success,
-            "tracking_rate": self.tracking_rate,
-            "collided": self.collided,
-            "episode_length": self.episode_length,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EpisodeOutcome":
-        return cls(
-            success=bool(d["success"]),
-            tracking_rate=float(d["tracking_rate"]),
-            collided=bool(d["collided"]),
-            episode_length=int(d["episode_length"]),
-            reason=str(d["reason"]),
-        )
 
 
 def frame_tracked(dist: float, theta: float, rules: MetricRules) -> bool:
@@ -154,7 +119,7 @@ def total_loss(
 
 
 @dataclass
-class ArmResult:
+class ArmResult(Record):
     """Aggregate over one (scenario, arm) block of episodes."""
 
     scenario: str
@@ -165,18 +130,6 @@ class ArmResult:
     cr: float  # percent
     mean_el: float
     seeds: list[int]
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "arm": self.arm,
-            "episodes": self.episodes,
-            "sr": self.sr,
-            "tr": self.tr,
-            "cr": self.cr,
-            "mean_el": self.mean_el,
-            "seeds": self.seeds,
-        }
 
 
 def aggregate(

@@ -23,11 +23,12 @@ import numpy as np
 
 from .memory import TargetMemory, memory_similarity
 from .polar import PolarGrid, PolarPoint, encode, signed_degrees
+from .records import Record
 from .world import Sighting, World
 
 
 @dataclass(frozen=True)
-class CameraView:
+class CameraView(Record):
     yaw: float  # degrees ccw from agent heading
     fov: float  # degrees
 
@@ -36,7 +37,7 @@ class CameraView:
 
 
 @dataclass(frozen=True)
-class CameraRig:
+class CameraRig(Record):
     views: tuple[CameraView, ...]
 
     def __post_init__(self):
@@ -57,16 +58,9 @@ class CameraRig:
     def covers(self, theta: float) -> bool:
         return any(v.covers(theta) for v in self.views)
 
-    def to_dict(self) -> dict:
-        return {"views": [{"yaw": v.yaw, "fov": v.fov} for v in self.views]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraRig":
-        return cls(views=tuple(CameraView(float(v["yaw"]), float(v["fov"])) for v in d["views"]))
-
 
 @dataclass(frozen=True)
-class PerceptionParams:
+class PerceptionParams(Record):
     """Noise and logit-construction knobs.
 
     ``base_detectability`` is the per-step probability that an observable
@@ -107,15 +101,6 @@ class PerceptionParams:
         from dataclasses import replace
 
         return replace(self, angle_noise=0.0, dist_noise=0.0, feature_noise=0.0)
-
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PerceptionParams":
-        return cls(**d)
 
 
 @dataclass

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .records import Record
+
 
 def wrap_degrees(angle: float) -> float:
     """Normalize an angle in degrees into [0, 360)."""
@@ -27,7 +29,7 @@ def signed_degrees(angle: float) -> float:
 
 
 @dataclass(frozen=True)
-class PolarGrid:
+class PolarGrid(Record):
     """Annular discretization parameters.
 
     Angular bins start at the agent heading and run counterclockwise;
@@ -70,23 +72,6 @@ class PolarGrid:
 
     def is_valid_token(self, token: int) -> bool:
         return 0 <= token < self.n_cells
-
-    def to_dict(self) -> dict:
-        return {
-            "r_min": self.r_min,
-            "r_max": self.r_max,
-            "n_angle": self.n_angle,
-            "n_dist": self.n_dist,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PolarGrid":
-        return cls(
-            r_min=float(d["r_min"]),
-            r_max=float(d["r_max"]),
-            n_angle=int(d["n_angle"]),
-            n_dist=int(d["n_dist"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -54,13 +54,6 @@ from .world import MotionLimits, World
 ARMS = ("full", "no_tim", "no_cot")
 
 
-def arm_switches(arm: str) -> tuple[bool, bool]:
-    """(use_tokens, use_memory) for an arm name."""
-    if arm not in ARMS:
-        raise ValueError(f"unknown arm {arm!r}, expected one of {ARMS}")
-    return {"full": (True, True), "no_tim": (True, False), "no_cot": (False, False)}[arm]
-
-
 @dataclass
 class AgentRuntime:
     """Everything the episode loop needs besides the world itself."""
@@ -72,22 +65,14 @@ class AgentRuntime:
     limits: MotionLimits = MotionLimits()
     standoff: float = 2.0
     invalid_mode: str = HOLD
-    use_tokens: bool = True
-    use_memory: bool = True
+    arm: str = "full"
     count_invalid_in_mean: bool = True
     vis_rules: VisibilityRules = VisibilityRules()
     log_topk: int = 0
 
-    @property
-    def arm(self) -> str:
-        if self.use_tokens:
-            return "full" if self.use_memory else "no_tim"
-        return "no_cot"
-
-    @classmethod
-    def for_arm(cls, arm: str, **kwargs) -> "AgentRuntime":
-        use_tokens, use_memory = arm_switches(arm)
-        return cls(use_tokens=use_tokens, use_memory=use_memory, **kwargs)
+    def __post_init__(self):
+        if self.arm not in ARMS:
+            raise ValueError(f"unknown arm {self.arm!r}, expected one of {ARMS}")
 
 
 def _topk(logits: np.ndarray, k: int) -> list:
@@ -145,12 +130,12 @@ def run_episode(
                 gt_token, grid, expert_state, runtime.limits, runtime.invalid_mode
             )
 
-            if runtime.use_tokens:
+            if runtime.arm != "no_cot":
                 out = observe(world, rig, mem, grid, params, world.rng)
                 if output_sink is not None:
                     output_sink.append(out)
                 conf = confidence(out.logits)
-                if runtime.use_memory and pending is not None:
+                if runtime.arm == "full" and pending is not None:
                     mem = update_memory(
                         mem,
                         pending.token,

@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from .records import Record
 from .world import (
     DISTRACTOR,
     TARGET,
@@ -46,7 +47,7 @@ SPRINT_SPEED = 0.45  # breakaway speed behind the obstacle wall
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     name: str
     n_distractors: Optional[int] = None  # None = family default
     sigma_app: Optional[float] = None  # None = family default

@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .polar import PolarPoint, wrap_degrees
+from .records import Record
 
 TARGET = "target"
 DISTRACTOR = "distractor"
@@ -36,7 +37,7 @@ class Pose2D:
 
 
 @dataclass(frozen=True)
-class MotionLimits:
+class MotionLimits(Record):
     max_speed: float = 0.25  # m/step
     max_turn: float = 30.0  # deg/step
 

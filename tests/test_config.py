@@ -44,3 +44,46 @@ def test_non_finite_perception_value_is_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(p)
     assert "detect_score" in str(err.value)
+
+
+GRID = {"r_min": 0.6, "r_max": 5.0, "n_angle": 60, "n_dist": 30}
+WRONG_FIELDS = [
+    ({"rig": {"views": [{"yaw": 0, "fov": 90, "bogus": 1}]}}, "rig.views[0].bogus"),
+    ({"grid": {**GRID, "extra": 1}}, "grid.extra"),
+    ({"grid": {**GRID, "n_angle": 60.9}}, "grid.n_angle"),
+    ({"vis_rules": {"min_apparent_size": 0.075, "x": 1}}, "vis_rules.x"),
+    ({"master_seed": 5.7}, "master_seed"),
+    ({"jobs": True}, "jobs"),
+    ({"rules": {"lost_patience": 50.5}}, "rules.lost_patience"),
+    ({"rules": {"band": [1, 3, 5]}}, "rules.band"),
+    ({"perception": {"angle_noise": True}}, "perception.angle_noise"),
+    ({"limits": {"max_speed": True, "max_turn": 30.0}}, "limits.max_speed"),
+    ({"scenarios": [{"name": "dt", "episodes": 1.9}]}, "scenarios[0].episodes"),
+    ({"scenarios": [{"name": "dt", "episodes": 1, "n_distractors": 2.7}]},
+     "scenarios[0].n_distractors"),
+    ({"policy": {"standoff": "abc"}}, "policy.standoff"),
+    ({"arms": "full"}, "arms"),
+]
+
+
+@pytest.mark.parametrize("d, field", WRONG_FIELDS, ids=[f for _, f in WRONG_FIELDS])
+def test_wrong_key_or_json_type_names_its_field(d, field):
+    rejects(d, field)
+
+
+def test_cli_reports_a_wrong_field_as_config_error(tmp_path, capsys):
+    from polartrack.cli import EXIT_CONFIG, main
+
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"grid": {**GRID, "n_angle": 60.9}}))
+    assert main(["bench", "run", "--config", str(p)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "'grid.n_angle'" in err
+
+
+def test_partial_block_keeps_the_other_defaults():
+    from polartrack.polar import PolarGrid
+
+    assert config_from_dict({"grid": {"r_min": 0.8}}).grid == PolarGrid(r_min=0.8)
+    # an int stands in for a float and is stored as one
+    assert repr(config_from_dict({"grid": {"r_max": 5}}).grid.r_max) == "5.0"

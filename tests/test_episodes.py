@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polartrack.episodes import (
     EpisodeFormatError,
@@ -269,3 +271,75 @@ def test_schema_description_covers_fields():
         "version",
     ):
         assert field in text
+
+
+def edited_log(tmp_path, line: int, edit) -> str:
+    """Write a fresh stt episode, apply ``edit`` to the JSON record on
+    0-based ``line`` and return the error message of reading it back."""
+    path = tmp_path / "ep.jsonl"
+    write_episode(run_stt_episode(), path)
+    lines = path.read_text().splitlines()
+    line = line % len(lines)
+    record = json.loads(lines[line])
+    edit(record)
+    lines[line] = json.dumps(record, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(EpisodeFormatError) as err:
+        read_episode(path)
+    return str(err.value)
+
+
+def test_header_parse_failure_names_line_and_field(tmp_path):
+    msg = edited_log(tmp_path, 0, lambda h: h.pop("policy"))
+    assert "line 1:" in msg and "'policy'" in msg
+    msg = edited_log(tmp_path, 0, lambda h: h["grid"].update(n_angle=60.9))
+    assert "line 1:" in msg and "'grid.n_angle'" in msg
+
+
+def test_frame_parse_failure_names_line_and_field(tmp_path):
+    msg = edited_log(tmp_path, 3, lambda f: f.pop("confidence"))
+    assert "line 4:" in msg and "'confidence'" in msg
+
+
+def test_footer_parse_failure_names_line_and_field(tmp_path):
+    msg = edited_log(tmp_path, -1, lambda f: f["outcome"].update(success="yes"))
+    assert "line 502:" in msg and "'outcome.success'" in msg
+
+
+def test_footer_that_disagrees_with_the_frames_is_rejected(tmp_path):
+    msg = edited_log(
+        tmp_path, -1, lambda f: f["outcome"].update(tracking_rate=0.123, success=False)
+    )
+    assert "line 502:" in msg and "disagrees" in msg
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    scenario=st.sampled_from(("stt", "dt", "obstacle", "winding")),
+    arm=st.sampled_from(("full", "no_tim", "no_cot")),
+    seed=st.integers(0, 2**32 - 1),
+    max_steps=st.integers(1, 60),
+    log_topk=st.sampled_from((0, 5)),
+)
+def test_jsonl_write_read_write_is_byte_identical(tmp_path_factory, scenario, arm, seed,
+                                                  max_steps, log_topk):
+    spec = ScenarioSpec(scenario, max_steps=max_steps)
+    runtime = AgentRuntime(arm=arm, grid=GRID, rig=RING, params=PerceptionParams(),
+                           rules=MetricRules(), log_topk=log_topk)
+    log = run_episode(make_scenario(spec, seed), runtime, scenario=spec, seed=seed)
+    path = tmp_path_factory.mktemp("jsonl") / "ep.jsonl"
+    write_episode(log, path)
+    first = path.read_bytes()
+    write_episode(read_episode(path), path)
+    assert path.read_bytes() == first
+
+
+def test_non_object_line_and_record_after_footer_are_rejected(tmp_path):
+    path = tmp_path / "ep.jsonl"
+    write_episode(run_stt_episode(), path)
+    lines = path.read_text().splitlines()
+    for bad, where in ((lines[:2] + ["[1, 2]"] + lines[2:], "line 3"),
+                       (lines + [lines[-1]], f"line {len(lines) + 1}")):
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(EpisodeFormatError, match=where):
+            read_episode(path)

@@ -1,0 +1,81 @@
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polartrack.episodes import VisibilityRules
+from polartrack.metrics import ArmResult, EpisodeOutcome, MetricRules
+from polartrack.perception import CameraRig, CameraView, PerceptionParams
+from polartrack.polar import PolarGrid
+from polartrack.records import FieldError, Record, check
+from polartrack.scenarios import SCENARIO_NAMES, ScenarioSpec
+from polartrack.world import MotionLimits
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(0.0, 1e6)
+views = st.builds(CameraView, finite, st.floats(1e-3, 360.0))
+
+RECORDS = {
+    PolarGrid: st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.integers(1, 720),
+                         st.integers(1, 200))
+    .filter(lambda t: t[0] < t[1])
+    .map(lambda t: PolarGrid(*t)),
+    CameraView: views,
+    CameraRig: st.lists(views, min_size=1, max_size=8).map(lambda v: CameraRig(tuple(v))),
+    PerceptionParams: st.builds(
+        PerceptionParams, positive, positive, st.floats(1e-3, 1e3), st.floats(0.0, 1.0),
+        finite, finite, positive, finite, finite,
+    ),
+    MetricRules: st.builds(MetricRules, finite, finite, finite, finite, st.integers(),
+                           st.tuples(finite, finite)),
+    VisibilityRules: st.builds(VisibilityRules, finite),
+    MotionLimits: st.builds(MotionLimits, finite, finite),
+    # explicit family values: to_dict writes resolved ones
+    ScenarioSpec: st.builds(ScenarioSpec, st.sampled_from(SCENARIO_NAMES),
+                            st.integers(0, 10), st.floats(0.0, 5.0), st.integers(1, 64),
+                            st.integers(1, 10_000)),
+    EpisodeOutcome: st.builds(EpisodeOutcome, st.booleans(), finite, st.booleans(),
+                              st.integers(0, 10**6), st.sampled_from(("cap", "collision", "lost"))),
+    ArmResult: st.builds(ArmResult, st.text(), st.text(), st.integers(0, 10**6), finite, finite,
+                         finite, finite, st.lists(st.integers(0, 2**32 - 1))),
+}
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+def test_every_record_has_a_strategy():
+    assert set(subclasses(Record)) == set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_record_round_trips(cls, data):
+    r = data.draw(RECORDS[cls])
+    # directly, where sequences are still tuples, and through JSON text
+    assert cls.from_dict(r.to_dict()) == r
+    assert cls.from_dict(json.loads(json.dumps(r.to_dict()))) == r
+
+
+def test_unset_scenario_fields_are_written_resolved():
+    spec = ScenarioSpec("dt")
+    again = ScenarioSpec.from_dict(spec.to_dict())
+    assert again.to_dict() == spec.to_dict()
+    assert (again.n_distractors, again.sigma_app) == (3, 0.35)
+
+
+def test_check_types():
+    from typing import Optional
+
+    assert check(float, 3) == 3.0 and type(check(float, 3)) is float
+    assert check(Optional[int], None) is None
+    assert check(tuple[float, ...], [1, 2.5]) == (1.0, 2.5)
+    for tp, value in ((float, True), (int, False), (int, 2.0), (bool, 1), (str, 1),
+                      (tuple[float, float], [1.0]), (tuple[float, ...], 1.0)):
+        with pytest.raises(FieldError, match="'x'"):
+            check(tp, value, "x")

@@ -4,7 +4,7 @@ from polartrack.memory import TargetMemory, update_memory
 from polartrack.metrics import MetricRules
 from polartrack.perception import CameraRig, PerceptionParams
 from polartrack.polar import PolarGrid
-from polartrack.runner import ARMS, AgentRuntime, arm_switches, run_episode
+from polartrack.runner import ARMS, AgentRuntime, run_episode
 from polartrack.scenarios import ScenarioSpec, make_scenario
 from polartrack.world import World
 
@@ -13,21 +13,16 @@ GRID = PolarGrid()
 
 def runtime(arm="full", noiseless=False, **kwargs):
     params = PerceptionParams().noiseless() if noiseless else PerceptionParams()
-    return AgentRuntime.for_arm(
-        arm, grid=GRID, rig=CameraRig.ring(4), params=params, rules=MetricRules(), **kwargs
+    return AgentRuntime(
+        arm=arm, grid=GRID, rig=CameraRig.ring(4), params=params, rules=MetricRules(), **kwargs
     )
 
 
-def test_arm_switches():
-    assert arm_switches("full") == (True, True)
-    assert arm_switches("no_tim") == (True, False)
-    assert arm_switches("no_cot") == (False, False)
-    with pytest.raises(ValueError):
-        arm_switches("half")
+def test_unknown_arm_is_rejected():
     for arm in ARMS:
-        assert AgentRuntime.for_arm(
-            arm, grid=GRID, rig=CameraRig.ring(4), params=PerceptionParams(), rules=MetricRules()
-        ).arm == arm
+        assert runtime(arm).arm == arm
+    with pytest.raises(ValueError, match="half"):
+        runtime("half")
 
 
 def test_stt_noiseless_succeeds_end_to_end():
