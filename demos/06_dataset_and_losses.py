@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from polartrack.episodes import generate_dataset, read_episode
+from polartrack.gating import SparseLogits
 from polartrack.metrics import reason_loss, total_loss, traj_loss
 from polartrack.policy import PursuitState, advance_hold, execute_first, plan
 from polartrack.scenarios import ScenarioSpec
@@ -41,9 +42,8 @@ for f in log.frames:
     acted, state = plan(f.token, h.grid, state, limits, h.invalid_mode)
     state = advance_hold(state, execute_first(acted, limits))
     t_loss += traj_loss(acted, np.asarray(f.expert_traj))
-    logits = np.zeros(h.grid.vocab_size)
-    for i, v in f.logits_topk:
-        logits[int(i)] = v
+    # the logged top-8 holds every non-zero logit of the frame
+    logits = SparseLogits.from_pairs(h.grid.vocab_size, f.logits_topk)
     r_loss += reason_loss(logits, f.gt_token)
     n += 1
 print(

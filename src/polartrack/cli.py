@@ -27,6 +27,7 @@ import numpy as np
 from .bench import run_bench
 from .config import ConfigError, RunConfig, load_config, save_config
 from .episodes import generate_dataset, read_episode, schema_description, write_episode
+from .gating import SparseLogits
 from .metrics import frame_tracked, reason_loss, total_loss, traj_loss
 from .policy import PursuitState, advance_hold, execute_first, plan
 from .runner import ARMS, run_episode
@@ -167,10 +168,7 @@ def cmd_eval_losses(args) -> int:
                     f"{path}: frames carry no logits; generate the dataset "
                     "with top-k logit logging to evaluate the reasoning loss"
                 )
-            logits = np.zeros(k)
-            for i, v in f.logits_topk:
-                logits[int(i)] = v
-            ep_reason += reason_loss(logits, f.gt_token)
+            ep_reason += reason_loss(SparseLogits.from_pairs(k, f.logits_topk), f.gt_token)
             n += 1
         print(
             f"{path.name}: frames={n} traj={ep_traj / n:.4f} "

@@ -12,7 +12,9 @@ parsed log reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -21,11 +23,14 @@ import numpy as np
 from .metrics import EpisodeOutcome, MetricRules, score_episode
 from .perception import CameraRig, CameraView, PerceptionParams, is_observable
 from .polar import PolarGrid, PolarPoint, encode
-from .records import Record, check
+from .records import JSON_NAMES, FieldError, Record, check
 from .scenarios import ScenarioSpec, make_scenario
 from .world import World
 
 SCHEMA_VERSION = "1"
+
+# logits kept per dataset frame: the invalid entry plus up to 7 entities
+DATASET_TOPK = 8
 
 
 @dataclass(frozen=True)
@@ -107,30 +112,100 @@ class FrameRecord:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "FrameRecord":
+    def from_json_dict(cls, d: dict, vocab_size: int) -> "FrameRecord":
+        """Read a frame, each field as the JSON type it is written as;
+        ``logits_topk`` indices must lie in ``[0, vocab_size)``."""
         gt_polar = d["gt_polar"]
+        agent = _numbers(d["agent"], "agent", 3)
+        target = _numbers(d["target"], "target", 2)
+        target_rel = _numbers(d["target_rel"], "target_rel", 2)
+        gt = None if gt_polar is None else _numbers(gt_polar, "gt_polar", 2)
+        views = _exact(d["view_visible"], list, "view_visible")
+        slot0 = d["mem_slot0"]
+        topk = d["logits_topk"]
         return cls(
-            step=int(d["step"]),
-            agent_x=float(d["agent"][0]),
-            agent_y=float(d["agent"][1]),
-            agent_heading=float(d["agent"][2]),
-            target_x=float(d["target"][0]),
-            target_y=float(d["target"][1]),
-            target_theta=float(d["target_rel"][0]),
-            target_dist=float(d["target_rel"][1]),
-            view_visible=[bool(v) for v in d["view_visible"]],
-            gt_invalid=bool(d["gt_invalid"]),
-            gt_theta=None if gt_polar is None else float(gt_polar[0]),
-            gt_dist=None if gt_polar is None else float(gt_polar[1]),
-            gt_token=int(d["gt_token"]),
-            token=int(d["token"]),
-            confidence=float(d["confidence"]),
-            expert_traj=d["expert_traj"],
-            mem_digest=str(d["mem_digest"]),
-            mem_slot0=d["mem_slot0"],
-            collided=bool(d["collided"]),
-            logits_topk=d["logits_topk"],
+            step=_exact(d["step"], int, "step"),
+            agent_x=agent[0],
+            agent_y=agent[1],
+            agent_heading=agent[2],
+            target_x=target[0],
+            target_y=target[1],
+            target_theta=target_rel[0],
+            target_dist=target_rel[1],
+            view_visible=[_exact(v, bool, "view_visible") for v in views],
+            gt_invalid=_exact(d["gt_invalid"], bool, "gt_invalid"),
+            gt_theta=None if gt is None else gt[0],
+            gt_dist=None if gt is None else gt[1],
+            gt_token=_exact(d["gt_token"], int, "gt_token"),
+            token=_exact(d["token"], int, "token"),
+            confidence=_number(d["confidence"], "confidence"),
+            expert_traj=_rows(d["expert_traj"], "expert_traj", 3),
+            mem_digest=_exact(d["mem_digest"], str, "mem_digest"),
+            mem_slot0=None if slot0 is None else _numbers(slot0, "mem_slot0"),
+            collided=_exact(d["collided"], bool, "collided"),
+            logits_topk=None if topk is None else _topk_pairs(topk, vocab_size),
         )
+
+
+# Frame field readers: plain type checks, since a log is read a frame at
+# a time (``records.check`` resolves annotations on every call). JSON
+# gives a bool for true/false and an int or a float for a number.
+
+
+def _exact(v, tp: type, field: str):
+    """``v`` if its JSON type is exactly ``tp`` (a bool is not an int)."""
+    if type(v) is tp:
+        return v
+    raise FieldError(field, f"expected {JSON_NAMES[tp]}, got {v!r}")
+
+
+_NUMBER = {float, int}
+
+
+def _number(v, field: str) -> float:
+    if type(v) in _NUMBER:
+        return float(v)
+    raise FieldError(field, f"expected a number, got {v!r}")
+
+
+def _numbers(v, field: str, n: Optional[int] = None) -> list:
+    v = _exact(v, list, field)
+    if n is not None and len(v) != n:
+        raise FieldError(field, f"expected {n} numbers, got {v!r}")
+    if not _NUMBER.issuperset(map(type, v)):
+        raise FieldError(field, f"expected numbers, got {v!r}")
+    return list(map(float, v))
+
+
+def _rows(v, field: str, width: int) -> list:
+    """``v``, checked to be a list of lists of ``width`` numbers."""
+    rows = _exact(v, list, field)
+    if not (
+        {list}.issuperset(map(type, rows))
+        and {width}.issuperset(map(len, rows))
+        and _NUMBER.issuperset(map(type, chain.from_iterable(rows)))
+    ):
+        raise FieldError(field, f"expected lists of {width} numbers, got {v!r}")
+    return rows
+
+
+def _topk_pairs(v, vocab_size: int) -> list:
+    pairs = _exact(v, list, "logits_topk")
+    for pair in pairs:
+        if not (
+            type(pair) is list
+            and len(pair) == 2
+            and type(pair[0]) is int
+            and 0 <= pair[0] < vocab_size
+            and type(pair[1]) in _NUMBER
+            and math.isfinite(pair[1])
+        ):
+            raise FieldError(
+                "logits_topk",
+                f"expected [index, logit] pairs with an integer index in "
+                f"[0, {vocab_size}) and a finite logit, got {pair!r}",
+            )
+    return [[i, float(x)] for i, x in pairs]
 
 
 @dataclass
@@ -260,6 +335,7 @@ def read_episode(path) -> EpisodeLog:
             f"(expected {SCHEMA_VERSION!r})"
         )
     header = build(0, EpisodeHeader.from_json_dict, head)
+    vocab_size = header.grid.vocab_size
 
     frames: list[FrameRecord] = []
     outcome: Optional[EpisodeOutcome] = None
@@ -269,7 +345,7 @@ def read_episode(path) -> EpisodeLog:
         if outcome is not None:
             raise EpisodeFormatError(f"{path}: line {i + 1}: record after the footer")
         if kind == "frame":
-            f = build(i, FrameRecord.from_json_dict, d)
+            f = build(i, lambda d: FrameRecord.from_json_dict(d, vocab_size), d)
             if f.step != len(frames):
                 raise EpisodeFormatError(
                     f"{path}: line {i + 1}: step {f.step}, expected {len(frames)}"
@@ -342,7 +418,10 @@ Lines 2..N-1  frame (one per executed step):
   mem_digest       fingerprint of the memory vector after this step's update
   mem_slot0        first 3 coords of the memory vector, null while empty
   collided         whether this step's motion caused a collision
-  logits_topk      [[token, logit] ...] of the top-k logits, null if not kept
+  logits_topk      [[token, logit] ...] of the k largest logits, largest
+                   first, ties lowest token first; null if not kept. Only
+                   the invalid token and one cell per detected entity can
+                   be non-zero, so k above the entity count lists them all
 
 Last line  footer:
   type             "footer"
@@ -369,7 +448,9 @@ def generate_dataset(
 
     Deterministic given ``seed``. With ``randomize_rig``, each episode
     draws per-view fields of view and keeps a random subset of the
-    non-front views; the front view is always present.
+    non-front views; the front view is always present. Frames keep the
+    top-``DATASET_TOPK`` logits, so a world with more entities than fit
+    beside the invalid token raises ``ValueError``.
     """
     from .runner import AgentRuntime, run_episode  # deferred: runner imports us
 
@@ -398,16 +479,23 @@ def generate_dataset(
                 ep_rig = CameraRig(views=tuple(views))
             else:
                 ep_rig = base_rig
-            # top-8 covers every scored cell with the default entity
-            # counts, so the sparse dump rebuilds the dense logits exactly
             runtime = AgentRuntime(
                 grid=grid,
                 rig=ep_rig,
                 params=PerceptionParams().noiseless(),
                 rules=MetricRules(),
-                log_topk=8,
+                log_topk=DATASET_TOPK,
             )
             world = make_scenario(spec, ep_seed)
+            # each entity scores at most one cell, so the logged top-k holds
+            # every non-zero logit (and rebuilds them exactly) as long as
+            # the entities and the invalid entry fit in it
+            if len(world.entities) > DATASET_TOPK - 1:
+                raise ValueError(
+                    f"scenario {spec.name!r} has {len(world.entities)} entities; the "
+                    f"top-{DATASET_TOPK} logits a dataset frame keeps cover at most "
+                    f"{DATASET_TOPK - 1}"
+                )
             log = run_episode(world, runtime, scenario=spec, seed=ep_seed)
             path = out / f"{spec.name}_{ei:04d}.jsonl"
             write_episode(log, path)

@@ -1,18 +1,107 @@
-"""Entropy confidence and the history-normalized update gate.
+"""Sparse logits, entropy confidence and the history-normalized update gate.
 
 Confidence of a token prediction is one minus the normalized entropy of
 its logits: a one-hot-like distribution scores near 1, a uniform one
-scores 0. The gate weight for a memory update divides the current
-confidence by (historical mean + current confidence), so a confident
-prediction after a run of poor ones gets extra pull.
+scores 0. The reasoner's logits are ``SparseLogits``: zero except for the
+invalid entry and a few scored cells, so their entropy, log-likelihood
+and top-k are computed in closed form over those few values plus a count
+of zeros. A dense vector still goes through the full-vocabulary path,
+which is the reference the closed form is tested against. The gate
+weight for a memory update divides the current confidence by
+(historical mean + current confidence), so a confident prediction after
+a run of poor ones gets extra pull.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+
+class SparseLogits(NamedTuple):
+    """Logits over ``size`` tokens that are zero except for the last
+    (invalid) entry, ``invalid``, and the entries of ``cells``, which maps
+    a cell index below ``size - 1`` to its logit."""
+
+    size: int
+    invalid: float
+    cells: dict
+
+    @classmethod
+    def from_pairs(cls, size: int, pairs) -> "SparseLogits":
+        """The logits a list of ``[index, value]`` pairs (a logged top-k)
+        spells out, every other entry zero."""
+        invalid, cells = 0.0, {}
+        for i, v in pairs:
+            if i == size - 1:
+                invalid = v
+            elif v != 0.0:
+                cells[i] = v
+        return cls(size, invalid, cells)
+
+    def values(self) -> list:
+        """The explicit logits, invalid first; raises on a vocabulary
+        below two tokens, a cell outside ``[0, size - 1)`` or a
+        non-finite value. The other ``size - 1 - len(cells)`` are zero."""
+        if self.size < 2:
+            raise ValueError(f"need a vocabulary of >= 2 tokens, got {self.size}")
+        for i in self.cells:
+            if not (0 <= i < self.size - 1):
+                raise ValueError(f"cell {i} out of range for {self.size} logits")
+        vals = [self.invalid, *self.cells.values()]
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("logits must be finite")
+        return vals
+
+    def softmax_terms(self) -> tuple:
+        """``(M, Z, S)`` of the softmax in closed form: M the largest
+        logit, Z = sum e^(x - M) and S = sum e^(x - M) (x - M) over all
+        ``size`` entries, the zero ones counted rather than visited."""
+        vals = self.values()
+        n0 = self.size - 1 - len(self.cells)
+        m = max(vals)
+        if n0 > 0 and m < 0.0:
+            m = 0.0
+        e0 = math.exp(-m) if n0 > 0 else 0.0
+        z = n0 * e0
+        s = n0 * e0 * -m if e0 > 0.0 else 0.0
+        for v in vals:
+            e = math.exp(v - m)
+            if e > 0.0:  # an underflowed term adds nothing, as 0 log 0 := 0
+                z += e
+                s += e * (v - m)
+        return m, z, s
+
+    def dense(self) -> np.ndarray:
+        """The full ``size``-entry vector."""
+        self.values()
+        x = np.zeros(self.size)
+        x[list(self.cells)] = list(self.cells.values())
+        x[-1] = self.invalid
+        return x
+
+    def topk(self, k: int) -> list:
+        """``[[index, value], ...]`` of the k largest logits, ordered by
+        value descending then index ascending, as a stable sort of the
+        dense vector gives them: zero entries fill in from the lowest
+        free index."""
+        if k < 1:
+            raise ValueError(f"top-k needs k >= 1, got {k}")
+        self.values()
+        entries = [(self.size - 1, self.invalid), *self.cells.items()]
+        taken = {i for i, _ in entries}
+        need = min(k, self.size - len(taken))
+        i = 0
+        while need > 0:
+            if i not in taken:
+                entries.append((i, 0.0))
+                need -= 1
+            i += 1
+        entries.sort(key=lambda e: (-e[1], e[0]))
+        return [[i, float(v)] for i, v in entries[:k]]
 
 
 def confidence(logits) -> float:
@@ -20,7 +109,14 @@ def confidence(logits) -> float:
 
     Natural log on both sides (the base cancels; fixing one keeps replays
     bit-exact). Requires at least two logits, otherwise log(K) is zero.
+    ``SparseLogits`` take the closed form H = log Z - S / Z (see
+    ``SparseLogits.softmax_terms``); anything else is read as a dense
+    vector.
     """
+    if isinstance(logits, SparseLogits):
+        _, z, s = logits.softmax_terms()
+        c = 1.0 - (math.log(z) - s / z) / math.log(logits.size)
+        return min(1.0, max(0.0, c))
     x = np.asarray(logits, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ValueError(f"need a 1-D logit vector of length >= 2, got shape {x.shape}")

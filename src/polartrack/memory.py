@@ -55,7 +55,6 @@ def update_memory(
     candidate: Optional[np.ndarray],
     grid: PolarGrid,
     count_invalid_in_mean: bool = True,
-    precomputed_confidence: Optional[float] = None,
 ) -> TargetMemory:
     """One memory step for the reasoner output produced last step.
 
@@ -64,10 +63,6 @@ def update_memory(
     default matches a history sum over every step). First valid sighting:
     the candidate is adopted as the vector. Otherwise the vector moves
     toward the candidate by the gate weight.
-
-    ``precomputed_confidence`` lets a caller that already scored the
-    logits skip the second entropy pass; it must equal
-    ``confidence(logits)``.
     """
     if token == grid.invalid_index:
         if candidate is not None:
@@ -86,7 +81,7 @@ def update_memory(
     if not np.all(np.isfinite(cand)):
         raise ValueError("candidate feature must be finite")
 
-    c = precomputed_confidence if precomputed_confidence is not None else confidence(logits)
+    c = confidence(logits)
     if mem.is_empty:
         return TargetMemory(cand.copy(), mem.trace.record(c))
 

@@ -11,11 +11,13 @@ and their weighted combination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .gating import SparseLogits
 from .policy import NUM_WAYPOINTS
 from .polar import signed_degrees
 from .records import Record
@@ -100,7 +102,15 @@ def traj_loss(pred: np.ndarray, gt: np.ndarray) -> float:
 
 
 def reason_loss(logits, token: int) -> float:
-    """Negative log softmax probability of the ground-truth token."""
+    """Negative log softmax probability of the ground-truth token:
+    log Z - (x_token - M) in closed form for ``SparseLogits``, over the
+    whole vector for a dense one."""
+    if isinstance(logits, SparseLogits):
+        if not (0 <= token < logits.size):
+            raise ValueError(f"token {token} out of range for {logits.size} logits")
+        m, z, _ = logits.softmax_terms()
+        x = logits.invalid if token == logits.size - 1 else logits.cells.get(token, 0.0)
+        return math.log(z) - (x - m)
     x = np.asarray(logits, dtype=np.float64)
     if not (0 <= token < x.size):
         raise ValueError(f"token {token} out of range for {x.size} logits")

@@ -1,16 +1,17 @@
 """Oracle reasoner over the polar vocabulary.
 
 Stands in for a learned perception stack: ground-truth visibility plus
-appearance similarity against the target memory are turned into a logit
-vector over the cell tokens. Positions and line of sight come from the
-world's per-step ``sightings``; nothing here recomputes them. An entity is
-observable when it sits inside the annulus, inside some camera's field of
-view, and has line of sight to the agent. Each detected entity puts mass
-on its (noise-jittered) cell; how much depends on how similar it looks to
-the remembered target, which is what lets a bootstrapped memory pull the
-argmax onto the true target and away from look-alikes. The invalid entry
-gets a small standing bias, plus a large bonus when nothing is detected
-at all.
+appearance similarity against the target memory are turned into sparse
+logits over the cell tokens (``SparseLogits``: the invalid entry plus one
+score per detected cell, every other cell zero). Positions and line of
+sight come from the world's per-step ``sightings``; nothing here
+recomputes them. An entity is observable when it sits inside the annulus,
+inside some camera's field of view, and has line of sight to the agent.
+Each detected entity puts mass on its (noise-jittered) cell; how much
+depends on how similar it looks to the remembered target, which is what
+lets a bootstrapped memory pull the argmax onto the true target and away
+from look-alikes. The invalid entry gets a small standing bias, plus a
+large bonus when nothing is detected at all.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .gating import SparseLogits
 from .memory import TargetMemory, memory_similarity
 from .polar import PolarGrid, PolarPoint, encode, signed_degrees
 from .records import Record
@@ -109,7 +111,7 @@ class ReasonerOutput:
     observed appearance of whatever entity won the argmax cell (absent
     when the argmax is the invalid token)."""
 
-    logits: np.ndarray
+    logits: SparseLogits
     token: int
     candidate: Optional[np.ndarray]
 
@@ -132,9 +134,6 @@ def observe(
     Deterministic given the generator state; draws happen in entity-list
     order so replays are bit-exact.
     """
-    logits = np.zeros(grid.vocab_size)
-    logits[grid.invalid_index] = params.invalid_bias
-
     cell_owner: dict[int, tuple[float, np.ndarray]] = {}
     detected_any = False
     for s in world.sightings:
@@ -160,10 +159,15 @@ def observe(
         best = cell_owner.get(cell)
         if best is None or score > best[0]:
             cell_owner[cell] = (score, feat)
-            logits[cell] = max(logits[cell], score)
 
+    invalid = params.invalid_bias
     if not detected_any:
-        logits[grid.invalid_index] += params.no_detection_bonus
+        invalid += params.no_detection_bonus
+    logits = SparseLogits(
+        grid.vocab_size,
+        invalid,
+        {cell: max(0.0, score) for cell, (score, _) in cell_owner.items()},
+    )
 
     # argmax with a deterministic tie policy: ties (which arise when the
     # memory is empty and every detection scores identically) go to the
@@ -176,7 +180,7 @@ def observe(
             return (score, -min(a, grid.n_angle - a), -r, -cell)
 
         best_cell, (best_score, _) = max(cell_owner.items(), key=rank)
-        if best_score >= logits[grid.invalid_index]:
+        if best_score >= invalid:
             token = best_cell
     candidate = None if token == grid.invalid_index else cell_owner[token][1]
     return ReasonerOutput(logits=logits, token=token, candidate=candidate)

@@ -25,8 +25,8 @@ class FieldError(ValueError):
 
 
 # how an error names the JSON value a type expects
-_JSON_NAMES = {dict: "an object", str: "a string", bool: "true or false", int: "an integer",
-               float: "a number"}
+JSON_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "true or false",
+              int: "an integer", float: "a number"}
 
 
 def _join(path: str, key: str) -> str:
@@ -81,7 +81,7 @@ def check(tp, value, path: str = ""):
         return float(value)
     if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
         return value
-    raise FieldError(path, f"expected {_JSON_NAMES.get(tp, tp.__name__)}, got {value!r}")
+    raise FieldError(path, f"expected {JSON_NAMES.get(tp, tp.__name__)}, got {value!r}")
 
 
 class Record:

@@ -75,12 +75,6 @@ class AgentRuntime:
             raise ValueError(f"unknown arm {self.arm!r}, expected one of {ARMS}")
 
 
-def _topk(logits: np.ndarray, k: int) -> list:
-    idx = np.argpartition(logits, -k)[-k:]
-    order = sorted(idx.tolist(), key=lambda i: (-logits[i], i))
-    return [[int(i), float(logits[i])] for i in order]
-
-
 def run_episode(
     world: World,
     runtime: AgentRuntime,
@@ -102,7 +96,6 @@ def run_episode(
     pstate = PursuitState(standoff=runtime.standoff)
     expert_state = PursuitState(standoff=runtime.standoff)
     pending: Optional[ReasonerOutput] = None
-    pending_conf = 0.0
     frames: list[FrameRecord] = []
     lost_run = 0
 
@@ -143,14 +136,13 @@ def run_episode(
                         pending.candidate,
                         grid,
                         runtime.count_invalid_in_mean,
-                        precomputed_confidence=pending_conf,
                     )
-                pending, pending_conf = out, conf
+                pending = out
                 traj, pstate = plan(
                     out.token, grid, pstate, runtime.limits, runtime.invalid_mode
                 )
                 acted_token = out.token
-                topk = _topk(out.logits, runtime.log_topk) if runtime.log_topk > 0 else None
+                topk = out.logits.topk(runtime.log_topk) if runtime.log_topk > 0 else None
             else:
                 # no tokens, no invalid semantics: steer at the latest raw
                 # reading, or the dead-reckoned previous one when nothing
@@ -174,7 +166,7 @@ def run_episode(
         except Exception as e:
             raise RuntimeError(f"episode failed at step {world.step_index}: {e}") from e
 
-        slot0 = None if mem.is_empty else [float(v) for v in mem.slots[:3]]
+        slot0 = None if mem.is_empty else mem.slots[:3].tolist()
         frames.append(
             FrameRecord(
                 step=len(frames),
@@ -192,7 +184,7 @@ def run_episode(
                 gt_token=gt_token,
                 token=acted_token,
                 confidence=conf,
-                expert_traj=[[float(v) for v in wp] for wp in expert_traj],
+                expert_traj=expert_traj.tolist(),
                 mem_digest=mem.digest(),
                 mem_slot0=slot0,
                 collided=events.collided,

@@ -273,11 +273,11 @@ def test_schema_description_covers_fields():
         assert field in text
 
 
-def edited_log(tmp_path, line: int, edit) -> str:
+def edited_log(tmp_path, line: int, edit, log_topk: int = 0) -> str:
     """Write a fresh stt episode, apply ``edit`` to the JSON record on
     0-based ``line`` and return the error message of reading it back."""
     path = tmp_path / "ep.jsonl"
-    write_episode(run_stt_episode(), path)
+    write_episode(run_stt_episode(log_topk=log_topk), path)
     lines = path.read_text().splitlines()
     line = line % len(lines)
     record = json.loads(lines[line])
@@ -299,6 +299,60 @@ def test_header_parse_failure_names_line_and_field(tmp_path):
 def test_frame_parse_failure_names_line_and_field(tmp_path):
     msg = edited_log(tmp_path, 3, lambda f: f.pop("confidence"))
     assert "line 4:" in msg and "'confidence'" in msg
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("collided", "no"),
+        ("collided", 0),
+        ("gt_invalid", None),
+        ("confidence", "0.5"),
+        ("confidence", True),
+        ("step", 3.0),
+        ("step", True),
+        ("token", "7"),
+        ("agent", [0.0, 0.0]),
+        ("agent", [0.0, "1", 0.0]),
+        ("view_visible", [1, 0, 0, 0]),
+        ("expert_traj", [[0.0, 0.0, True]] * 8),
+        ("mem_digest", 5),
+        ("mem_slot0", ["a"]),
+    ],
+)
+def test_frame_fields_must_have_their_json_type(tmp_path, field, bad):
+    msg = edited_log(tmp_path, 3, lambda f: f.update({field: bad}))
+    assert "line 4:" in msg and f"'{field}'" in msg
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [[GRID.vocab_size, 1.0]],  # index past the vocabulary
+        [[-1, 1.0]],
+        [[3.0, 1.0]],  # float index
+        [[True, 1.0]],
+        [[3, "1.0"]],
+        [[3, float("nan")]],
+        [[3, 1.0, 2.0]],
+        [3],
+    ],
+)
+def test_logits_topk_pairs_are_checked(tmp_path, bad):
+    msg = edited_log(tmp_path, 3, lambda f: f.update(logits_topk=bad), log_topk=5)
+    assert "line 4:" in msg and "'logits_topk'" in msg
+
+
+def test_generate_dataset_rejects_worlds_its_topk_cannot_cover(tmp_path):
+    # 1 target + 9 distractors score up to 10 cells: top-8 would drop some
+    with pytest.raises(ValueError, match="10 entities"):
+        generate_dataset([ScenarioSpec("dt", n_distractors=9, max_steps=5)],
+                         n_episodes=1, seed=0, out_dir=tmp_path)
+    assert not list(tmp_path.glob("*.jsonl"))
+    # 7 entities still fit beside the invalid token
+    (path,) = generate_dataset([ScenarioSpec("dt", n_distractors=6, max_steps=5)],
+                               n_episodes=1, seed=0, out_dir=tmp_path)
+    assert all(len(f.logits_topk) == 8 for f in read_episode(path).frames)
 
 
 def test_footer_parse_failure_names_line_and_field(tmp_path):

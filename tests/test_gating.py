@@ -2,8 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polartrack.gating import ConfidenceTrace, confidence, gate_weight
+from polartrack.gating import ConfidenceTrace, SparseLogits, confidence, gate_weight
+from polartrack.metrics import reason_loss
+
+# ordinary scores, exact zeros, and values far enough apart that some
+# softmax terms underflow to zero
+LOGIT = st.one_of(
+    st.floats(-60.0, 60.0),
+    st.sampled_from((0.0, -0.0, 1e-300, 745.0, -745.0, 1000.0, -1000.0)),
+)
+
+
+@st.composite
+def sparse_logits(draw, max_size: int = 2000) -> SparseLogits:
+    size = draw(st.integers(2, max_size))
+    n = draw(st.integers(0, min(size - 1, 12)))  # small sizes get every cell
+    idx = draw(st.lists(st.integers(0, size - 2), min_size=n, max_size=n, unique=True))
+    return SparseLogits(size, draw(LOGIT), {i: draw(LOGIT) for i in idx})
+
+
+def stable_topk(x: np.ndarray, k: int) -> list:
+    order = sorted(range(x.size), key=lambda i: (-x[i], i))
+    return [[i, float(x[i])] for i in order[:k]]
 
 
 def test_uniform_logits_zero_confidence():
@@ -119,3 +142,68 @@ def test_natural_log_convention():
     p /= p.sum()
     h = -np.sum(p * np.log(p))
     assert confidence(logits) == pytest.approx(1.0 - h / math.log(3), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_logits())
+def test_sparse_confidence_matches_dense(logits):
+    assert confidence(logits) == pytest.approx(confidence(logits.dense()), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_logits(), st.data())
+def test_sparse_reason_loss_matches_dense(logits, data):
+    token = data.draw(st.integers(0, logits.size - 1))
+    dense = reason_loss(logits.dense(), token)
+    assert reason_loss(logits, token) == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_logits(max_size=40))
+def test_topk_is_a_stable_sort_of_the_dense_vector(logits):
+    x = logits.dense()
+    for k in range(1, logits.size + 3):
+        assert logits.topk(k) == stable_topk(x, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_logits())
+def test_dense_round_trips(logits):
+    x = logits.dense()
+    assert x.shape == (logits.size,)
+    assert x[-1] == logits.invalid
+    assert all(x[i] == v for i, v in logits.cells.items())
+    assert np.count_nonzero(x[:-1]) <= len(logits.cells)
+    pairs = [[i, float(v)] for i, v in enumerate(x)]
+    assert np.array_equal(SparseLogits.from_pairs(logits.size, pairs).dense(), x)
+    every = SparseLogits.from_pairs(logits.size, logits.topk(logits.size))
+    assert np.array_equal(every.dense(), x)
+    if min(logits.values()) > 0.0:
+        # the reasoner's case: the top len(cells) + 1 hold every non-zero entry
+        top = logits.topk(len(logits.cells) + 1)
+        assert np.array_equal(SparseLogits.from_pairs(logits.size, top).dense(), x)
+
+
+def test_sparse_examples_and_validation():
+    assert confidence(SparseLogits(1801, 0.0, {})) == pytest.approx(0.0, abs=1e-12)
+    assert confidence(SparseLogits(1801, 0.0, {5: 1000.0})) == 1.0
+    assert reason_loss(SparseLogits(1801, 0.0, {}), 7) == pytest.approx(math.log(1801))
+    # a vocabulary with no zero entries: every cell scored
+    full = SparseLogits(3, 2.0, {0: 2.0, 1: 2.0})
+    assert confidence(full) == pytest.approx(0.0, abs=1e-12)
+    assert SparseLogits(6, 1.0, {4: 3.0}).topk(4) == [[4, 3.0], [5, 1.0], [0, 0.0], [1, 0.0]]
+    for bad in (
+        SparseLogits(1, 0.0, {}),  # log K = 0
+        SparseLogits(4, float("nan"), {}),
+        SparseLogits(4, 0.0, {1: float("inf")}),
+        SparseLogits(4, 0.0, {3: 1.0}),  # the invalid index is not a cell
+        SparseLogits(4, 0.0, {-1: 1.0}),
+    ):
+        with pytest.raises(ValueError):
+            confidence(bad)
+        with pytest.raises(ValueError):
+            bad.dense()
+    with pytest.raises(ValueError):
+        reason_loss(SparseLogits(4, 0.0, {}), 4)
+    with pytest.raises(ValueError):
+        SparseLogits(4, 0.0, {}).topk(0)

@@ -67,7 +67,7 @@ def test_nothing_observable_yields_invalid():
     assert out.token == GRID.invalid_index
     assert out.candidate is None
     # the no-detection bonus dominates the distribution
-    assert np.argmax(out.logits) == GRID.invalid_index
+    assert np.argmax(out.logits.dense()) == GRID.invalid_index
 
 
 def test_single_target_matches_encode_oracle():
@@ -96,7 +96,8 @@ def test_identical_distractor_lowers_confidence():
 
     t_cell = encode(GRID, relative_polar(pair.agent, (2.5, 1.0)))
     d_cell = encode(GRID, relative_polar(pair.agent, (2.5, -1.0)))
-    assert out_pair.logits[t_cell] == pytest.approx(out_pair.logits[d_cell])
+    dense = out_pair.logits.dense()
+    assert dense[t_cell] == pytest.approx(dense[d_cell])
     assert confidence(out_pair.logits) < confidence(out_solo.logits)
 
 
@@ -114,7 +115,7 @@ def test_visibility_soundness():
         encode(GRID, relative_polar(w.agent, (2.0, 0.5))),
         encode(GRID, relative_polar(w.agent, (3.0, -2.0))),
     }
-    nonzero = set(np.nonzero(out.logits)[0].tolist()) - {GRID.invalid_index}
+    nonzero = set(np.nonzero(out.logits.dense())[0].tolist()) - {GRID.invalid_index}
     assert nonzero <= observable_cells
 
 
@@ -164,7 +165,7 @@ def test_determinism_given_rng_state():
     o1 = observe(w1, RING, bootstrapped(app), GRID, params, np.random.default_rng(42))
     o2 = observe(w2, RING, bootstrapped(app), GRID, params, np.random.default_rng(42))
     assert o1.token == o2.token
-    assert np.array_equal(o1.logits, o2.logits)
+    assert o1.logits == o2.logits
     assert np.array_equal(o1.candidate, o2.candidate)
 
 
