@@ -36,7 +36,7 @@ for f in log.frames:
         continue
     tok = "invalid" if f.token == invalid else f"{f.token:7d}"
     print(
-        f"{f.step:4d}  {f.target_dist:4.1f}  {f.target_theta:7.1f}  {tok}  "
+        f"{f.step:4d}  {f.target_rel[1]:4.1f}  {f.target_rel[0]:7.1f}  {tok}  "
         f"{f.confidence:10.2f}  {f.mem_digest[:8]}"
     )
 

@@ -35,11 +35,11 @@ inv = sum(f.gt_invalid for f in log.frames)
 print(f"invalid annotations: {inv} ({inv / len(log.frames):.0%})")
 
 # replay the acted tokens through the planner and compare to the expert
-limits = MotionLimits(h.max_speed, h.max_turn)
-state = PursuitState(standoff=h.standoff)
+limits = MotionLimits(h.policy.max_speed, h.policy.max_turn)
+state = PursuitState(standoff=h.policy.standoff)
 t_loss, r_loss, n = 0.0, 0.0, 0
 for f in log.frames:
-    acted, state = plan(f.token, h.grid, state, limits, h.invalid_mode)
+    acted, state = plan(f.token, h.grid, state, limits, h.policy.invalid_mode)
     state = advance_hold(state, execute_first(acted, limits))
     t_loss += traj_loss(acted, np.asarray(f.expert_traj))
     # the logged top-8 holds every non-zero logit of the frame

@@ -137,10 +137,11 @@ def _replay_acted_trajectories(log):
     run with token reasoning; the token-less arm plans from raw readings
     the log does not carry, so its replay is an approximation."""
     header = log.header
-    limits = MotionLimits(header.max_speed, header.max_turn)
-    state = PursuitState(standoff=header.standoff)
+    policy = header.policy
+    limits = MotionLimits(policy.max_speed, policy.max_turn)
+    state = PursuitState(standoff=policy.standoff)
     for f in log.frames:
-        traj, state = plan(f.token, header.grid, state, limits, header.invalid_mode)
+        traj, state = plan(f.token, header.grid, state, limits, policy.invalid_mode)
         state = advance_hold(state, execute_first(traj, limits))
         yield f, traj
 
@@ -194,19 +195,12 @@ def cmd_replay_dump(args) -> int:
         "token,confidence,mem0_a,mem0_b,mem0_c,tracked"
     ]
     for f in log.frames:
-        mem_cols = (
-            [repr(float(v)) for v in f.mem_slot0]
-            if f.mem_slot0 is not None
-            else ["", "", ""]
-        )
-        tracked = int(frame_tracked(f.target_dist, f.target_theta, rules))
+        mem_cols = ["", "", ""] if f.mem_slot0 is None else map(repr, f.mem_slot0)
+        tracked = int(frame_tracked(f.target_rel[1], f.target_rel[0], rules))
         cols = [
             str(f.step),
-            repr(f.agent_x),
-            repr(f.agent_y),
-            repr(f.agent_heading),
-            repr(f.target_x),
-            repr(f.target_y),
+            *map(repr, f.agent),
+            *map(repr, f.target),
             str(f.token),
             repr(f.confidence),
             *mem_cols,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -23,7 +22,7 @@ import numpy as np
 from .metrics import EpisodeOutcome, MetricRules, score_episode
 from .perception import CameraRig, CameraView, PerceptionParams, is_observable
 from .polar import PolarGrid, PolarPoint, encode
-from .records import JSON_NAMES, FieldError, Record, check
+from .records import FieldError, Record
 from .scenarios import ScenarioSpec, make_scenario
 from .world import World
 
@@ -69,147 +68,36 @@ def view_visibility(world: World, rig: CameraRig, grid: PolarGrid) -> list[bool]
 
 
 @dataclass
-class FrameRecord:
+class FrameRecord(Record):
     step: int
-    agent_x: float
-    agent_y: float
-    agent_heading: float
-    target_x: float
-    target_y: float
-    target_theta: float  # post-step ground truth, deg ccw from heading
-    target_dist: float
+    agent: tuple[float, float, float]  # x, y, heading after the step's motion
+    target: tuple[float, float]  # x, y after the step's motion
+    target_rel: tuple[float, float]  # post-step ground truth: deg ccw from heading, m
     view_visible: list[bool]  # at observation time, one flag per view
     gt_invalid: bool
-    gt_theta: Optional[float]  # observation-time annotation
-    gt_dist: Optional[float]
+    gt_polar: Optional[tuple[float, float]]  # observation-time annotation
     gt_token: int
     token: int  # token the policy actually consumed
     confidence: float
-    expert_traj: list  # 8 x [x, y, theta]
+    expert_traj: list[tuple[float, float, float]]  # 8 x (x, y, theta)
     mem_digest: str
-    mem_slot0: Optional[list]  # first 3 coords of the memory vector
+    mem_slot0: Optional[list[float]]  # first 3 coords of the memory vector
     collided: bool
-    logits_topk: Optional[list] = None  # [[index, value], ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "frame",
-            "step": self.step,
-            "agent": [self.agent_x, self.agent_y, self.agent_heading],
-            "target": [self.target_x, self.target_y],
-            "target_rel": [self.target_theta, self.target_dist],
-            "view_visible": self.view_visible,
-            "gt_invalid": self.gt_invalid,
-            "gt_polar": None if self.gt_invalid else [self.gt_theta, self.gt_dist],
-            "gt_token": self.gt_token,
-            "token": self.token,
-            "confidence": self.confidence,
-            "expert_traj": self.expert_traj,
-            "mem_digest": self.mem_digest,
-            "mem_slot0": self.mem_slot0,
-            "collided": self.collided,
-            "logits_topk": self.logits_topk,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict, vocab_size: int) -> "FrameRecord":
-        """Read a frame, each field as the JSON type it is written as;
-        ``logits_topk`` indices must lie in ``[0, vocab_size)``."""
-        gt_polar = d["gt_polar"]
-        agent = _numbers(d["agent"], "agent", 3)
-        target = _numbers(d["target"], "target", 2)
-        target_rel = _numbers(d["target_rel"], "target_rel", 2)
-        gt = None if gt_polar is None else _numbers(gt_polar, "gt_polar", 2)
-        views = _exact(d["view_visible"], list, "view_visible")
-        slot0 = d["mem_slot0"]
-        topk = d["logits_topk"]
-        return cls(
-            step=_exact(d["step"], int, "step"),
-            agent_x=agent[0],
-            agent_y=agent[1],
-            agent_heading=agent[2],
-            target_x=target[0],
-            target_y=target[1],
-            target_theta=target_rel[0],
-            target_dist=target_rel[1],
-            view_visible=[_exact(v, bool, "view_visible") for v in views],
-            gt_invalid=_exact(d["gt_invalid"], bool, "gt_invalid"),
-            gt_theta=None if gt is None else gt[0],
-            gt_dist=None if gt is None else gt[1],
-            gt_token=_exact(d["gt_token"], int, "gt_token"),
-            token=_exact(d["token"], int, "token"),
-            confidence=_number(d["confidence"], "confidence"),
-            expert_traj=_rows(d["expert_traj"], "expert_traj", 3),
-            mem_digest=_exact(d["mem_digest"], str, "mem_digest"),
-            mem_slot0=None if slot0 is None else _numbers(slot0, "mem_slot0"),
-            collided=_exact(d["collided"], bool, "collided"),
-            logits_topk=None if topk is None else _topk_pairs(topk, vocab_size),
-        )
-
-
-# Frame field readers: plain type checks, since a log is read a frame at
-# a time (``records.check`` resolves annotations on every call). JSON
-# gives a bool for true/false and an int or a float for a number.
-
-
-def _exact(v, tp: type, field: str):
-    """``v`` if its JSON type is exactly ``tp`` (a bool is not an int)."""
-    if type(v) is tp:
-        return v
-    raise FieldError(field, f"expected {JSON_NAMES[tp]}, got {v!r}")
-
-
-_NUMBER = {float, int}
-
-
-def _number(v, field: str) -> float:
-    if type(v) in _NUMBER:
-        return float(v)
-    raise FieldError(field, f"expected a number, got {v!r}")
-
-
-def _numbers(v, field: str, n: Optional[int] = None) -> list:
-    v = _exact(v, list, field)
-    if n is not None and len(v) != n:
-        raise FieldError(field, f"expected {n} numbers, got {v!r}")
-    if not _NUMBER.issuperset(map(type, v)):
-        raise FieldError(field, f"expected numbers, got {v!r}")
-    return list(map(float, v))
-
-
-def _rows(v, field: str, width: int) -> list:
-    """``v``, checked to be a list of lists of ``width`` numbers."""
-    rows = _exact(v, list, field)
-    if not (
-        {list}.issuperset(map(type, rows))
-        and {width}.issuperset(map(len, rows))
-        and _NUMBER.issuperset(map(type, chain.from_iterable(rows)))
-    ):
-        raise FieldError(field, f"expected lists of {width} numbers, got {v!r}")
-    return rows
-
-
-def _topk_pairs(v, vocab_size: int) -> list:
-    pairs = _exact(v, list, "logits_topk")
-    for pair in pairs:
-        if not (
-            type(pair) is list
-            and len(pair) == 2
-            and type(pair[0]) is int
-            and 0 <= pair[0] < vocab_size
-            and type(pair[1]) in _NUMBER
-            and math.isfinite(pair[1])
-        ):
-            raise FieldError(
-                "logits_topk",
-                f"expected [index, logit] pairs with an integer index in "
-                f"[0, {vocab_size}) and a finite logit, got {pair!r}",
-            )
-    return [[i, float(x)] for i, x in pairs]
+    logits_topk: Optional[list[tuple[int, float]]]  # (index, logit), largest first
 
 
 @dataclass
-class EpisodeHeader:
+class EpisodePolicy(Record):
+    """The planner settings an episode ran with."""
+
+    standoff: float
+    invalid_mode: str
+    max_speed: float
+    max_turn: float
+
+
+@dataclass
+class EpisodeHeader(Record):
     scenario: dict
     seed: int
     grid: PolarGrid
@@ -218,54 +106,9 @@ class EpisodeHeader:
     rules: MetricRules
     vis_rules: VisibilityRules
     max_steps: int
-    standoff: float = 2.0
-    invalid_mode: str = "hold"
-    max_speed: float = 0.25
-    max_turn: float = 30.0
-    arm: str = "full"
-    expert: str = "noiseless oracle pursuit"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "header",
-            "version": SCHEMA_VERSION,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "grid": self.grid.to_dict(),
-            "rig": self.rig.to_dict(),
-            "perception": self.perception.to_dict(),
-            "rules": self.rules.to_dict(),
-            "vis_rules": self.vis_rules.to_dict(),
-            "max_steps": self.max_steps,
-            "policy": {
-                "standoff": self.standoff,
-                "invalid_mode": self.invalid_mode,
-                "max_speed": self.max_speed,
-                "max_turn": self.max_turn,
-            },
-            "arm": self.arm,
-            "expert": self.expert,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EpisodeHeader":
-        pol = check(dict, d["policy"], "policy")
-        return cls(
-            scenario=check(dict, d["scenario"], "scenario"),
-            seed=check(int, d["seed"], "seed"),
-            grid=PolarGrid.from_dict(d["grid"], "grid"),
-            rig=CameraRig.from_dict(d["rig"], "rig"),
-            perception=PerceptionParams.from_dict(d["perception"], "perception"),
-            rules=MetricRules.from_dict(d["rules"], "rules"),
-            vis_rules=VisibilityRules.from_dict(d["vis_rules"], "vis_rules"),
-            max_steps=check(int, d["max_steps"], "max_steps"),
-            standoff=check(float, pol["standoff"], "policy.standoff"),
-            invalid_mode=check(str, pol["invalid_mode"], "policy.invalid_mode"),
-            max_speed=check(float, pol["max_speed"], "policy.max_speed"),
-            max_turn=check(float, pol["max_turn"], "policy.max_turn"),
-            arm=check(str, d["arm"], "arm"),
-            expert=check(str, d["expert"], "expert"),
-        )
+    policy: EpisodePolicy
+    arm: str
+    expert: str
 
 
 @dataclass
@@ -275,18 +118,13 @@ class EpisodeLog:
     outcome: Optional[EpisodeOutcome] = None
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps(self.header.to_json_dict(), separators=(",", ":"))]
-        lines.extend(
-            json.dumps(f.to_json_dict(), separators=(",", ":")) for f in self.frames
-        )
+        records = [
+            {"type": "header", "version": SCHEMA_VERSION, **self.header.to_dict()},
+            *({"type": "frame", **f.to_dict()} for f in self.frames),
+        ]
         if self.outcome is not None:
-            lines.append(
-                json.dumps(
-                    {"type": "footer", "outcome": self.outcome.to_dict()},
-                    separators=(",", ":"),
-                )
-            )
-        return "\n".join(lines) + "\n"
+            records.append({"type": "footer", "outcome": self.outcome.to_dict()})
+        return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
 
 
 class EpisodeFormatError(ValueError):
@@ -323,41 +161,55 @@ def read_episode(path) -> EpisodeLog:
             return make(d)
         except KeyError as e:
             raise EpisodeFormatError(f"{path}: line {i + 1}: missing field {e}") from e
-        except (IndexError, TypeError, ValueError) as e:
+        except ValueError as e:
             raise EpisodeFormatError(f"{path}: line {i + 1}: {e}") from e
 
     head = parse(0)
-    if head.get("type") != "header":
+    if head.pop("type", None) != "header":
         raise EpisodeFormatError(f"{path}: line 1 is not a header")
-    if head.get("version") != SCHEMA_VERSION:
+    version = head.pop("version", None)
+    if version != SCHEMA_VERSION:
         raise EpisodeFormatError(
-            f"{path}: schema version {head.get('version')!r} unsupported "
-            f"(expected {SCHEMA_VERSION!r})"
+            f"{path}: schema version {version!r} unsupported (expected {SCHEMA_VERSION!r})"
         )
-    header = build(0, EpisodeHeader.from_json_dict, head)
+    header = build(0, EpisodeHeader.from_dict, head)
     vocab_size = header.grid.vocab_size
-
     frames: list[FrameRecord] = []
+
+    def read_frame(d: dict) -> FrameRecord:
+        """A frame, checked against itself and the header: its step index,
+        a gt_polar given exactly when gt_invalid is false, its tokens, and
+        its top-k logits (indices in ``[0, vocab_size)``, none repeated,
+        each logit finite)."""
+        f = FrameRecord.from_dict(d)
+        if f.step != len(frames):
+            raise FieldError("step", f"{f.step}, expected {len(frames)}")
+        if f.gt_invalid != (f.gt_polar is None):
+            raise FieldError("gt_invalid", "must be true exactly when gt_polar is null")
+        for name, token in (("gt_token", f.gt_token), ("token", f.token)):
+            if not 0 <= token < vocab_size:
+                raise FieldError(
+                    name, f"token {token} outside the header grid's range [0, {vocab_size - 1}]"
+                )
+        seen = set()
+        for j, (index, logit) in enumerate(f.logits_topk or ()):
+            if not 0 <= index < vocab_size or index in seen or not math.isfinite(logit):
+                raise FieldError(
+                    f"logits_topk[{j}]",
+                    f"expected an index in [0, {vocab_size}) not listed before and a "
+                    f"finite logit, got {[index, logit]}",
+                )
+            seen.add(index)
+        return f
+
     outcome: Optional[EpisodeOutcome] = None
     for i in range(1, len(lines)):
         d = parse(i)
-        kind = d.get("type")
+        kind = d.pop("type", None)
         if outcome is not None:
             raise EpisodeFormatError(f"{path}: line {i + 1}: record after the footer")
         if kind == "frame":
-            f = build(i, lambda d: FrameRecord.from_json_dict(d, vocab_size), d)
-            if f.step != len(frames):
-                raise EpisodeFormatError(
-                    f"{path}: line {i + 1}: step {f.step}, expected {len(frames)}"
-                )
-            if not (0 <= f.gt_token <= header.grid.invalid_index) or not (
-                0 <= f.token <= header.grid.invalid_index
-            ):
-                raise EpisodeFormatError(
-                    f"{path}: line {i + 1}: token outside the header grid's "
-                    f"range [0, {header.grid.invalid_index}]"
-                )
-            frames.append(f)
+            frames.append(build(i, read_frame, d))
         elif kind == "footer":
             outcome = build(i, lambda d: EpisodeOutcome.from_dict(d["outcome"], "outcome"), d)
             footer = i + 1
@@ -398,6 +250,8 @@ Line 1   header:
                    lost-termination, success band)
   vis_rules        annotation rules (min_apparent_size)
   max_steps        episode cap
+  policy           planner settings: standoff, invalid_mode, max_speed,
+                   max_turn
   arm              "full" | "no_tim" | "no_cot"
   expert           provenance of the expert trajectories
 

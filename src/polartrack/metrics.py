@@ -50,8 +50,8 @@ def score_episode(log, rules: MetricRules) -> EpisodeOutcome:
     """Recompute the outcome from a complete episode log.
 
     Works on any log object exposing ``frames`` (each with
-    ``target_theta``, ``target_dist``, ``collided``) and a header with
-    ``max_steps``.
+    ``target_rel``, the post-step ``(theta, dist)`` of the target, and
+    ``collided``) and a header with ``max_steps``.
     """
     frames = log.frames
     if not frames:
@@ -62,14 +62,14 @@ def score_episode(log, rules: MetricRules) -> EpisodeOutcome:
         raise ValueError("collision before the final frame: log is not terminated")
 
     tracked = sum(
-        1 for f in frames if frame_tracked(f.target_dist, f.target_theta, rules)
+        1 for f in frames if frame_tracked(f.target_rel[1], f.target_rel[0], rules)
     )
-    last = frames[-1]
+    theta, dist = frames[-1].target_rel
     lo, hi = rules.band
     success = (
         not collided
-        and lo <= last.target_dist <= hi
-        and abs(signed_degrees(last.target_theta)) <= rules.orient_tol
+        and lo <= dist <= hi
+        and abs(signed_degrees(theta)) <= rules.orient_tol
     )
     if collided:
         reason = "collision"
@@ -161,11 +161,8 @@ def aggregate(
 
 
 @dataclass
-class SuiteReport:
+class SuiteReport(Record):
     rows: list[ArmResult]
-
-    def to_dict(self) -> dict:
-        return {"rows": [r.to_dict() for r in self.rows]}
 
     def to_table(self) -> str:
         """Fixed-width text table; column order matches the JSON form."""

@@ -90,14 +90,10 @@ def _scan_plan(limits: MotionLimits) -> np.ndarray:
     return traj
 
 
-def plan_from_polar(
-    p: PolarPoint, state: PursuitState, limits: MotionLimits, pull_back: bool = True
-) -> np.ndarray:
-    """Plan toward an un-tokenized relative position (used directly by
-    the no-reasoning ablation arm)."""
-    bearing = signed_degrees(p.theta)
-    goal_range = p.dist - state.standoff if pull_back else p.dist
-    return _segment_plan(goal_range, bearing, limits)
+def plan_from_polar(p: PolarPoint, state: PursuitState, limits: MotionLimits) -> np.ndarray:
+    """Plan toward an un-tokenized relative position, pulled back to the
+    standoff distance (used directly by the no-reasoning ablation arm)."""
+    return _segment_plan(p.dist - state.standoff, signed_degrees(p.theta), limits)
 
 
 def plan(

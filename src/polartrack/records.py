@@ -1,4 +1,4 @@
-"""Parameter records and their strict JSON codec.
+"""Records and their strict JSON codec.
 
 A record is a dataclass whose fields are its JSON schema. ``to_dict``
 writes the fields in declaration order; ``from_dict`` reads them back:
@@ -6,12 +6,17 @@ omitted fields take their defaults, unknown keys and values of the wrong
 JSON type are rejected (an int stands in for a float, nothing else
 converts), and every error names the dotted path of the offending field,
 e.g. ``'rig.views[0].fov'``.
+
+Episode logs are read and written a frame at a time, so the reader of
+each annotation and the fields of each record class are worked out once
+and cached.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import types
 import typing
 
@@ -22,28 +27,135 @@ class FieldError(ValueError):
 
     def __init__(self, path: str, msg: str):
         super().__init__(f"'{path}': {msg}" if path else msg)
+        self.path, self.msg = path, msg
+
+    def within(self, outer: str) -> "FieldError":
+        """This error as seen from the value that holds the faulty one
+        under ``outer``: a field name, a dotted path or ``[index]``."""
+        if not outer:
+            return self
+        sep = "" if not self.path or self.path.startswith("[") else "."
+        return FieldError(outer + sep + self.path, self.msg)
 
 
 # how an error names the JSON value a type expects
 JSON_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "true or false",
               int: "an integer", float: "a number"}
+# the JSON types of single values, which sequences test in one pass
+_PLAIN = {float, int, bool, str}
 
 
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
+def _plain_row(tp):
+    """The item types of ``tp`` if it is a fixed tuple of plain JSON
+    values, else None."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple and Ellipsis not in args and _PLAIN.issuperset(args):
+        return args
+    return None
 
 
 @functools.cache
-def _schema(cls) -> dict:
-    """Field name -> (resolved annotation, required), once per class."""
+def _reader(tp):
+    """The function that reads a JSON value as the annotation ``tp``: a
+    record, ``Optional[X]``, ``tuple[X, ...]``, ``tuple[X, Y]``,
+    ``list[X]``, ``float`` (an int or a float, not a bool) or a plain type
+    taken exactly (a bool is not an int). Sequences accept a list or a
+    tuple and keep ``tp``'s kind. Errors are ``FieldError``s whose path
+    is relative to the value read."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [a for a in args if a is not type(None)]
+        read = _reader(inner)
+        return lambda v: None if v is None else read(v)
+    if origin in (tuple, list):
+        return _sequence_reader(tp)
+    if issubclass(tp, Record):
+        return _record_reader(tp)
+    name = JSON_NAMES.get(tp, tp.__name__)
+
+    def read_value(v):
+        if isinstance(v, tp) and (tp is bool or not isinstance(v, bool)):
+            return v
+        if tp is float and isinstance(v, int) and not isinstance(v, bool):
+            return float(v)
+        raise FieldError("", f"expected {name}, got {v!r}")
+
+    return read_value
+
+
+def _sequence_reader(tp):
+    kind, args = typing.get_origin(tp), typing.get_args(tp)
+    fixed = kind is tuple and args[-1] is not Ellipsis
+    reads = [_reader(a) for a in args] if fixed else None
+    # The common cases take one pass over the items: a JSON list whose
+    # items already have their annotated JSON types (``row`` for a fixed
+    # tuple, ``scalars`` for a sequence), or a list of such fixed tuples
+    # (``rows``: expert_traj, logits_topk).
+    row = _plain_row(tp)
+    scalars = {args[0]} if not fixed and args[0] in _PLAIN else None
+    rows = None if fixed else _plain_row(args[0])
+
+    def read(v):
+        if type(v) is list:
+            if row is not None and tuple(map(type, v)) == row:
+                return kind(v)
+            if scalars is not None and scalars.issuperset(map(type, v)):
+                return kind(v)
+            if rows is not None:
+                items = [tuple(r) for r in v if type(r) is list and tuple(map(type, r)) == rows]
+                if len(items) == len(v):
+                    return kind(items)
+        if not isinstance(v, (list, tuple)):
+            raise FieldError("", f"expected a list, got {v!r}")
+        if fixed and len(v) != len(reads):
+            raise FieldError("", f"expected {len(reads)} items, got {len(v)}")
+        out = []
+        for i, (r, x) in enumerate(zip(reads or itertools.repeat(_reader(args[0])), v)):
+            try:
+                out.append(r(x))
+            except FieldError as e:
+                raise e.within(f"[{i}]") from None
+        return kind(out)
+
+    return read
+
+
+def _record_reader(cls):
     hints = typing.get_type_hints(cls)
-    return {
+    schema = {
         f.name: (
-            hints[f.name],
+            _reader(hints[f.name]),
             f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
         )
         for f in dataclasses.fields(cls)
     }
+
+    def read(d):
+        check_keys(d, schema)
+        kwargs = {}
+        for name, (read_field, required) in schema.items():
+            if name in d:
+                try:
+                    kwargs[name] = read_field(d[name])
+                except FieldError as e:
+                    raise e.within(name) from None
+            elif required:
+                raise FieldError(name, "missing required field")
+        try:
+            return cls(**kwargs)
+        except ValueError as e:  # the record's own range checks
+            raise FieldError("", str(e)) from e
+
+    return read
+
+
+def check(tp, value, path: str = ""):
+    """``value`` read as the annotation ``tp`` (see ``_reader``); errors
+    name their field under ``path``."""
+    try:
+        return _reader(tp)(value)
+    except FieldError as e:
+        raise e.within(path) from None
 
 
 def check_keys(d, allowed, path: str = "") -> dict:
@@ -51,37 +163,33 @@ def check_keys(d, allowed, path: str = "") -> dict:
     d = check(dict, d, path)
     for key in d:
         if key not in allowed:
-            raise FieldError(_join(path, key), f"unknown key, expected one of {list(allowed)}")
+            raise FieldError(f"{path}.{key}" if path else key,
+                             f"unknown key, expected one of {list(allowed)}")
     return d
 
 
-def check(tp, value, path: str = ""):
-    """``value`` read as the annotation ``tp``: a record, ``Optional[X]``,
-    ``tuple[X, ...]``, ``tuple[X, Y]``, ``list[X]``, ``float`` (an int or a
-    float, not a bool) or a plain type taken exactly (a bool is not an
-    int). Sequences accept a list or a tuple and keep ``tp``'s kind."""
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType):
-        if value is None and type(None) in args:
-            return None
-        (tp,) = [a for a in args if a is not type(None)]
-        return check(tp, value, path)
-    if origin in (tuple, list):
-        if not isinstance(value, (list, tuple)):
-            raise FieldError(path, f"expected a list, got {value!r}")
-        if origin is tuple and args[-1] is not Ellipsis:
-            if len(value) != len(args):
-                raise FieldError(path, f"expected {len(args)} items, got {len(value)}")
-        else:
-            args = args[:1] * len(value)
-        return origin(check(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
-    if issubclass(tp, Record):
-        return tp.from_dict(value, path)
-    if tp is float and type(value) is int:
-        return float(value)
-    if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
-        return value
-    raise FieldError(path, f"expected {JSON_NAMES.get(tp, tp.__name__)}, got {value!r}")
+def _holds_record(tp) -> bool:
+    return (isinstance(tp, type) and issubclass(tp, Record)) or any(
+        map(_holds_record, typing.get_args(tp))
+    )
+
+
+@functools.cache
+def _fields(cls) -> tuple:
+    """The field names of a record class, and those of its fields whose
+    values may hold records."""
+    hints = typing.get_type_hints(cls)
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    return names, [n for n in names if _holds_record(hints[n])]
+
+
+def _written(v):
+    """``v`` with every record in it written as a dict."""
+    if isinstance(v, Record):
+        return v.to_dict()
+    if isinstance(v, (list, tuple)):
+        return type(v)(map(_written, v))
+    return v
 
 
 class Record:
@@ -89,19 +197,14 @@ class Record:
     optionals, sequences or other records."""
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields in declaration order, nested records as dicts;
+        other values are shared with the record, not copied."""
+        names, nested = _fields(type(self))
+        d = {name: getattr(self, name) for name in names}
+        for name in nested:
+            d[name] = _written(d[name])
+        return d
 
     @classmethod
     def from_dict(cls, d, path: str = ""):
-        schema = _schema(cls)
-        d = check_keys(d, schema, path)
-        kwargs = {}
-        for name, (tp, required) in schema.items():
-            if name in d:
-                kwargs[name] = check(tp, d[name], _join(path, name))
-            elif required:
-                raise FieldError(_join(path, name), "missing required field")
-        try:
-            return cls(**kwargs)
-        except ValueError as e:  # the record's own range checks
-            raise FieldError(path, str(e)) from e
+        return check(cls, d, path)

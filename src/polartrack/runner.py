@@ -23,6 +23,7 @@ import numpy as np
 from .episodes import (
     EpisodeHeader,
     EpisodeLog,
+    EpisodePolicy,
     FrameRecord,
     VisibilityRules,
     annotate_frame,
@@ -108,11 +109,14 @@ def run_episode(
         rules=runtime.rules,
         vis_rules=runtime.vis_rules,
         max_steps=world.max_steps,
-        standoff=runtime.standoff,
-        invalid_mode=runtime.invalid_mode,
-        max_speed=runtime.limits.max_speed,
-        max_turn=runtime.limits.max_turn,
+        policy=EpisodePolicy(
+            standoff=runtime.standoff,
+            invalid_mode=runtime.invalid_mode,
+            max_speed=runtime.limits.max_speed,
+            max_turn=runtime.limits.max_turn,
+        ),
         arm=runtime.arm,
+        expert="noiseless oracle pursuit",
     )
 
     while not world.terminated:
@@ -170,25 +174,20 @@ def run_episode(
         frames.append(
             FrameRecord(
                 step=len(frames),
-                agent_x=world.agent.x,
-                agent_y=world.agent.y,
-                agent_heading=world.agent.heading,
-                target_x=world.target.pose.x,
-                target_y=world.target.pose.y,
-                target_theta=events.target_rel.theta,
-                target_dist=events.target_rel.dist,
+                agent=(world.agent.x, world.agent.y, world.agent.heading),
+                target=(world.target.pose.x, world.target.pose.y),
+                target_rel=(events.target_rel.theta, events.target_rel.dist),
                 view_visible=views,
                 gt_invalid=gt_polar is None,
-                gt_theta=None if gt_polar is None else gt_polar.theta,
-                gt_dist=None if gt_polar is None else gt_polar.dist,
+                gt_polar=None if gt_polar is None else (gt_polar.theta, gt_polar.dist),
                 gt_token=gt_token,
                 token=acted_token,
                 confidence=conf,
-                expert_traj=expert_traj.tolist(),
+                expert_traj=list(map(tuple, expert_traj.tolist())),
                 mem_digest=mem.digest(),
                 mem_slot0=slot0,
                 collided=events.collided,
-                logits_topk=topk,
+                logits_topk=None if topk is None else list(map(tuple, topk)),
             )
         )
 

@@ -46,11 +46,23 @@ TARGET_SPEED = 0.09
 SPRINT_SPEED = 0.45  # breakaway speed behind the obstacle wall
 
 
+# family defaults of the spec fields left None
+FAMILY_DISTRACTORS = {"stt": 0, "dt": 3, "obstacle": 1, "winding": 0}
+# the obstacle bait must stay distinguishable through the long blind
+# window even under per-step feature noise, so its look-alike is
+# perturbed much harder
+FAMILY_SIGMA_APP = {"stt": 0.35, "dt": 0.35, "obstacle": 0.7, "winding": 0.35}
+
+
 @dataclass(frozen=True)
 class ScenarioSpec(Record):
+    """A scenario family and its knobs. ``n_distractors`` and ``sigma_app``
+    left None take the family default on construction, so a spec writes
+    the values its world is built with."""
+
     name: str
-    n_distractors: Optional[int] = None  # None = family default
-    sigma_app: Optional[float] = None  # None = family default
+    n_distractors: Optional[int] = None
+    sigma_app: Optional[float] = None
     feature_dim: int = 16
     max_steps: int = 500
 
@@ -59,32 +71,16 @@ class ScenarioSpec(Record):
             raise ValueError(
                 f"unknown scenario {self.name!r}, expected one of {SCENARIO_NAMES}"
             )
-        if self.n_distractors is not None and self.n_distractors < 0:
+        if self.n_distractors is None:
+            object.__setattr__(self, "n_distractors", FAMILY_DISTRACTORS[self.name])
+        if self.sigma_app is None:
+            object.__setattr__(self, "sigma_app", FAMILY_SIGMA_APP[self.name])
+        if self.n_distractors < 0:
             raise ValueError("n_distractors must be >= 0")
-        if self.sigma_app is not None and self.sigma_app < 0:
+        if self.n_distractors and self.name in ("stt", "winding"):
+            raise ValueError(f"{self.name} takes no distractors, got {self.n_distractors}")
+        if self.sigma_app < 0:
             raise ValueError("sigma_app must be >= 0")
-
-    def resolved_distractors(self) -> int:
-        if self.n_distractors is not None:
-            return self.n_distractors
-        return {"stt": 0, "dt": 3, "obstacle": 1, "winding": 0}[self.name]
-
-    def resolved_sigma_app(self) -> float:
-        if self.sigma_app is not None:
-            return self.sigma_app
-        # the obstacle bait must stay distinguishable through the long
-        # blind window even under per-step feature noise, so its
-        # look-alike is perturbed much harder
-        return {"stt": 0.35, "dt": 0.35, "obstacle": 0.7, "winding": 0.35}[self.name]
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_distractors": self.resolved_distractors(),
-            "sigma_app": self.resolved_sigma_app(),
-            "feature_dim": self.feature_dim,
-            "max_steps": self.max_steps,
-        }
 
 
 def _unit_feature(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -175,8 +171,8 @@ def make_scenario(spec: ScenarioSpec, seed: int) -> World:
     starts at the origin heading +x with the target 4.2 m dead ahead."""
     rng = np.random.default_rng(seed)
     target_app = _unit_feature(rng, spec.feature_dim)
-    n_dist = spec.resolved_distractors()
-    sigma = spec.resolved_sigma_app()
+    n_dist = spec.n_distractors
+    sigma = spec.sigma_app
 
     obstacles: list[Obstacle] = []
     entities: list[Entity] = []

@@ -75,7 +75,7 @@ def occlusion_recovery(log, min_run=30, within=50):
             j += 1
         if j - i >= min_run:
             for k in range(j, min(j + within, n)):
-                if frame_tracked(log.frames[k].target_dist, log.frames[k].target_theta, RULES):
+                if frame_tracked(log.frames[k].target_rel[1], log.frames[k].target_rel[0], RULES):
                     return (j - i, k - j)
             return (j - i, None)
         i = j
@@ -166,7 +166,7 @@ def test_criterion_6_stt_convergence():
         log = run_episode(make_scenario(spec, seed), runtime_for("full", noiseless=True), spec, seed)
         assert log.outcome.success, f"seed {seed} failed: {log.outcome}"
         entered = next(
-            (i for i, f in enumerate(log.frames) if lo <= f.target_dist <= hi), None
+            (i for i, f in enumerate(log.frames) if lo <= f.target_rel[1] <= hi), None
         )
         assert entered is not None and entered < 200, f"seed {seed} entered at {entered}"
     report("6 PASS stt convergence: 50/50 noiseless successes, band reached < 200 steps")

@@ -29,6 +29,14 @@ def test_unknown_scenario_key_is_rejected():
             "scenarios[0].n_distractor")
 
 
+def test_distractors_are_rejected_where_the_scenario_has_none():
+    # make_scenario builds no distractor for these, so the log would lie
+    for name in ("stt", "winding"):
+        rejects({"scenarios": [{"name": name, "episodes": 1, "n_distractors": 3}]},
+                "scenarios[0]")
+        config_from_dict({"scenarios": [{"name": name, "episodes": 1, "n_distractors": 0}]})
+
+
 def test_count_invalid_in_mean_takes_only_a_json_boolean():
     for bad in ("false", 0, 1, None):
         rejects({"count_invalid_in_mean": bad}, "count_invalid_in_mean")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -236,8 +237,8 @@ def test_annotation_consistency_in_generated_episodes(tmp_path):
             assert f.gt_token == log.header.grid.invalid_index
             continue
         cell = decode(log.header.grid, f.gt_token)
-        assert abs(signed_degrees(cell.theta - f.gt_theta)) <= GRID.angle_width / 2 + 1e-9
-        assert abs(cell.dist - f.gt_dist) <= GRID.dist_width / 2 + 1e-9
+        assert abs(signed_degrees(cell.theta - f.gt_polar[0])) <= GRID.angle_width / 2 + 1e-9
+        assert abs(cell.dist - f.gt_polar[1]) <= GRID.dist_width / 2 + 1e-9
         checked += 1
     assert checked > 50
 
@@ -271,6 +272,15 @@ def test_schema_description_covers_fields():
         "version",
     ):
         assert field in text
+
+
+def test_schema_description_lists_the_written_keys():
+    lines = run_stt_episode().to_jsonl().splitlines()
+    written = [list(json.loads(lines[i])) for i in (0, 1, -1)]
+    # one block per record type, each key on a line of its own
+    blocks = re.split(r"^(?=\S)", schema_description(), flags=re.M)
+    listed = [re.findall(r"^  (\w+)", b, flags=re.M) for b in blocks]
+    assert [keys for keys in listed if keys] == written
 
 
 def edited_log(tmp_path, line: int, edit, log_topk: int = 0) -> str:
@@ -322,7 +332,7 @@ def test_frame_parse_failure_names_line_and_field(tmp_path):
 )
 def test_frame_fields_must_have_their_json_type(tmp_path, field, bad):
     msg = edited_log(tmp_path, 3, lambda f: f.update({field: bad}))
-    assert "line 4:" in msg and f"'{field}'" in msg
+    assert "line 4:" in msg and re.search(rf"'{field}(\[\d+\])*'", msg)
 
 
 @pytest.mark.parametrize(
@@ -336,11 +346,18 @@ def test_frame_fields_must_have_their_json_type(tmp_path, field, bad):
         [[3, float("nan")]],
         [[3, 1.0, 2.0]],
         [3],
+        [[3, 1.0], [3, 0.5]],  # a repeated index
     ],
 )
 def test_logits_topk_pairs_are_checked(tmp_path, bad):
     msg = edited_log(tmp_path, 3, lambda f: f.update(logits_topk=bad), log_topk=5)
-    assert "line 4:" in msg and "'logits_topk'" in msg
+    assert "line 4:" in msg and re.search(r"'logits_topk(\[\d+\])*'", msg)
+
+
+@pytest.mark.parametrize("edit", [{"gt_invalid": True}, {"gt_polar": None}])
+def test_gt_invalid_must_say_whether_gt_polar_is_null(tmp_path, edit):
+    msg = edited_log(tmp_path, 3, lambda f: f.update(edit))
+    assert "line 4:" in msg and "'gt_invalid'" in msg
 
 
 def test_generate_dataset_rejects_worlds_its_topk_cannot_cover(tmp_path):
@@ -384,6 +401,7 @@ def test_jsonl_write_read_write_is_byte_identical(tmp_path_factory, scenario, ar
     path = tmp_path_factory.mktemp("jsonl") / "ep.jsonl"
     write_episode(log, path)
     first = path.read_bytes()
+    assert read_episode(path) == log
     write_episode(read_episode(path), path)
     assert path.read_bytes() == first
 

@@ -21,8 +21,7 @@ RULES = MetricRules()
 
 class StubFrame:
     def __init__(self, dist, theta=0.0, collided=False):
-        self.target_dist = dist
-        self.target_theta = theta
+        self.target_rel = (theta, dist)
         self.collided = collided
 
 

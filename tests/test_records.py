@@ -1,11 +1,12 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polartrack.episodes import VisibilityRules
-from polartrack.metrics import ArmResult, EpisodeOutcome, MetricRules
+from polartrack.episodes import EpisodeHeader, EpisodePolicy, FrameRecord, VisibilityRules
+from polartrack.metrics import ArmResult, EpisodeOutcome, MetricRules, SuiteReport
 from polartrack.perception import CameraRig, CameraView, PerceptionParams
 from polartrack.polar import PolarGrid
 from polartrack.records import FieldError, Record, check
@@ -31,15 +32,41 @@ RECORDS = {
                            st.tuples(finite, finite)),
     VisibilityRules: st.builds(VisibilityRules, finite),
     MotionLimits: st.builds(MotionLimits, finite, finite),
-    # explicit family values: to_dict writes resolved ones
-    ScenarioSpec: st.builds(ScenarioSpec, st.sampled_from(SCENARIO_NAMES),
-                            st.integers(0, 10), st.floats(0.0, 5.0), st.integers(1, 64),
-                            st.integers(1, 10_000)),
+    # explicit family values; only dt and obstacle take distractors
+    ScenarioSpec: st.sampled_from(SCENARIO_NAMES).flatmap(
+        lambda name: st.builds(ScenarioSpec, st.just(name),
+                               st.integers(0, 10) if name in ("dt", "obstacle") else st.just(0),
+                               st.floats(0.0, 5.0), st.integers(1, 64), st.integers(1, 10_000))
+    ),
     EpisodeOutcome: st.builds(EpisodeOutcome, st.booleans(), finite, st.booleans(),
                               st.integers(0, 10**6), st.sampled_from(("cap", "collision", "lost"))),
     ArmResult: st.builds(ArmResult, st.text(), st.text(), st.integers(0, 10**6), finite, finite,
                          finite, finite, st.lists(st.integers(0, 2**32 - 1))),
 }
+RECORDS[SuiteReport] = st.lists(RECORDS[ArmResult], max_size=3).map(SuiteReport)
+RECORDS[EpisodePolicy] = st.builds(EpisodePolicy, finite, st.text(), finite, finite)
+RECORDS[EpisodeHeader] = st.builds(
+    EpisodeHeader, RECORDS[ScenarioSpec].map(ScenarioSpec.to_dict), st.integers(),
+    *map(RECORDS.get, (PolarGrid, CameraRig, PerceptionParams, MetricRules, VisibilityRules)),
+    st.integers(), RECORDS[EpisodePolicy], st.text(), st.text(),
+)
+RECORDS[FrameRecord] = st.builds(
+    lambda gt_polar, **kw: FrameRecord(gt_invalid=gt_polar is None, gt_polar=gt_polar, **kw),
+    step=st.integers(),
+    agent=st.tuples(finite, finite, finite),
+    target=st.tuples(finite, finite),
+    target_rel=st.tuples(finite, finite),
+    view_visible=st.lists(st.booleans(), max_size=4),
+    gt_polar=st.none() | st.tuples(finite, finite),
+    gt_token=st.integers(),
+    token=st.integers(),
+    confidence=finite,
+    expert_traj=st.lists(st.tuples(finite, finite, finite), max_size=8),
+    mem_digest=st.text(),
+    mem_slot0=st.none() | st.lists(finite, max_size=3),
+    collided=st.booleans(),
+    logits_topk=st.none() | st.lists(st.tuples(st.integers(), finite), max_size=8),
+)
 
 
 def subclasses(cls):
@@ -78,4 +105,14 @@ def test_check_types():
     for tp, value in ((float, True), (int, False), (int, 2.0), (bool, 1), (str, 1),
                       (tuple[float, float], [1.0]), (tuple[float, ...], 1.0)):
         with pytest.raises(FieldError, match="'x'"):
+            check(tp, value, "x")
+
+
+def test_errors_name_the_faulty_item():
+    for tp, value, path in (
+        (list[tuple[int, float]], [[1, 2.0], [1, "2"]], "x[1][1]"),
+        (tuple[float, ...], [1.0, None], "x[1]"),
+        (CameraRig, {"views": [{"yaw": 0.0, "fov": 90.0}, {"yaw": "0"}]}, "x.views[1].yaw"),
+    ):
+        with pytest.raises(FieldError, match=re.escape(f"'{path}'")):
             check(tp, value, "x")

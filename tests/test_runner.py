@@ -156,14 +156,14 @@ def test_lost_termination_respects_patience():
     spec = ScenarioSpec("obstacle")
     log = run_episode(make_scenario(spec, 2), runtime(), spec, 2)
     if log.outcome.reason == "lost":
-        tail = [f.target_dist for f in log.frames[-(rules.lost_patience + 1) :]]
+        tail = [f.target_rel[1] for f in log.frames[-(rules.lost_patience + 1) :]]
         assert all(d > rules.lost_radius for d in tail)
     # and a healthy run never strings together that many far frames
     log = run_episode(make_scenario(ScenarioSpec("stt"), 0), runtime(), ScenarioSpec("stt"), 0)
     run = 0
     worst = 0
     for f in log.frames:
-        run = run + 1 if f.target_dist > rules.lost_radius else 0
+        run = run + 1 if f.target_rel[1] > rules.lost_radius else 0
         worst = max(worst, run)
     assert worst <= rules.lost_patience
 

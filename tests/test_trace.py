@@ -1,12 +1,14 @@
 """The benchmark's tracer (perfbench/instrument.py) wraps polartrack's
 names by lookup. A rename under src/ that breaks it fails here."""
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
 import pytest
 
-from polartrack import bench
+from polartrack import bench, cli, episodes
 from polartrack.config import RunConfig, ScenarioRun
 from polartrack.runner import ARMS
 from polartrack.scenarios import ScenarioSpec
@@ -61,3 +63,33 @@ def test_traced_episodes_match_untraced(instrument, tmp_path):
     # one line-of-sight query per entity per step, none repeated
     assert counts["los_calls"] == sum(n + 1 for n in steps.values()) * entities
     assert counts["los_distinct"] == counts["los_calls"]
+
+
+def dataset(out_dir):
+    episodes.generate_dataset([ScenarioSpec("obstacle", max_steps=30)], n_episodes=2, seed=5,
+                              out_dir=out_dir)
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert cli.main(["eval", "losses", str(out_dir)]) == 0
+    logs = {p.name: p.read_bytes() for p in sorted(Path(out_dir).glob("*.jsonl"))}
+    assert len(logs) == 2
+    return logs, text.getvalue()
+
+
+def test_traced_dataset_matches_untraced(instrument, tmp_path):
+    plain = dataset(tmp_path / "plain")
+    tracer = instrument.Tracer()
+    tracer.install()
+    try:
+        traced = dataset(tmp_path / "traced")
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+
+    counts = tracer.snapshot()
+    frames = sum(log.count(b'"type":"frame"') for log in plain[0].values())
+    assert counts["episodes.write"] == len(plain[0])
+    assert counts["episodes.read"] == len(plain[0])
+    # eval losses replays every frame through plan, execute_first and
+    # advance_hold
+    assert counts["policy.replay_plan"] == 3 * frames
