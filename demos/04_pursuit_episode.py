@@ -22,7 +22,7 @@ seed = 1
 runtime = AgentRuntime(
     grid=PolarGrid(),
     rig=CameraRig.ring(4),
-    params=PerceptionParams(),
+    perception=PerceptionParams(),
     rules=MetricRules(),
 )
 log = run_episode(make_scenario(spec, seed), runtime, scenario=spec, seed=seed)

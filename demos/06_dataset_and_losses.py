@@ -15,7 +15,6 @@ from polartrack.gating import SparseLogits
 from polartrack.metrics import reason_loss, total_loss, traj_loss
 from polartrack.policy import PursuitState, advance_hold, execute_first, plan
 from polartrack.scenarios import ScenarioSpec
-from polartrack.world import MotionLimits
 
 out = Path(tempfile.mkdtemp(prefix="polartrack_demo_"))
 paths = generate_dataset(
@@ -29,18 +28,18 @@ print(f"wrote {len(paths)} episodes under {out}")
 
 log = read_episode(paths[-1])
 h = log.header
-print(f"\n{paths[-1].name}: scenario={h.scenario['name']} views={len(h.rig.views)}")
+print(f"\n{paths[-1].name}: scenario={h.scenario.name} views={len(h.rig.views)}")
 print(f"frames={len(log.frames)} outcome={log.outcome.reason} tr={log.outcome.tracking_rate:.2f}")
 inv = sum(f.gt_invalid for f in log.frames)
 print(f"invalid annotations: {inv} ({inv / len(log.frames):.0%})")
 
-# replay the acted tokens through the planner and compare to the expert
-limits = MotionLimits(h.policy.max_speed, h.policy.max_turn)
+# replay the acted tokens through the planner the header names and
+# compare to the expert
 state = PursuitState(standoff=h.policy.standoff)
 t_loss, r_loss, n = 0.0, 0.0, 0
 for f in log.frames:
-    acted, state = plan(f.token, h.grid, state, limits, h.policy.invalid_mode)
-    state = advance_hold(state, execute_first(acted, limits))
+    acted, state = plan(f.token, h.grid, state, h.limits, h.policy.invalid_mode)
+    state = advance_hold(state, execute_first(acted, h.limits))
     t_loss += traj_loss(acted, np.asarray(f.expert_traj))
     # the logged top-8 holds every non-zero logit of the frame
     logits = SparseLogits.from_pairs(h.grid.vocab_size, f.logits_topk)

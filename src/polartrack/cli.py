@@ -7,20 +7,26 @@ Subcommands::
     polartrack dataset gen   annotated expert episodes as JSONL files
     polartrack eval losses   offline loss kernels over logged episodes
     polartrack replay dump   flatten an episode log into a CSV table
+    polartrack replay verify re-run logs from their headers, byte for byte
     polartrack schema        print the JSONL episode schema
+    polartrack config dump   write the default run config
 
-Exit codes: 0 ok, 1 configuration error, 2 runtime error. The
-environment variables POLARTRACK_SEED and POLARTRACK_JOBS override the
-seed and worker count when the flags are absent.
+Exit codes: 0 ok, 1 configuration error, 2 runtime error or a log that
+fails ``replay verify``. The environment variables POLARTRACK_SEED and
+POLARTRACK_JOBS override the seed and worker count when the flags are
+absent.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -30,37 +36,32 @@ from .episodes import generate_dataset, read_episode, schema_description, write_
 from .gating import SparseLogits
 from .metrics import frame_tracked, reason_loss, total_loss, traj_loss
 from .policy import PursuitState, advance_hold, execute_first, plan
+from .records import FieldError
 from .runner import ARMS, run_episode
 from .scenarios import SCENARIO_NAMES, ScenarioSpec, make_scenario
-from .world import MotionLimits
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
-def _env_int(name: str):
+def _flag_or_env(args, flag: str, default: int) -> int:
+    """The ``--flag`` value, else the POLARTRACK_<FLAG> variable, else
+    ``default``."""
+    if getattr(args, flag, None) is not None:
+        return getattr(args, flag)
+    name = f"POLARTRACK_{flag.upper()}"
     v = os.environ.get(name)
     if v is None:
-        return None
+        return default
     try:
         return int(v)
     except ValueError:
         raise ConfigError(f"environment variable {name}={v!r} is not an integer")
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = _env_int("POLARTRACK_SEED")
-    return env if env is not None else 0
-
-
-def _resolve_jobs(args, cfg_jobs: int = 1) -> int:
-    if getattr(args, "jobs", None) is not None:
-        return args.jobs
-    env = _env_int("POLARTRACK_JOBS")
-    return env if env is not None else cfg_jobs
+def _resolve_seed(args, default: int = 0) -> int:
+    return _flag_or_env(args, "seed", default)
 
 
 def _load_or_default_config(args) -> RunConfig:
@@ -73,8 +74,7 @@ def cmd_episode_run(args) -> int:
     cfg = _load_or_default_config(args)
     seed = _resolve_seed(args)
     spec = ScenarioSpec(name=args.scenario)
-    runtime = cfg.runtime_for_arm(args.arm)
-    runtime.log_topk = args.log_topk
+    runtime = cfg.runtime_for_arm(args.arm, args.log_topk)
     world = make_scenario(spec, seed)
     log = run_episode(world, runtime, scenario=spec, seed=seed)
     o = log.outcome
@@ -91,15 +91,11 @@ def cmd_episode_run(args) -> int:
 
 def cmd_bench_run(args) -> int:
     cfg = _load_or_default_config(args)
-    if getattr(args, "seed", None) is not None:
-        cfg.master_seed = args.seed
-    else:
-        env = _env_int("POLARTRACK_SEED")
-        if env is not None:
-            cfg.master_seed = env
-    jobs = _resolve_jobs(args, cfg.jobs)
+    # flags and environment override the file and are checked like it
+    cfg = replace(cfg, master_seed=_resolve_seed(args, cfg.master_seed),
+                  jobs=_flag_or_env(args, "jobs", cfg.jobs))
     arms = [args.arm] if args.arm is not None else None
-    report, results = run_bench(cfg, jobs=jobs, out_dir=args.out, arms=arms)
+    report, results = run_bench(cfg, out_dir=args.out, arms=arms)
     print(report.to_table())
     if args.out is not None:
         out = Path(args.out)
@@ -116,6 +112,8 @@ def cmd_bench_run(args) -> int:
 def cmd_dataset_gen(args) -> int:
     cfg = _load_or_default_config(args)
     seed = _resolve_seed(args)
+    if args.episodes < 1:
+        raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     specs = [ScenarioSpec(name=n) for n in args.scenario]
     written = generate_dataset(
         specs,
@@ -136,27 +134,26 @@ def _replay_acted_trajectories(log):
     reckoning applied after each executed command. Exact for episodes
     run with token reasoning; the token-less arm plans from raw readings
     the log does not carry, so its replay is an approximation."""
-    header = log.header
-    policy = header.policy
-    limits = MotionLimits(policy.max_speed, policy.max_turn)
-    state = PursuitState(standoff=policy.standoff)
+    h = log.header
+    state = PursuitState(standoff=h.policy.standoff)
     for f in log.frames:
-        traj, state = plan(f.token, header.grid, state, limits, policy.invalid_mode)
-        state = advance_hold(state, execute_first(traj, limits))
+        traj, state = plan(f.token, h.grid, state, h.limits, h.policy.invalid_mode)
+        state = advance_hold(state, execute_first(traj, h.limits))
         yield f, traj
 
 
-def cmd_eval_losses(args) -> int:
+def _episode_paths(args) -> list[Path]:
+    """The episode files named, directories standing for their logs."""
     paths = []
-    for p in args.episodes:
-        p = Path(p)
-        if p.is_dir():
-            paths.extend(sorted(p.glob("*.jsonl")))
-        else:
-            paths.append(p)
+    for p in map(Path, args.episodes):
+        paths.extend(sorted(p.glob("*.jsonl")) if p.is_dir() else [p])
     if not paths:
-        raise ConfigError("eval losses: no episode files found")
+        raise ConfigError(f"{args.command} {args.sub}: no episode files found")
+    return paths
 
+
+def cmd_eval_losses(args) -> int:
+    paths = _episode_paths(args)
     grand_traj, grand_reason, n_frames = 0.0, 0.0, 0
     for path in paths:
         log = read_episode(path)
@@ -195,7 +192,7 @@ def cmd_replay_dump(args) -> int:
         "token,confidence,mem0_a,mem0_b,mem0_c,tracked"
     ]
     for f in log.frames:
-        mem_cols = ["", "", ""] if f.mem_slot0 is None else map(repr, f.mem_slot0)
+        mem_cols = [*map(repr, f.mem_slot0 or ()), "", "", ""][:3]
         tracked = int(frame_tracked(f.target_rel[1], f.target_rel[0], rules))
         cols = [
             str(f.step),
@@ -211,6 +208,44 @@ def cmd_replay_dump(args) -> int:
     Path(args.out).write_text(text, encoding="utf-8")
     print(f"wrote {len(log.frames)} rows to {args.out}")
     return EXIT_OK
+
+
+def _replay_mismatch(path: Path) -> Optional[str]:
+    """Why the log at ``path`` does not re-run from its header to the same
+    bytes, or None when it does."""
+    try:
+        h = read_episode(path).header
+        if h.scenario is None:
+            return "not replayable: a hand-built world (scenario null)"
+        rerun = run_episode(make_scenario(h.scenario, h.seed), h, h.scenario, h.seed)
+    except (ValueError, RuntimeError) as e:
+        return str(e)
+    logged = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    replayed = rerun.to_jsonl().splitlines(keepends=True)
+    for i, (a, b) in enumerate(itertools.zip_longest(logged, replayed)):
+        if a == b:
+            continue
+        if a is None or b is None:
+            return f"line {i + 1}: {'missing from the log' if a is None else 'not replayed'}"
+        x, y = json.loads(a), json.loads(b)
+        # repr tells 1 from 1.0, which compare equal
+        field = next((k for k in {**x, **y} if repr(x.get(k)) != repr(y.get(k))), None)
+        if field is None:
+            return f"line {i + 1}: written differently"
+        return (f"line {i + 1}: '{field}' is {x.get(field)!r} in the log, "
+                f"{y.get(field)!r} on replay")
+    return None
+
+
+def cmd_replay_verify(args) -> int:
+    paths = _episode_paths(args)
+    failed = 0
+    for path in paths:
+        problem = _replay_mismatch(path)
+        print(f"{path}: {problem or 'ok'}")
+        failed += problem is not None
+    print(f"{len(paths) - failed} of {len(paths)} logs replay byte for byte")
+    return EXIT_RUNTIME if failed else EXIT_OK
 
 
 def cmd_schema(args) -> int:
@@ -279,6 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     rp_dump.add_argument("--episode", required=True)
     rp_dump.add_argument("--out", required=True)
     rp_dump.set_defaults(func=cmd_replay_dump)
+    rp_verify = rps.add_parser("verify", help="re-run logs from their headers, byte for byte")
+    rp_verify.add_argument("episodes", nargs="+", help="episode files or directories")
+    rp_verify.set_defaults(func=cmd_replay_verify)
 
     sc = sub.add_parser("schema", help="print the JSONL episode schema")
     sc.set_defaults(func=cmd_schema)
@@ -297,7 +335,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, FieldError) as e:  # a FieldError here: a bad flag or variable
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except FileNotFoundError as e:

@@ -1,8 +1,9 @@
 """Run configuration: one JSON file drives benches, datasets and replays.
 
-Each block is read as the record it sets (``grid`` as a ``PolarGrid``,
-``scenarios[i]`` as a ``ScenarioSpec`` plus ``episodes``, ...), and one
-rule holds everywhere: omitted fields take their defaults, while unknown
+A config file is a ``RunConfig`` record: the agent's settings, declared
+once in ``AgentSettings`` and shared with every episode header, plus the
+suite (``master_seed``, ``jobs``, ``arms``, ``scenarios``). One rule holds
+in every block: omitted fields take their defaults, while unknown
 keys and values of the wrong JSON type are rejected (an int may stand in
 for a float; nothing else converts). Errors are ``ConfigError``s naming
 the dotted field, e.g. ``'rig.views[0].fov'``. The master seed plus
@@ -14,19 +15,12 @@ comparisons are paired.
 from __future__ import annotations
 
 import json
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .episodes import VisibilityRules
-from .metrics import MetricRules
-from .perception import CameraRig, PerceptionParams
-from .polar import PolarGrid
-from .policy import HOLD, INVALID_MODES
-from .records import FieldError, check, check_keys
-from .runner import ARMS, AgentRuntime
+from .episodes import ARMS, AgentRuntime, AgentSettings
+from .records import FieldError, Record, check
 from .scenarios import ScenarioSpec
-from .world import MotionLimits
 
 
 class ConfigError(ValueError):
@@ -34,29 +28,38 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ScenarioRun:
+class ScenarioRun(Record):
+    """One ``scenarios`` entry: a spec and how many episodes of it to run,
+    written as one object holding the spec's fields and ``episodes``."""
+
     spec: ScenarioSpec
     episodes: int
 
     def __post_init__(self):
         if self.episodes < 1:
-            raise ValueError("episodes must be >= 1")
+            raise FieldError("episodes", "must be >= 1")
+
+    def to_dict(self) -> dict:
+        return {**self.spec.to_dict(), "episodes": self.episodes}
+
+    @classmethod
+    def from_dict(cls, d, path: str = ""):
+        try:
+            spec = dict(check(dict, d))
+            episodes = check(int, spec.pop("episodes", 1), "episodes")
+            return cls(ScenarioSpec.from_dict(spec), episodes)
+        except FieldError as e:
+            raise e.within(path) from None
 
 
 @dataclass
-class RunConfig:
-    grid: PolarGrid = PolarGrid()
-    rig: CameraRig = CameraRig.ring(4)
-    perception: PerceptionParams = PerceptionParams()
-    rules: MetricRules = MetricRules()
-    limits: MotionLimits = MotionLimits()
-    vis_rules: VisibilityRules = VisibilityRules()
-    standoff: float = 2.0
-    invalid_mode: str = HOLD
-    count_invalid_in_mean: bool = True
+class RunConfig(AgentSettings):
+    """A run config file: the agent's settings, shared by every arm, plus
+    the suite to run them on."""
+
     master_seed: int = 0
     jobs: int = 1
-    arms: list[str] = field(default_factory=lambda: ["full", "no_tim", "no_cot"])
+    arms: list[str] = field(default_factory=lambda: list(ARMS))
     scenarios: list[ScenarioRun] = field(
         default_factory=lambda: [
             ScenarioRun(ScenarioSpec("stt"), 20),
@@ -64,53 +67,25 @@ class RunConfig:
         ]
     )
 
-    def runtime_for_arm(self, arm: str) -> AgentRuntime:
-        return AgentRuntime(
-            arm=arm,
-            grid=self.grid,
-            rig=self.rig,
-            params=self.perception,
-            rules=self.rules,
-            limits=self.limits,
-            standoff=self.standoff,
-            invalid_mode=self.invalid_mode,
-            count_invalid_in_mean=self.count_invalid_in_mean,
-            vis_rules=self.vis_rules,
-        )
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise FieldError("jobs", "must be >= 1")
+        if not self.arms:
+            raise FieldError("arms", "needs at least one arm")
+        for i, arm in enumerate(self.arms):
+            if arm not in ARMS:
+                raise FieldError(f"arms[{i}]", f"unknown arm {arm!r}, expected {ARMS}")
+        if not self.scenarios:
+            raise FieldError("scenarios", "needs at least one entry")
+        # logs are named after the scenario, so a repeated name overwrites
+        names = [s.spec.name for s in self.scenarios]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise FieldError(f"scenarios[{i}].name", f"{name!r} repeats "
+                                 f"scenarios[{names.index(name)}]; names must be unique")
 
-    def to_dict(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "jobs": self.jobs,
-            "grid": self.grid.to_dict(),
-            "rig": self.rig.to_dict(),
-            "perception": self.perception.to_dict(),
-            "rules": self.rules.to_dict(),
-            "limits": self.limits.to_dict(),
-            "vis_rules": self.vis_rules.to_dict(),
-            "policy": {"standoff": self.standoff, "invalid_mode": self.invalid_mode},
-            "count_invalid_in_mean": self.count_invalid_in_mean,
-            "arms": list(self.arms),
-            "scenarios": [
-                {**s.spec.to_dict(), "episodes": s.episodes} for s in self.scenarios
-            ],
-        }
-
-
-TOP_KEYS = (
-    "master_seed", "jobs", "grid", "rig", "perception", "rules", "limits",
-    "vis_rules", "policy", "count_invalid_in_mean", "arms", "scenarios",
-)
-
-
-def _scenario_run(raw, path: str) -> ScenarioRun:
-    s = dict(check(dict, raw, path))
-    episodes = check(int, s.pop("episodes", 1), f"{path}.episodes")
-    spec = ScenarioSpec.from_dict(s, path)
-    try:
-        return ScenarioRun(spec=spec, episodes=episodes)
-    except ValueError as e:
-        raise FieldError(f"{path}.episodes", str(e)) from e
+    def runtime_for_arm(self, arm: str, log_topk: int = 0) -> AgentRuntime:
+        return AgentRuntime(**AgentSettings.values_of(self), arm=arm, log_topk=log_topk)
 
 
 def load_config(path) -> RunConfig:
@@ -128,37 +103,9 @@ def load_config(path) -> RunConfig:
 
 def config_from_dict(d: dict) -> RunConfig:
     try:
-        return _parse(d)
+        return RunConfig.from_dict(d)
     except FieldError as e:
         raise ConfigError(f"config field {e}") from e
-
-
-def _parse(d: dict) -> RunConfig:
-    d = check_keys(d, TOP_KEYS)
-    policy = check_keys(d.get("policy", {}), ("standoff", "invalid_mode"), "policy")
-    # every other block and scalar is read as the RunConfig field it sets
-    types = typing.get_type_hints(RunConfig)
-    cfg = RunConfig()
-    for name, value in d.items():
-        if name not in ("policy", "scenarios"):
-            setattr(cfg, name, check(types[name], value, name))
-    for name, value in policy.items():
-        setattr(cfg, name, check(types[name], value, f"policy.{name}"))
-    if cfg.invalid_mode not in INVALID_MODES:
-        raise FieldError("policy.invalid_mode", f"{cfg.invalid_mode!r} not in {INVALID_MODES}")
-    if cfg.jobs < 1:
-        raise FieldError("jobs", "must be >= 1")
-    for i, arm in enumerate(cfg.arms):
-        if arm not in ARMS:
-            raise FieldError(f"arms[{i}]", f"unknown arm {arm!r}, expected {ARMS}")
-    if not cfg.arms:
-        raise FieldError("arms", "needs at least one arm")
-    if "scenarios" in d:
-        raw = check(list, d["scenarios"], "scenarios")
-        cfg.scenarios = [_scenario_run(s, f"scenarios[{i}]") for i, s in enumerate(raw)]
-        if not cfg.scenarios:
-            raise FieldError("scenarios", "needs at least one entry")
-    return cfg
 
 
 def save_config(cfg: RunConfig, path) -> None:

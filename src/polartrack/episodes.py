@@ -1,12 +1,14 @@
 """Episode logs: JSONL schema, ground-truth annotation, dataset generation.
 
 One episode is one JSONL file: a header line, one line per frame, and a
-footer line with the scored outcome. Frames mix two viewpoints on a step:
-pose fields describe the world *after* the step's motion (what metrics
-consume), while decision fields (token, confidence, ground-truth
-annotation, expert trajectory, memory digest) describe what the agent saw
-and chose at the step's start. Writing is deterministic, so re-writing a
-parsed log reproduces the file byte for byte.
+footer line with the scored outcome. The header is the settings that ran:
+the agent's ``AgentRuntime`` plus the scenario spec and seed that rebuild
+its world, so a log can be re-run from its own first line. Frames mix two
+viewpoints on a step: pose fields describe the world *after* the step's
+motion (what metrics consume), while decision fields (token, confidence,
+ground-truth annotation, expert trajectory, memory digest) describe what
+the agent saw and chose at the step's start. Writing is deterministic,
+so re-writing a parsed log reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ import numpy as np
 from .metrics import EpisodeOutcome, MetricRules, score_episode
 from .perception import CameraRig, CameraView, PerceptionParams, is_observable
 from .polar import PolarGrid, PolarPoint, encode
+from .policy import PolicySettings
 from .records import FieldError, Record
 from .scenarios import ScenarioSpec, make_scenario
-from .world import World
+from .world import MotionLimits, World
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
+
+ARMS = ("full", "no_tim", "no_cot")
 
 # logits kept per dataset frame: the invalid entry plus up to 7 entities
 DATASET_TOPK = 8
@@ -87,27 +92,45 @@ class FrameRecord(Record):
 
 
 @dataclass
-class EpisodePolicy(Record):
-    """The planner settings an episode ran with."""
+class AgentSettings(Record):
+    """The agent's settings that a run config shares across its arms."""
 
-    standoff: float
-    invalid_mode: str
-    max_speed: float
-    max_turn: float
+    grid: PolarGrid = PolarGrid()
+    rig: CameraRig = CameraRig.ring(4)
+    perception: PerceptionParams = PerceptionParams()
+    rules: MetricRules = MetricRules()
+    limits: MotionLimits = MotionLimits()
+    vis_rules: VisibilityRules = VisibilityRules()
+    policy: PolicySettings = PolicySettings()
+    count_invalid_in_mean: bool = True
 
 
 @dataclass
-class EpisodeHeader(Record):
-    scenario: dict
+class AgentRuntime(AgentSettings):
+    """Everything the episode loop needs besides the world itself: the
+    shared settings, the ablation arm (``ARMS``) and how many of the
+    largest logits each frame logs (0: none)."""
+
+    arm: str = "full"
+    log_topk: int = 0
+
+    def __post_init__(self):
+        if self.arm not in ARMS:
+            raise FieldError("arm", f"unknown arm {self.arm!r}, expected one of {ARMS}")
+        if self.log_topk < 0:
+            raise FieldError("log_topk", f"must be >= 0, got {self.log_topk}")
+
+
+@dataclass(kw_only=True)
+class EpisodeHeader(AgentRuntime):
+    """The runtime an episode ran with, and its world: ``make_scenario(
+    scenario, seed)`` rebuilds it, or ``scenario`` is null for a
+    hand-built world. ``expert`` names where the expert trajectories
+    come from."""
+
+    scenario: Optional[ScenarioSpec]
     seed: int
-    grid: PolarGrid
-    rig: CameraRig
-    perception: PerceptionParams
-    rules: MetricRules
-    vis_rules: VisibilityRules
     max_steps: int
-    policy: EpisodePolicy
-    arm: str
     expert: str
 
 
@@ -165,14 +188,16 @@ def read_episode(path) -> EpisodeLog:
             raise EpisodeFormatError(f"{path}: line {i + 1}: {e}") from e
 
     head = parse(0)
-    if head.pop("type", None) != "header":
-        raise EpisodeFormatError(f"{path}: line 1 is not a header")
-    version = head.pop("version", None)
+    kind, version = head.pop("type", None), head.pop("version", None)
+    if kind != "header":
+        raise EpisodeFormatError(f"{path}: line 1: 'type' is {kind!r}, not a header")
     if version != SCHEMA_VERSION:
         raise EpisodeFormatError(
-            f"{path}: schema version {version!r} unsupported (expected {SCHEMA_VERSION!r})"
+            f"{path}: line 1: 'version': schema version {version!r} unsupported "
+            f"(expected {SCHEMA_VERSION!r})"
         )
-    header = build(0, EpisodeHeader.from_dict, head)
+    # the header states every setting the episode ran with
+    header = build(0, lambda d: EpisodeHeader.from_dict(d, complete=True), head)
     vocab_size = header.grid.vocab_size
     frames: list[FrameRecord] = []
 
@@ -237,22 +262,24 @@ def schema_description() -> str:
     return f"""JSONL episode schema, version {SCHEMA_VERSION}
 One JSON object per line.
 
-Line 1   header:
+Line 1   header: the settings the episode ran with; every key required
   type             "header"
   version          schema version string (this file: "{SCHEMA_VERSION}")
-  scenario         scenario spec: name, n_distractors, sigma_app,
-                   feature_dim, max_steps
-  seed             episode world seed
   grid             polar grid: r_min, r_max, n_angle, n_dist
   rig              camera views: [{{yaw, fov}} ...], degrees
   perception       perception parameters (noise, scores, gating knobs)
   rules            metric rules (orientation tolerance, tracked flag,
                    lost-termination, success band)
+  limits           motion limits: max_speed (m/step), max_turn (deg/step)
   vis_rules        annotation rules (min_apparent_size)
-  max_steps        episode cap
-  policy           planner settings: standoff, invalid_mode, max_speed,
-                   max_turn
+  policy           planner settings: standoff, invalid_mode
+  count_invalid_in_mean  whether invalid steps count in the gate's mean
   arm              "full" | "no_tim" | "no_cot"
+  log_topk         logits kept per frame in logits_topk (0: none)
+  scenario         scenario spec: name, n_distractors, sigma_app,
+                   feature_dim, max_steps; null for a hand-built world
+  seed             episode world seed; with scenario it rebuilds the world
+  max_steps        episode cap
   expert           provenance of the expert trajectories
 
 Lines 2..N-1  frame (one per executed step):
@@ -306,7 +333,7 @@ def generate_dataset(
     top-``DATASET_TOPK`` logits, so a world with more entities than fit
     beside the invalid token raises ``ValueError``.
     """
-    from .runner import AgentRuntime, run_episode  # deferred: runner imports us
+    from .runner import run_episode  # deferred: runner imports us
 
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
@@ -336,8 +363,7 @@ def generate_dataset(
             runtime = AgentRuntime(
                 grid=grid,
                 rig=ep_rig,
-                params=PerceptionParams().noiseless(),
-                rules=MetricRules(),
+                perception=PerceptionParams().noiseless(),
                 log_topk=DATASET_TOPK,
             )
             world = make_scenario(spec, ep_seed)

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .polar import PolarGrid, PolarPoint, decode, signed_degrees
+from .records import FieldError, Record
 from .world import Command, MotionLimits
 
 NUM_WAYPOINTS = 8
@@ -48,8 +49,26 @@ class PursuitState:
     hold_rel: Optional[PolarPoint] = None
 
     def __post_init__(self):
-        if not (1.0 <= self.standoff <= 3.0):
-            raise ValueError(f"standoff {self.standoff} outside the [1, 3] follow band")
+        _check_standoff(self.standoff)
+
+
+def _check_standoff(standoff: float) -> None:
+    if not 1.0 <= standoff <= 3.0:
+        raise FieldError("standoff", f"{standoff} outside the [1, 3] follow band")
+
+
+@dataclass(frozen=True)
+class PolicySettings(Record):
+    """The planner settings of a run: the follow distance, and what an
+    invalid token does (``INVALID_MODES``)."""
+
+    standoff: float = 2.0
+    invalid_mode: str = HOLD
+
+    def __post_init__(self):
+        _check_standoff(self.standoff)
+        if self.invalid_mode not in INVALID_MODES:
+            raise FieldError("invalid_mode", f"{self.invalid_mode!r} not in {INVALID_MODES}")
 
 
 def advance_hold(state: PursuitState, cmd: Command) -> PursuitState:

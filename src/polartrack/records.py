@@ -7,6 +7,11 @@ JSON type are rejected (an int stands in for a float, nothing else
 converts), and every error names the dotted path of the offending field,
 e.g. ``'rig.views[0].fov'``.
 
+A log states every setting it ran with, so it is read ``complete``:
+every field of every record in it is required, defaults or not. A record
+whose JSON shape is not its fields (a config ``scenarios`` entry) writes
+and reads itself by overriding ``to_dict`` and ``from_dict``.
+
 Episode logs are read and written a frame at a time, so the reader of
 each annotation and the fields of each record class are worked out once
 and cached.
@@ -55,22 +60,23 @@ def _plain_row(tp):
 
 
 @functools.cache
-def _reader(tp):
+def _reader(tp, complete: bool = False):
     """The function that reads a JSON value as the annotation ``tp``: a
     record, ``Optional[X]``, ``tuple[X, ...]``, ``tuple[X, Y]``,
     ``list[X]``, ``float`` (an int or a float, not a bool) or a plain type
     taken exactly (a bool is not an int). Sequences accept a list or a
-    tuple and keep ``tp``'s kind. Errors are ``FieldError``s whose path
-    is relative to the value read."""
+    tuple and keep ``tp``'s kind. With ``complete``, records read have no
+    optional fields. Errors are ``FieldError``s whose path is relative to
+    the value read."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
         (inner,) = [a for a in args if a is not type(None)]
-        read = _reader(inner)
+        read = _reader(inner, complete)
         return lambda v: None if v is None else read(v)
     if origin in (tuple, list):
-        return _sequence_reader(tp)
+        return _sequence_reader(tp, complete)
     if issubclass(tp, Record):
-        return _record_reader(tp)
+        return tp.from_dict if "from_dict" in vars(tp) else _record_reader(tp, complete)
     name = JSON_NAMES.get(tp, tp.__name__)
 
     def read_value(v):
@@ -83,10 +89,10 @@ def _reader(tp):
     return read_value
 
 
-def _sequence_reader(tp):
+def _sequence_reader(tp, complete: bool):
     kind, args = typing.get_origin(tp), typing.get_args(tp)
     fixed = kind is tuple and args[-1] is not Ellipsis
-    reads = [_reader(a) for a in args] if fixed else None
+    reads = [_reader(a, complete) for a in args] if fixed else None
     # The common cases take one pass over the items: a JSON list whose
     # items already have their annotated JSON types (``row`` for a fixed
     # tuple, ``scalars`` for a sequence), or a list of such fixed tuples
@@ -110,7 +116,7 @@ def _sequence_reader(tp):
         if fixed and len(v) != len(reads):
             raise FieldError("", f"expected {len(reads)} items, got {len(v)}")
         out = []
-        for i, (r, x) in enumerate(zip(reads or itertools.repeat(_reader(args[0])), v)):
+        for i, (r, x) in enumerate(zip(reads or itertools.repeat(_reader(args[0], complete)), v)):
             try:
                 out.append(r(x))
             except FieldError as e:
@@ -120,18 +126,23 @@ def _sequence_reader(tp):
     return read
 
 
-def _record_reader(cls):
+def _record_reader(cls, complete: bool):
     hints = typing.get_type_hints(cls)
     schema = {
         f.name: (
-            _reader(hints[f.name]),
-            f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
+            _reader(hints[f.name], complete),
+            complete
+            or f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
         )
         for f in dataclasses.fields(cls)
     }
 
     def read(d):
-        check_keys(d, schema)
+        if not isinstance(d, dict):
+            raise FieldError("", f"expected an object, got {d!r}")
+        for key in d:
+            if key not in schema:
+                raise FieldError(key, f"unknown key, expected one of {list(schema)}")
         kwargs = {}
         for name, (read_field, required) in schema.items():
             if name in d:
@@ -143,29 +154,21 @@ def _record_reader(cls):
                 raise FieldError(name, "missing required field")
         try:
             return cls(**kwargs)
+        except FieldError:  # the record's own checks, naming their field
+            raise
         except ValueError as e:  # the record's own range checks
             raise FieldError("", str(e)) from e
 
     return read
 
 
-def check(tp, value, path: str = ""):
+def check(tp, value, path: str = "", complete: bool = False):
     """``value`` read as the annotation ``tp`` (see ``_reader``); errors
     name their field under ``path``."""
     try:
-        return _reader(tp)(value)
+        return _reader(tp, complete)(value)
     except FieldError as e:
         raise e.within(path) from None
-
-
-def check_keys(d, allowed, path: str = "") -> dict:
-    """``d`` as a JSON object holding no key outside ``allowed``."""
-    d = check(dict, d, path)
-    for key in d:
-        if key not in allowed:
-            raise FieldError(f"{path}.{key}" if path else key,
-                             f"unknown key, expected one of {list(allowed)}")
-    return d
 
 
 def _holds_record(tp) -> bool:
@@ -206,5 +209,11 @@ class Record:
         return d
 
     @classmethod
-    def from_dict(cls, d, path: str = ""):
-        return check(cls, d, path)
+    def from_dict(cls, d, path: str = "", complete: bool = False):
+        return check(cls, d, path, complete)
+
+    @classmethod
+    def values_of(cls, obj) -> dict:
+        """The values ``obj`` holds for this record's fields, by name;
+        ``obj`` may be a record of any class that has those fields."""
+        return {name: getattr(obj, name) for name in _fields(cls)[0]}

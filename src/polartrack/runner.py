@@ -15,32 +15,24 @@ Three arms share this loop:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .episodes import (
+from .episodes import (  # ARMS is re-exported
+    ARMS,
+    AgentRuntime,
     EpisodeHeader,
     EpisodeLog,
-    EpisodePolicy,
     FrameRecord,
-    VisibilityRules,
     annotate_frame,
     view_visibility,
 )
 from .gating import confidence
 from .memory import TargetMemory, update_memory
-from .metrics import MetricRules, score_episode
-from .perception import (
-    CameraRig,
-    PerceptionParams,
-    ReasonerOutput,
-    nearest_detection,
-    observe,
-)
+from .metrics import score_episode
+from .perception import ReasonerOutput, nearest_detection, observe
 from .policy import (
-    HOLD,
     NUM_WAYPOINTS,
     PursuitState,
     advance_hold,
@@ -48,32 +40,9 @@ from .policy import (
     plan,
     plan_from_polar,
 )
-from .polar import PolarGrid, encode
+from .polar import encode
 from .scenarios import ScenarioSpec
-from .world import MotionLimits, World
-
-ARMS = ("full", "no_tim", "no_cot")
-
-
-@dataclass
-class AgentRuntime:
-    """Everything the episode loop needs besides the world itself."""
-
-    grid: PolarGrid
-    rig: CameraRig
-    params: PerceptionParams
-    rules: MetricRules
-    limits: MotionLimits = MotionLimits()
-    standoff: float = 2.0
-    invalid_mode: str = HOLD
-    arm: str = "full"
-    count_invalid_in_mean: bool = True
-    vis_rules: VisibilityRules = VisibilityRules()
-    log_topk: int = 0
-
-    def __post_init__(self):
-        if self.arm not in ARMS:
-            raise ValueError(f"unknown arm {self.arm!r}, expected one of {ARMS}")
+from .world import World
 
 
 def run_episode(
@@ -84,7 +53,9 @@ def run_episode(
     output_sink: Optional[list] = None,
 ) -> EpisodeLog:
     """Run one episode to termination (collision, prolonged loss, or the
-    step cap) and return the complete scored log.
+    step cap) and return the complete scored log. Its header is
+    ``runtime`` plus ``scenario`` and ``seed``, the spec and seed
+    ``world`` was built from (None for a hand-built world).
 
     ``output_sink``, when given, collects every ReasonerOutput in order;
     replay checks use it to verify the memory lag independently.
@@ -92,30 +63,19 @@ def run_episode(
     if world.step_index != 0:
         raise ValueError("run_episode needs a fresh world")
 
-    grid, rig, params = runtime.grid, runtime.rig, runtime.params
+    grid, rig, params = runtime.grid, runtime.rig, runtime.perception
+    limits, invalid_mode = runtime.limits, runtime.policy.invalid_mode
     mem = TargetMemory.empty()
-    pstate = PursuitState(standoff=runtime.standoff)
-    expert_state = PursuitState(standoff=runtime.standoff)
+    pstate = PursuitState(standoff=runtime.policy.standoff)
+    expert_state = pstate
     pending: Optional[ReasonerOutput] = None
     frames: list[FrameRecord] = []
     lost_run = 0
-
     header = EpisodeHeader(
-        scenario=scenario.to_dict() if scenario is not None else {"name": "custom"},
+        **AgentRuntime.values_of(runtime),
+        scenario=scenario,
         seed=seed,
-        grid=grid,
-        rig=rig,
-        perception=params,
-        rules=runtime.rules,
-        vis_rules=runtime.vis_rules,
         max_steps=world.max_steps,
-        policy=EpisodePolicy(
-            standoff=runtime.standoff,
-            invalid_mode=runtime.invalid_mode,
-            max_speed=runtime.limits.max_speed,
-            max_turn=runtime.limits.max_turn,
-        ),
-        arm=runtime.arm,
         expert="noiseless oracle pursuit",
     )
 
@@ -123,9 +83,7 @@ def run_episode(
         try:
             gt_polar, gt_token = annotate_frame(world, rig, grid, runtime.vis_rules)
             views = view_visibility(world, rig, grid)
-            expert_traj, expert_state = plan(
-                gt_token, grid, expert_state, runtime.limits, runtime.invalid_mode
-            )
+            expert_traj, expert_state = plan(gt_token, grid, expert_state, limits, invalid_mode)
 
             if runtime.arm != "no_cot":
                 out = observe(world, rig, mem, grid, params, world.rng)
@@ -142,9 +100,7 @@ def run_episode(
                         runtime.count_invalid_in_mean,
                     )
                 pending = out
-                traj, pstate = plan(
-                    out.token, grid, pstate, runtime.limits, runtime.invalid_mode
-                )
+                traj, pstate = plan(out.token, grid, pstate, limits, invalid_mode)
                 acted_token = out.token
                 topk = out.logits.topk(runtime.log_topk) if runtime.log_topk > 0 else None
             else:
@@ -159,12 +115,12 @@ def run_episode(
                 if pstate.hold_rel is None:
                     traj = np.zeros((NUM_WAYPOINTS, 3))
                 else:
-                    traj = plan_from_polar(pstate.hold_rel, pstate, runtime.limits)
+                    traj = plan_from_polar(pstate.hold_rel, pstate, limits)
                 acted_token = grid.invalid_index if raw is None else encode(grid, raw)
                 conf = 0.0
                 topk = None
 
-            cmd = execute_first(traj, runtime.limits)
+            cmd = execute_first(traj, limits)
             events = world.step(cmd)
             pstate = advance_hold(pstate, cmd)
         except Exception as e:

@@ -58,7 +58,7 @@ def logits_with_confidence(target: float, k: int = 2) -> np.ndarray:
 
 def runtime_for(arm: str, noiseless: bool = False) -> AgentRuntime:
     params = PerceptionParams().noiseless() if noiseless else PerceptionParams()
-    return AgentRuntime(arm=arm, grid=GRID, rig=RING, params=params, rules=RULES)
+    return AgentRuntime(arm=arm, grid=GRID, rig=RING, perception=params, rules=RULES)
 
 
 def occlusion_recovery(log, min_run=30, within=50):

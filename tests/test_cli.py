@@ -1,11 +1,14 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from polartrack.cli import EXIT_CONFIG, EXIT_OK, main
+from polartrack.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from polartrack.config import RunConfig, load_config, save_config
-from polartrack.episodes import read_episode
+from polartrack.episodes import read_episode, write_episode
+from polartrack.runner import AgentRuntime, run_episode
+from polartrack.scenarios import SCENARIO_NAMES, ScenarioSpec, make_scenario
 
 
 def write_config(path, **overrides):
@@ -184,3 +187,74 @@ def test_jobs_parallel_bench_matches_serial(tmp_path, capsys):
     assert main(["bench", "run", "--config", str(cfgp), "--jobs", "2"]) == EXIT_OK
     parallel = capsys.readouterr().out
     assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "argv, env, config",
+    [
+        (["bench", "run", "--jobs", "0"], {}, None),
+        (["bench", "run"], {"POLARTRACK_JOBS": "-4"}, None),
+        (["bench", "run"], {}, {"policy": {"standoff": 5.0}}),
+        (["dataset", "gen", "--scenario", "stt", "--episodes", "0"], {}, None),
+        (["episode", "run", "--log-topk", "-3"], {}, None),
+    ],
+    ids=["jobs-flag", "jobs-env", "standoff", "episodes", "log-topk"],
+)
+def test_bad_counts_and_settings_are_config_errors(tmp_path, capsys, monkeypatch, argv, env,
+                                                   config):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if config is not None:
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+    if argv[0] == "dataset":
+        argv = argv + ["--out", str(tmp_path / "data")]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.jsonl"))
+
+
+def test_replay_dump_rows_keep_three_memory_cells(tmp_path, capsys):
+    spec = ScenarioSpec("stt", feature_dim=2, max_steps=30)
+    ep = tmp_path / "ep.jsonl"
+    write_episode(run_episode(make_scenario(spec, 1), AgentRuntime(), spec, 1), ep)
+    assert any(f.mem_slot0 is not None for f in read_episode(ep).frames)
+    csvp = tmp_path / "ep.csv"
+    assert main(["replay", "dump", "--episode", str(ep), "--out", str(csvp)]) == EXIT_OK
+    assert {len(row.split(",")) for row in csvp.read_text().splitlines()} == {12}
+
+
+def test_replay_verify_accepts_bench_and_dataset_logs(tmp_path, capsys):
+    cfgp = write_config(tmp_path / "cfg.json", master_seed=2, arms=["full", "no_tim", "no_cot"],
+                        scenarios=[{"name": n, "episodes": 1, "max_steps": 40}
+                                   for n in SCENARIO_NAMES])
+    assert main(["bench", "run", "--config", str(cfgp), "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert main(["dataset", "gen", "--scenario", "obstacle", "--scenario", "dt", "--episodes",
+                 "2", "--seed", "3", "--randomize-rig", "--out", str(tmp_path / "d")]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["replay", "verify", str(tmp_path / "b"), str(tmp_path / "d")]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "16 of 16 logs replay byte for byte"
+
+
+def test_replay_verify_names_the_first_differing_line_and_field(tmp_path, capsys):
+    ep = tmp_path / "ep.jsonl"
+    assert main(["episode", "run", "--scenario", "dt", "--seed", "2", "--out", str(ep)]) == EXIT_OK
+    lines = ep.read_text().splitlines(keepends=True)
+    good = "".join(lines)
+    frame = json.loads(lines[5])
+    logged = frame["confidence"]
+    frame["confidence"] = math.nextafter(logged, 1.0)  # one ulp
+    lines[5] = json.dumps(frame, separators=(",", ":")) + "\n"
+    ep.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["replay", "verify", str(ep)]) == EXIT_RUNTIME
+    out = capsys.readouterr().out
+    edited = frame["confidence"]
+    assert f"line 6: 'confidence' is {edited!r} in the log, {logged!r} on replay" in out
+
+    # a hand-built world cannot be rebuilt from its header
+    head = json.loads(lines[0])
+    head["scenario"] = None
+    ep.write_text(json.dumps(head, separators=(",", ":")) + "\n" + good.split("\n", 1)[1])
+    assert main(["replay", "verify", str(ep)]) == EXIT_RUNTIME
+    assert "not replayable" in capsys.readouterr().out

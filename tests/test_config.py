@@ -37,6 +37,14 @@ def test_distractors_are_rejected_where_the_scenario_has_none():
         config_from_dict({"scenarios": [{"name": name, "episodes": 1, "n_distractors": 0}]})
 
 
+def test_scenario_names_must_be_unique():
+    # logs are named <name>_<arm>_<episode>, so a second dt would overwrite the first
+    rejects({"scenarios": [{"name": "stt", "episodes": 1},
+                           {"name": "dt", "episodes": 2, "n_distractors": 1},
+                           {"name": "dt", "episodes": 2, "n_distractors": 3}]},
+            "scenarios[2].name")
+
+
 def test_count_invalid_in_mean_takes_only_a_json_boolean():
     for bad in ("false", 0, 1, None):
         rejects({"count_invalid_in_mean": bad}, "count_invalid_in_mean")
@@ -72,9 +80,15 @@ WRONG_FIELDS = [
     ({"policy": {"standoff": "abc"}}, "policy.standoff"),
     ({"arms": "full"}, "arms"),
 ]
+# values of the right JSON type that the setting's own check rejects
+OUT_OF_RANGE = [
+    ({"policy": {"standoff": 5.0}}, "policy.standoff"),
+    ({"policy": {"invalid_mode": "wander"}}, "policy.invalid_mode"),
+]
 
 
-@pytest.mark.parametrize("d, field", WRONG_FIELDS, ids=[f for _, f in WRONG_FIELDS])
+@pytest.mark.parametrize("d, field", WRONG_FIELDS + OUT_OF_RANGE,
+                         ids=[f for _, f in WRONG_FIELDS] + [f"{f}-range" for _, f in OUT_OF_RANGE])
 def test_wrong_key_or_json_type_names_its_field(d, field):
     rejects(d, field)
 

@@ -53,7 +53,7 @@ def run_stt_episode(seed=0, scenario="stt", log_topk=0):
     runtime = AgentRuntime(
         grid=GRID,
         rig=RING,
-        params=PerceptionParams().noiseless(),
+        perception=PerceptionParams().noiseless(),
         rules=MetricRules(),
         log_topk=log_topk,
     )
@@ -304,6 +304,50 @@ def test_header_parse_failure_names_line_and_field(tmp_path):
     assert "line 1:" in msg and "'policy'" in msg
     msg = edited_log(tmp_path, 0, lambda h: h["grid"].update(n_angle=60.9))
     assert "line 1:" in msg and "'grid.n_angle'" in msg
+    msg = edited_log(tmp_path, 0, lambda h: h["policy"].update(invalid_mode="wander"))
+    assert "line 1:" in msg and "'policy.invalid_mode'" in msg
+    msg = edited_log(tmp_path, 0, lambda h: h.update(scenario={"name": 5}))
+    assert "line 1:" in msg and "'scenario.name'" in msg
+
+
+def key_paths(value, path=""):
+    """The dotted path of every key in a JSON value, parents first."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield f"{path}.{k}" if path else k
+            yield from key_paths(v, f"{path}.{k}" if path else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from key_paths(v, f"{path}[{i}]")
+
+
+def test_every_header_key_is_required(tmp_path):
+    spec = ScenarioSpec("dt", max_steps=3)
+    runtime = AgentRuntime(log_topk=2)
+    path = tmp_path / "ep.jsonl"
+    write_episode(run_episode(make_scenario(spec, 0), runtime, spec, 0), path)
+    head, rest = path.read_text().split("\n", 1)
+    keys = list(key_paths(json.loads(head)))
+    assert {"rig.views[3].fov", "policy.standoff", "scenario.max_steps"} <= set(keys)
+    for key in keys:
+        header = json.loads(head)
+        *outer, last = re.split(r"\.|(?=\[)", key)
+        owner = header
+        for part in outer:
+            owner = owner[int(part[1:-1])] if part.startswith("[") else owner[part]
+        del owner[last]
+        path.write_text(json.dumps(header) + "\n" + rest)
+        with pytest.raises(EpisodeFormatError) as err:
+            read_episode(path)
+        assert "line 1:" in str(err.value) and f"'{key}'" in str(err.value), key
+
+
+def test_hand_built_world_writes_a_null_scenario(tmp_path):
+    log = run_episode(static_world((2.0, 0.0)), AgentRuntime())
+    assert '"scenario":null,' in log.to_jsonl().splitlines()[0]
+    path = tmp_path / "ep.jsonl"
+    write_episode(log, path)
+    assert read_episode(path) == log and log.header.scenario is None
 
 
 def test_frame_parse_failure_names_line_and_field(tmp_path):
@@ -395,7 +439,7 @@ def test_footer_that_disagrees_with_the_frames_is_rejected(tmp_path):
 def test_jsonl_write_read_write_is_byte_identical(tmp_path_factory, scenario, arm, seed,
                                                   max_steps, log_topk):
     spec = ScenarioSpec(scenario, max_steps=max_steps)
-    runtime = AgentRuntime(arm=arm, grid=GRID, rig=RING, params=PerceptionParams(),
+    runtime = AgentRuntime(arm=arm, grid=GRID, rig=RING, perception=PerceptionParams(),
                            rules=MetricRules(), log_topk=log_topk)
     log = run_episode(make_scenario(spec, seed), runtime, scenario=spec, seed=seed)
     path = tmp_path_factory.mktemp("jsonl") / "ep.jsonl"

@@ -5,10 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polartrack.episodes import EpisodeHeader, EpisodePolicy, FrameRecord, VisibilityRules
+from polartrack.config import RunConfig, ScenarioRun
+from polartrack.episodes import (
+    ARMS,
+    AgentRuntime,
+    AgentSettings,
+    EpisodeHeader,
+    FrameRecord,
+    VisibilityRules,
+)
 from polartrack.metrics import ArmResult, EpisodeOutcome, MetricRules, SuiteReport
 from polartrack.perception import CameraRig, CameraView, PerceptionParams
 from polartrack.polar import PolarGrid
+from polartrack.policy import INVALID_MODES, PolicySettings
 from polartrack.records import FieldError, Record, check
 from polartrack.scenarios import SCENARIO_NAMES, ScenarioSpec
 from polartrack.world import MotionLimits
@@ -44,11 +53,30 @@ RECORDS = {
                          finite, finite, st.lists(st.integers(0, 2**32 - 1))),
 }
 RECORDS[SuiteReport] = st.lists(RECORDS[ArmResult], max_size=3).map(SuiteReport)
-RECORDS[EpisodePolicy] = st.builds(EpisodePolicy, finite, st.text(), finite, finite)
+RECORDS[PolicySettings] = st.builds(PolicySettings, st.floats(1.0, 3.0),
+                                    st.sampled_from(INVALID_MODES))
+# the agent's settings as keyword strategies, shared by the records that hold them
+SETTINGS = dict(
+    zip(("grid", "rig", "perception", "rules", "limits", "vis_rules", "policy"),
+        map(RECORDS.get, (PolarGrid, CameraRig, PerceptionParams, MetricRules, MotionLimits,
+                          VisibilityRules, PolicySettings))),
+    count_invalid_in_mean=st.booleans(),
+)
+RUNTIME = dict(SETTINGS, arm=st.sampled_from(ARMS), log_topk=st.integers(0, 2000))
+RECORDS[AgentSettings] = st.builds(AgentSettings, **SETTINGS)
+RECORDS[AgentRuntime] = st.builds(AgentRuntime, **RUNTIME)
 RECORDS[EpisodeHeader] = st.builds(
-    EpisodeHeader, RECORDS[ScenarioSpec].map(ScenarioSpec.to_dict), st.integers(),
-    *map(RECORDS.get, (PolarGrid, CameraRig, PerceptionParams, MetricRules, VisibilityRules)),
-    st.integers(), RECORDS[EpisodePolicy], st.text(), st.text(),
+    EpisodeHeader, scenario=st.none() | RECORDS[ScenarioSpec], seed=st.integers(),
+    max_steps=st.integers(), expert=st.text(), **RUNTIME,
+)
+RECORDS[ScenarioRun] = st.builds(ScenarioRun, RECORDS[ScenarioSpec], st.integers(1, 1000))
+RECORDS[RunConfig] = st.builds(
+    RunConfig, master_seed=st.integers(), jobs=st.integers(1, 64),
+    arms=st.lists(st.sampled_from(ARMS), min_size=1),
+    # a run's logs are named after its scenario, so names are unique
+    scenarios=st.lists(RECORDS[ScenarioRun], min_size=1, max_size=4,
+                       unique_by=lambda r: r.spec.name),
+    **SETTINGS,
 )
 RECORDS[FrameRecord] = st.builds(
     lambda gt_polar, **kw: FrameRecord(gt_invalid=gt_polar is None, gt_polar=gt_polar, **kw),

@@ -14,7 +14,7 @@ GRID = PolarGrid()
 def runtime(arm="full", noiseless=False, **kwargs):
     params = PerceptionParams().noiseless() if noiseless else PerceptionParams()
     return AgentRuntime(
-        arm=arm, grid=GRID, rig=CameraRig.ring(4), params=params, rules=MetricRules(), **kwargs
+        arm=arm, grid=GRID, rig=CameraRig.ring(4), perception=params, rules=MetricRules(), **kwargs
     )
 
 
