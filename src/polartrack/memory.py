@@ -11,6 +11,7 @@ reliable appearance survives occlusions untouched.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -101,8 +102,9 @@ def memory_similarity(mem: TargetMemory, feature) -> float:
     f = np.asarray(feature, dtype=np.float64)
     if f.shape != mem.slots.shape:
         raise ValueError(f"feature shape {f.shape} != {mem.slots.shape}")
-    nf = np.linalg.norm(f)
-    nr = np.linalg.norm(mem.slots)
+    # np.linalg.norm of a 1-D float64 vector is sqrt(v.dot(v)), bit for bit
+    nf = math.sqrt(f.dot(f))
+    nr = math.sqrt(mem.slots.dot(mem.slots))
     if nf == 0.0 or nr == 0.0:
         return 0.0
-    return float(np.dot(f, mem.slots) / (nf * nr))
+    return float(f.dot(mem.slots) / (nf * nr))

@@ -58,7 +58,10 @@ class CameraRig(Record):
         return cls(views=tuple(CameraView(i * 360.0 / n, fov) for i in range(n)))
 
     def covers(self, theta: float) -> bool:
-        return any(v.covers(theta) for v in self.views)
+        for v in self.views:
+            if v.covers(theta):
+                return True
+        return False
 
 
 @dataclass(frozen=True)

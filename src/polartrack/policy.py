@@ -8,13 +8,16 @@ split into 8 equal pieces, each waypoint facing the target bearing as far
 as the cumulative turn limit allows. An invalid token falls back to the
 last confidently-seen cell (walking all the way into it, which rounds
 corners after a disappearance) or, with no history, a rotate-in-place
-scan.
+scan. A valid token's plan depends only on the cell, the grid, the
+standoff and the motion limits, so each cell is planned once and its
+read-only trajectory reused (``_cell_plan``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -80,33 +83,46 @@ def advance_hold(state: PursuitState, cmd: Command) -> PursuitState:
     x = state.hold_rel.dist * math.cos(th) - cmd.v
     y = state.hold_rel.dist * math.sin(th)
     rel = PolarPoint(math.degrees(math.atan2(y, x)), math.hypot(x, y))
-    return replace(state, hold_rel=rel)
+    return PursuitState(state.last_valid_cell, state.steps_since_valid, state.standoff, rel)
 
 
 def _segment_plan(goal_range: float, bearing: float, limits: MotionLimits) -> np.ndarray:
     """Equal subdivision of the straight segment to the goal. ``bearing``
     is signed degrees; negative goal_range backs away along the bearing."""
-    traj = np.zeros((NUM_WAYPOINTS, 3))
     gx = goal_range * math.cos(math.radians(bearing))
     gy = goal_range * math.sin(math.radians(bearing))
     length = math.hypot(gx, gy)
+    sx = sy = 0.0
     if length > 1e-12:
         step = min(length / NUM_WAYPOINTS, limits.max_speed)
-        ux, uy = gx / length, gy / length
-        for i in range(NUM_WAYPOINTS):
-            traj[i, 0] = ux * step * (i + 1)
-            traj[i, 1] = uy * step * (i + 1)
-    for i in range(NUM_WAYPOINTS):
-        turn_cap = (i + 1) * limits.max_turn
-        traj[i, 2] = max(-turn_cap, min(turn_cap, bearing))
-    return traj
+        sx, sy = gx / length * step, gy / length * step
+    rows = []
+    for k in range(1, NUM_WAYPOINTS + 1):
+        turn_cap = k * limits.max_turn
+        rows.append((sx * k, sy * k, max(-turn_cap, min(turn_cap, bearing))))
+    return np.array(rows, dtype=np.float64)
 
 
 def _scan_plan(limits: MotionLimits) -> np.ndarray:
-    traj = np.zeros((NUM_WAYPOINTS, 3))
-    for i in range(NUM_WAYPOINTS):
-        traj[i, 2] = min((i + 1) * limits.max_turn, 180.0)
-    return traj
+    return np.array(
+        [(0.0, 0.0, min(k * limits.max_turn, 180.0)) for k in range(1, NUM_WAYPOINTS + 1)],
+        dtype=np.float64,
+    )
+
+
+@lru_cache(maxsize=256, typed=True)
+def _cell_plan(
+    token: int, grid: PolarGrid, standoff: float, max_speed: float, max_turn: float
+) -> tuple[PolarPoint, np.ndarray]:
+    """A valid token's cell centroid and its read-only trajectory. The key
+    is typed and holds the limits as numbers, because a zero limit written
+    as 0 compares equal to 0.0 yet plans zeros of another sign (a limit
+    of -0.0 still shares the entry of 0.0)."""
+    p = decode(grid, token)
+    limits = MotionLimits(max_speed, max_turn)
+    traj = _segment_plan(p.dist - standoff, signed_degrees(p.theta), limits)
+    traj.flags.writeable = False
+    return p, traj
 
 
 def plan_from_polar(p: PolarPoint, state: PursuitState, limits: MotionLimits) -> np.ndarray:
@@ -122,26 +138,27 @@ def plan(
     limits: MotionLimits,
     invalid_mode: str = HOLD,
 ) -> tuple[np.ndarray, PursuitState]:
-    """Trajectory for the current token plus the updated pursuit state."""
+    """Trajectory for the current token plus the updated pursuit state.
+    A valid token's trajectory is shared between calls and read-only."""
     if invalid_mode not in INVALID_MODES:
         raise ValueError(f"invalid_mode must be one of {INVALID_MODES}")
 
     if grid.is_valid_token(token):
-        p = decode(grid, token)
-        traj = _segment_plan(p.dist - state.standoff, signed_degrees(p.theta), limits)
-        return traj, replace(state, last_valid_cell=token, steps_since_valid=0, hold_rel=p)
+        p, traj = _cell_plan(token, grid, state.standoff, limits.max_speed, limits.max_turn)
+        return traj, PursuitState(token, 0, state.standoff, p)
 
     if token != grid.invalid_index:
         raise ValueError(f"token {token} out of range for grid")
 
-    new_state = replace(state, steps_since_valid=state.steps_since_valid + 1)
+    steps = state.steps_since_valid + 1
+    hold = state.hold_rel
     if invalid_mode == STOP or state.last_valid_cell is None:
         traj = (
             np.zeros((NUM_WAYPOINTS, 3))
             if invalid_mode == STOP
             else _scan_plan(limits)
         )
-        return traj, new_state
+        return traj, PursuitState(state.last_valid_cell, steps, state.standoff, hold)
     # walk into the remembered point, no pull-back: standing off from a
     # stale sighting would stall short of wherever the target went. Once
     # the point is reached with the target still unseen, press on along
@@ -149,12 +166,11 @@ def plan(
     # target has had to move, so the sweep continues beyond it. The
     # search carrot is re-planted ahead so dead reckoning cannot swing
     # the pursuit back onto the consumed point.
-    p = state.hold_rel if state.hold_rel is not None else decode(grid, state.last_valid_cell)
+    p = hold if hold is not None else decode(grid, state.last_valid_cell)
     if p.dist < 0.5:
-        p = PolarPoint(0.0, SEARCH_RANGE)
-        new_state = replace(new_state, hold_rel=p)
+        p = hold = PolarPoint(0.0, SEARCH_RANGE)
     traj = _segment_plan(p.dist, signed_degrees(p.theta), limits)
-    return traj, new_state
+    return traj, PursuitState(state.last_valid_cell, steps, state.standoff, hold)
 
 
 def execute_first(traj: np.ndarray, limits: MotionLimits) -> Command:
@@ -162,7 +178,7 @@ def execute_first(traj: np.ndarray, limits: MotionLimits) -> Command:
     limits allow (exactly, when it is within them)."""
     if traj.shape != (NUM_WAYPOINTS, 3):
         raise ValueError(f"trajectory must be ({NUM_WAYPOINTS}, 3), got {traj.shape}")
-    x1, y1, th1 = traj[0]
+    x1, y1, th1 = traj[0].tolist()
     length = math.hypot(x1, y1)
     if length < 1e-12:
         dtheta = max(-limits.max_turn, min(limits.max_turn, signed_degrees(th1)))

@@ -31,7 +31,7 @@ class Pose2D:
     heading: float  # degrees in [0, 360)
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.heading)):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.heading)):
             raise ValueError("pose must be finite")
         object.__setattr__(self, "heading", wrap_degrees(self.heading))
 
@@ -67,7 +67,8 @@ class Entity:
 
     ``path`` is a closed loop of world waypoints; ``speeds[i]`` is the
     speed while walking toward ``path[i]``. ``leg`` indexes the waypoint
-    currently being approached.
+    currently being approached. ``advance`` walks float copies of both,
+    taken at construction.
     """
 
     id: int
@@ -90,6 +91,8 @@ class Entity:
             raise ValueError("path must be a (P, 2) array")
         if self.speeds.shape != (len(self.path),):
             raise ValueError("need one speed per path waypoint")
+        self._path = self.path.tolist()
+        self._speeds = self.speeds.tolist()
 
     def position(self) -> tuple[float, float]:
         return (self.pose.x, self.pose.y)
@@ -99,24 +102,25 @@ class Entity:
         waypoint mid-step carries the leftover distance onto the next leg
         (capped at that leg's speed, so a step never moves farther than
         the fastest leg involved)."""
+        path, speeds = self._path, self._speeds
         x, y = self.pose.x, self.pose.y
-        remaining = float(self.speeds[self.leg])
-        for _ in range(len(self.path) + 1):
+        remaining = speeds[self.leg]
+        for _ in range(len(path) + 1):
             if remaining <= 0.0:
                 break
-            tx, ty = self.path[self.leg]
+            tx, ty = path[self.leg]
             d = math.hypot(tx - x, ty - y)
             if d > remaining:
                 x += (tx - x) / d * remaining
                 y += (ty - y) / d * remaining
                 remaining = 0.0
             else:
-                x, y = float(tx), float(ty)
+                x, y = tx, ty
                 remaining -= d
-                self.leg = (self.leg + 1) % len(self.path)
-                remaining = min(remaining, float(self.speeds[self.leg]))
+                self.leg = (self.leg + 1) % len(path)
+                remaining = min(remaining, speeds[self.leg])
         # face the waypoint being approached
-        nx, ny = self.path[self.leg]
+        nx, ny = path[self.leg]
         heading = self.pose.heading
         if math.hypot(nx - x, ny - y) > 1e-12:
             heading = math.degrees(math.atan2(ny - y, nx - x))

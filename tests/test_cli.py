@@ -214,6 +214,35 @@ def test_bad_counts_and_settings_are_config_errors(tmp_path, capsys, monkeypatch
     assert not list(tmp_path.rglob("*.jsonl"))
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"policy": {"standoff": 2.5}}, "policy.standoff"),
+        # the first changed field in declaration order
+        ({"policy": {"standoff": 2.5}, "limits": {"max_speed": 0.2}}, "limits.max_speed"),
+        ({"perception": {"angle_noise": 0.5}}, "perception.angle_noise"),
+        ({"count_invalid_in_mean": False}, "count_invalid_in_mean"),
+    ],
+)
+def test_dataset_gen_rejects_settings_it_would_drop(tmp_path, capsys, config, field):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(config))
+    argv = ["dataset", "gen", "--scenario", "stt", "--episodes", "1", "--config", str(cfgp),
+            "--out", str(tmp_path / "data")]
+    assert main(argv) == EXIT_CONFIG
+    assert f"config field '{field}'" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.jsonl"))
+
+    # the grid and rig are read, and the suite settings mean nothing here
+    config = {"grid": {"n_angle": 36, "n_dist": 20}, "rig": {"views": [{"yaw": 0, "fov": 120}]},
+              "master_seed": 9, "policy": {"standoff": 2}}
+    cfgp.write_text(json.dumps(config))
+    assert main(argv) == EXIT_OK
+    header = read_episode(tmp_path / "data" / "stt_0000.jsonl").header
+    assert (header.grid.n_angle, header.grid.n_dist) == (36, 20)
+    assert len(header.rig.views) == 1 and header.rig.views[0].fov == 120
+
+
 def test_replay_dump_rows_keep_three_memory_cells(tmp_path, capsys):
     spec = ScenarioSpec("stt", feature_dim=2, max_steps=30)
     ep = tmp_path / "ep.jsonl"

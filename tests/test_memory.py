@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polartrack.gating import confidence
+from polartrack.gating import ConfidenceTrace, confidence
 from polartrack.memory import TargetMemory, memory_similarity, update_memory
 from polartrack.polar import PolarGrid
 
@@ -116,6 +118,36 @@ def test_similarity_examples():
         memory_similarity(TargetMemory.empty(), [1.0, 0.0])
     with pytest.raises(ValueError):
         memory_similarity(mem, [1.0, 0.0, 0.0])
+
+
+def similarity_oracle(mem, feature):
+    """The ``np.linalg.norm`` formula ``memory_similarity`` replaced."""
+    f = np.asarray(feature, dtype=np.float64)
+    nf = np.linalg.norm(f)
+    nr = np.linalg.norm(mem.slots)
+    if nf == 0.0 or nr == 0.0:
+        return 0.0
+    return float(np.dot(f, mem.slots) / (nf * nr))
+
+
+coords = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.floats(-1e-150, 1e-150, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e150, -1e150]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 20).flatmap(
+    lambda n: st.tuples(st.lists(coords, min_size=n, max_size=n),
+                        st.lists(coords, min_size=n, max_size=n))
+))
+def test_similarity_matches_the_linalg_norm_formula(vectors):
+    slots, feature = (np.array(v, dtype=np.float64) for v in vectors)
+    mem = TargetMemory(slots, ConfidenceTrace())
+    got, want = memory_similarity(mem, feature), similarity_oracle(mem, feature)
+    assert type(got) is type(want)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_convexity_and_boundedness():

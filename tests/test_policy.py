@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polartrack import policy
 from polartrack.memory import TargetMemory
 from polartrack.perception import CameraRig, PerceptionParams, observe
-from polartrack.polar import PolarGrid, PolarPoint, encode
+from polartrack.polar import PolarGrid, PolarPoint, decode, encode, signed_degrees
 from polartrack.policy import (
     NUM_WAYPOINTS,
     PursuitState,
@@ -215,3 +218,78 @@ def test_frame_consistency_replan_near_hold():
     rel2 = relative_polar(moved, target_world)
     traj2, _ = plan(encode(GRID, rel2), GRID, PursuitState(standoff=2.0), LIMITS)
     assert np.hypot(traj2[-1, 0], traj2[-1, 1]) <= GRID.dist_width + 0.15
+
+
+def segment_plan_oracle(goal_range, bearing, limits):
+    """The element-by-element fill ``policy._segment_plan`` replaced."""
+    traj = np.zeros((NUM_WAYPOINTS, 3))
+    gx = goal_range * math.cos(math.radians(bearing))
+    gy = goal_range * math.sin(math.radians(bearing))
+    length = math.hypot(gx, gy)
+    if length > 1e-12:
+        step = min(length / NUM_WAYPOINTS, limits.max_speed)
+        ux, uy = gx / length, gy / length
+        for i in range(NUM_WAYPOINTS):
+            traj[i, 0] = ux * step * (i + 1)
+            traj[i, 1] = uy * step * (i + 1)
+    for i in range(NUM_WAYPOINTS):
+        turn_cap = (i + 1) * limits.max_turn
+        traj[i, 2] = max(-turn_cap, min(turn_cap, bearing))
+    return traj
+
+
+def scan_plan_oracle(limits):
+    traj = np.zeros((NUM_WAYPOINTS, 3))
+    for i in range(NUM_WAYPOINTS):
+        traj[i, 2] = min((i + 1) * limits.max_turn, 180.0)
+    return traj
+
+
+# int limits as a config may write them, zeros of both signs included
+limit_values = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 1, 30]),
+    st.floats(0.0, 90.0, allow_nan=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    goal_range=st.one_of(
+        st.floats(-6.0, 6.0, allow_nan=False),
+        st.floats(-1e-11, 1e-11, allow_nan=False),
+        st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 2e-12]),
+    ),
+    bearing=st.one_of(
+        st.floats(-180.0, 180.0, allow_nan=False),
+        st.sampled_from([0.0, -0.0, 180.0, 30.0, -30.0]),
+    ),
+    max_speed=limit_values,
+    max_turn=limit_values,
+)
+def test_segment_plan_matches_the_element_fill_oracle(goal_range, bearing, max_speed, max_turn):
+    limits = MotionLimits(max_speed=max_speed, max_turn=max_turn)
+    got = policy._segment_plan(goal_range, bearing, limits)
+    want = segment_plan_oracle(goal_range, bearing, limits)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # tells -0.0 from 0.0
+    assert policy._scan_plan(limits).tobytes() == scan_plan_oracle(limits).tobytes()
+
+
+@pytest.mark.parametrize("grid", [GRID, PolarGrid(r_min=1, r_max=4.5, n_angle=7, n_dist=5)])
+@pytest.mark.parametrize("standoff", [1.0, 2.5])
+def test_cell_plan_is_computed_once_and_read_only(grid, standoff):
+    policy._cell_plan.cache_clear()
+    state = PursuitState(standoff=standoff)
+    for token in range(grid.n_cells):
+        before = policy._cell_plan.cache_info()
+        first, s1 = plan(token, grid, state, LIMITS)
+        second, s2 = plan(token, grid, state, LIMITS)
+        after = policy._cell_plan.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        assert first.tobytes() == second.tobytes()
+        p = decode(grid, token)
+        want = segment_plan_oracle(p.dist - standoff, signed_degrees(p.theta), LIMITS)
+        assert first.tobytes() == want.tobytes()
+        assert s1 == s2 == PursuitState(token, 0, standoff, p)
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0

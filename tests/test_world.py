@@ -141,6 +141,54 @@ def test_waypoint_wraparound():
     assert any(x < 0.5 for x in xs[5:])
 
 
+def advance_oracle(e):
+    """``Entity.advance`` as it read the ndarray ``path`` and ``speeds``."""
+    x, y = e.pose.x, e.pose.y
+    remaining = float(e.speeds[e.leg])
+    for _ in range(len(e.path) + 1):
+        if remaining <= 0.0:
+            break
+        tx, ty = e.path[e.leg]
+        d = math.hypot(tx - x, ty - y)
+        if d > remaining:
+            x += (tx - x) / d * remaining
+            y += (ty - y) / d * remaining
+            remaining = 0.0
+        else:
+            x, y = float(tx), float(ty)
+            remaining -= d
+            e.leg = (e.leg + 1) % len(e.path)
+            remaining = min(remaining, float(e.speeds[e.leg]))
+    nx, ny = e.path[e.leg]
+    heading = e.pose.heading
+    if math.hypot(nx - x, ny - y) > 1e-12:
+        heading = math.degrees(math.atan2(ny - y, nx - x))
+    e.pose = Pose2D(x, y, heading)
+
+
+def test_advance_matches_the_ndarray_path_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        path = rng.uniform(-4.0, 4.0, size=(n, 2))
+        if n > 2:
+            path[1] = path[0]  # a zero-length leg
+        speeds = rng.choice([0.0, 0.05, 0.3, 2.5, 9.0], size=n)
+        leg = int(rng.integers(0, n))
+        a, b = (
+            Entity(id=0, kind="target", pose=Pose2D(path[0, 0], path[0, 1], 0.0), radius=0.3,
+                   appearance=np.ones(2), path=path, speeds=speeds, leg=leg)
+            for _ in range(2)
+        )
+        for _ in range(80):
+            a.advance()
+            advance_oracle(b)
+            assert a.leg == b.leg
+            got = np.array([a.pose.x, a.pose.y, a.pose.heading])
+            want = np.array([b.pose.x, b.pose.y, b.pose.heading])
+            assert got.tobytes() == want.tobytes()
+
+
 def test_line_of_sight_no_obstacles():
     w = make_world()
     assert w.line_of_sight((0, 0), (10, 0))
