@@ -13,7 +13,7 @@ import numpy as np
 from polartrack.episodes import generate_dataset, read_episode
 from polartrack.gating import SparseLogits
 from polartrack.metrics import reason_loss, total_loss, traj_loss
-from polartrack.policy import PursuitState, advance_hold, execute_first, plan
+from polartrack.policy import advance_hold, execute_first, plan
 from polartrack.scenarios import ScenarioSpec
 
 out = Path(tempfile.mkdtemp(prefix="polartrack_demo_"))
@@ -35,11 +35,11 @@ print(f"invalid annotations: {inv} ({inv / len(log.frames):.0%})")
 
 # replay the acted tokens through the planner the header names and
 # compare to the expert
-state = PursuitState(standoff=h.policy.standoff)
+hold = None
 t_loss, r_loss, n = 0.0, 0.0, 0
 for f in log.frames:
-    acted, state = plan(f.token, h.grid, state, h.limits, h.policy.invalid_mode)
-    state = advance_hold(state, execute_first(acted, h.limits))
+    acted, hold = plan(f.token, h.grid, hold, h.policy, h.limits)
+    hold = advance_hold(hold, execute_first(acted, h.limits))
     t_loss += traj_loss(acted, np.asarray(f.expert_traj))
     # the logged top-8 holds every non-zero logit of the frame
     logits = SparseLogits.from_pairs(h.grid.vocab_size, f.logits_topk)

@@ -21,7 +21,7 @@ from .metrics import (
 )
 from .perception import CameraRig, CameraView, PerceptionParams, ReasonerOutput, observe
 from .polar import PolarGrid, PolarPoint, decode, encode, roundtrip_cell, to_world
-from .policy import NUM_WAYPOINTS, PursuitState, execute_first, plan
+from .policy import NUM_WAYPOINTS, PolicySettings, execute_first, plan
 from .runner import ARMS, AgentRuntime, run_episode
 from .scenarios import SCENARIO_NAMES, ScenarioSpec, make_scenario
 from .world import (
@@ -53,8 +53,8 @@ __all__ = [
     "PerceptionParams",
     "PolarGrid",
     "PolarPoint",
+    "PolicySettings",
     "Pose2D",
-    "PursuitState",
     "ReasonerOutput",
     "SCENARIO_NAMES",
     "ScenarioSpec",

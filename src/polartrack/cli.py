@@ -12,9 +12,9 @@ Subcommands::
     polartrack config dump   write the default run config
 
 Exit codes: 0 ok, 1 configuration error, 2 runtime error or a log that
-fails ``replay verify``. The environment variables POLARTRACK_SEED and
-POLARTRACK_JOBS override the seed and worker count when the flags are
-absent.
+fails ``replay verify``. Every command takes its seed from ``--seed``,
+else the POLARTRACK_SEED variable, else the config's ``master_seed``,
+else 0; POLARTRACK_JOBS stands in for an absent ``--jobs`` the same way.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .episodes import (
 )
 from .gating import SparseLogits
 from .metrics import frame_tracked, reason_loss, total_loss, traj_loss
-from .policy import PursuitState, advance_hold, execute_first, plan
+from .policy import advance_hold, execute_first, plan
 from .records import FieldError, Record
 from .runner import ARMS, run_episode
 from .scenarios import SCENARIO_NAMES, ScenarioSpec, make_scenario
@@ -66,10 +66,6 @@ def _flag_or_env(args, flag: str, default: int) -> int:
         raise ConfigError(f"environment variable {name}={v!r} is not an integer")
 
 
-def _resolve_seed(args, default: int = 0) -> int:
-    return _flag_or_env(args, "seed", default)
-
-
 def _load_or_default_config(args) -> RunConfig:
     if getattr(args, "config", None) is not None:
         return load_config(args.config)
@@ -78,7 +74,7 @@ def _load_or_default_config(args) -> RunConfig:
 
 def cmd_episode_run(args) -> int:
     cfg = _load_or_default_config(args)
-    seed = _resolve_seed(args)
+    seed = _flag_or_env(args, "seed", cfg.master_seed)
     spec = ScenarioSpec(name=args.scenario)
     runtime = cfg.runtime_for_arm(args.arm, args.log_topk)
     world = make_scenario(spec, seed)
@@ -98,7 +94,7 @@ def cmd_episode_run(args) -> int:
 def cmd_bench_run(args) -> int:
     cfg = _load_or_default_config(args)
     # flags and environment override the file and are checked like it
-    cfg = replace(cfg, master_seed=_resolve_seed(args, cfg.master_seed),
+    cfg = replace(cfg, master_seed=_flag_or_env(args, "seed", cfg.master_seed),
                   jobs=_flag_or_env(args, "jobs", cfg.jobs))
     arms = [args.arm] if args.arm is not None else None
     report, results = run_bench(cfg, out_dir=args.out, arms=arms)
@@ -133,7 +129,7 @@ def _check_dataset_settings(cfg: RunConfig) -> None:
 def cmd_dataset_gen(args) -> int:
     cfg = _load_or_default_config(args)
     _check_dataset_settings(cfg)
-    seed = _resolve_seed(args)
+    seed = _flag_or_env(args, "seed", cfg.master_seed)
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     specs = [ScenarioSpec(name=n) for n in args.scenario]
@@ -157,10 +153,10 @@ def _replay_acted_trajectories(log):
     run with token reasoning; the token-less arm plans from raw readings
     the log does not carry, so its replay is an approximation."""
     h = log.header
-    state = PursuitState(standoff=h.policy.standoff)
+    hold = None
     for f in log.frames:
-        traj, state = plan(f.token, h.grid, state, h.limits, h.policy.invalid_mode)
-        state = advance_hold(state, execute_first(traj, h.limits))
+        traj, hold = plan(f.token, h.grid, hold, h.policy, h.limits)
+        hold = advance_hold(hold, execute_first(traj, h.limits))
         yield f, traj
 
 
@@ -293,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep_run = eps.add_parser("run", help="run one seeded episode")
     ep_run.add_argument("--scenario", choices=SCENARIO_NAMES, default="stt")
     ep_run.add_argument("--arm", choices=ARMS, default="full")
-    ep_run.add_argument("--seed", type=int, default=None, help="episode seed (default 0)")
+    ep_run.add_argument("--seed", type=int, default=None, help="episode seed (else master_seed)")
     ep_run.add_argument("--config", default=None, help="run-config JSON file")
     ep_run.add_argument("--out", default=None, help="write the episode log here")
     ep_run.add_argument("--log-topk", type=int, default=0, dest="log_topk")

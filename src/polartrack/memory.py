@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gating import ConfidenceTrace, confidence, gate_weight
+from .gating import ConfidenceTrace, gate_weight
 from .polar import PolarGrid
 
 DEFAULT_FEATURE_DIM = 16
@@ -52,18 +52,19 @@ class TargetMemory:
 def update_memory(
     mem: TargetMemory,
     token: int,
-    logits,
+    conf: float,
     candidate: Optional[np.ndarray],
     grid: PolarGrid,
     count_invalid_in_mean: bool = True,
 ) -> TargetMemory:
-    """One memory step for the reasoner output produced last step.
+    """One memory step for the reasoner output produced last step, whose
+    entropy confidence ``conf`` was computed when it was produced.
 
-    Invalid token: vector unchanged, confidence zero recorded (unless
-    ``count_invalid_in_mean`` is off, which skips the record entirely; the
-    default matches a history sum over every step). First valid sighting:
-    the candidate is adopted as the vector. Otherwise the vector moves
-    toward the candidate by the gate weight.
+    Invalid token: vector unchanged, confidence zero recorded in place of
+    ``conf`` (unless ``count_invalid_in_mean`` is off, which skips the
+    record entirely; the default matches a history sum over every step).
+    First valid sighting: the candidate is adopted as the vector.
+    Otherwise the vector moves toward the candidate by the gate weight.
     """
     if token == grid.invalid_index:
         if candidate is not None:
@@ -82,16 +83,15 @@ def update_memory(
     if not np.all(np.isfinite(cand)):
         raise ValueError("candidate feature must be finite")
 
-    c = confidence(logits)
     if mem.is_empty:
-        return TargetMemory(cand.copy(), mem.trace.record(c))
+        return TargetMemory(cand.copy(), mem.trace.record(conf))
 
     if cand.shape != mem.slots.shape:
         raise ValueError(
             f"candidate dim {cand.shape[0]} != memory dim {mem.slots.shape[0]}"
         )
-    w = gate_weight(mem.trace, c)
-    return TargetMemory((1.0 - w) * mem.slots + w * cand, mem.trace.record(c))
+    w = gate_weight(mem.trace, conf)
+    return TargetMemory((1.0 - w) * mem.slots + w * cand, mem.trace.record(conf))
 
 
 def memory_similarity(mem: TargetMemory, feature) -> float:

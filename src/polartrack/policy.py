@@ -5,12 +5,15 @@ the simulator executes only the first waypoint. A valid token decodes to
 its cell centroid and the goal is that point pulled back along the
 bearing to the standoff distance; the straight segment to the goal is
 split into 8 equal pieces, each waypoint facing the target bearing as far
-as the cumulative turn limit allows. An invalid token falls back to the
-last confidently-seen cell (walking all the way into it, which rounds
-corners after a disappearance) or, with no history, a rotate-in-place
-scan. A valid token's plan depends only on the cell, the grid, the
-standoff and the motion limits, so each cell is planned once and its
-read-only trajectory reused (``_cell_plan``).
+as the cumulative turn limit allows. The only state carried between
+plans is the hold point: the body-frame position of the last valid
+sighting, dead-reckoned through every executed command (``advance_hold``),
+or None before the first one. An invalid token walks all the way into
+the hold point, which rounds corners after a disappearance, or with no
+hold point scans in place; in ``stop`` mode it stands still. A valid
+token's plan depends only on the cell, the grid, the standoff and the
+motion limits, so each cell is planned once and its read-only trajectory
+reused (``_cell_plan``).
 """
 
 from __future__ import annotations
@@ -35,32 +38,6 @@ INVALID_MODES = (HOLD, STOP)
 
 
 @dataclass(frozen=True)
-class PursuitState:
-    """Carry-over between plans: the last valid cell seen, for how many
-    steps the token has been invalid, and the dead-reckoned body-frame
-    position of that last sighting (``hold_rel``). Standoff is the
-    desired following distance (success band is 1-3 m).
-
-    ``hold_rel`` exists because a remembered egocentric point goes stale
-    as soon as the agent moves: steering at a fixed relative bearing
-    turns the pursuit into a spiral. ``advance_hold`` re-expresses the
-    point in the new body frame after every executed command."""
-
-    last_valid_cell: Optional[int] = None
-    steps_since_valid: int = 0
-    standoff: float = 2.0
-    hold_rel: Optional[PolarPoint] = None
-
-    def __post_init__(self):
-        _check_standoff(self.standoff)
-
-
-def _check_standoff(standoff: float) -> None:
-    if not 1.0 <= standoff <= 3.0:
-        raise FieldError("standoff", f"{standoff} outside the [1, 3] follow band")
-
-
-@dataclass(frozen=True)
 class PolicySettings(Record):
     """The planner settings of a run: the follow distance, and what an
     invalid token does (``INVALID_MODES``)."""
@@ -69,21 +46,26 @@ class PolicySettings(Record):
     invalid_mode: str = HOLD
 
     def __post_init__(self):
-        _check_standoff(self.standoff)
+        if not 1.0 <= self.standoff <= 3.0:
+            raise FieldError("standoff", f"{self.standoff} outside the [1, 3] follow band")
         if self.invalid_mode not in INVALID_MODES:
             raise FieldError("invalid_mode", f"{self.invalid_mode!r} not in {INVALID_MODES}")
 
 
-def advance_hold(state: PursuitState, cmd: Command) -> PursuitState:
+def advance_hold(hold: Optional[PolarPoint], cmd: Command) -> Optional[PolarPoint]:
     """Propagate the remembered target position through an executed
-    motion (rotate by dtheta, then translate v along the new heading)."""
-    if state.hold_rel is None:
-        return state
-    th = math.radians(state.hold_rel.theta - cmd.dtheta)
-    x = state.hold_rel.dist * math.cos(th) - cmd.v
-    y = state.hold_rel.dist * math.sin(th)
-    rel = PolarPoint(math.degrees(math.atan2(y, x)), math.hypot(x, y))
-    return PursuitState(state.last_valid_cell, state.steps_since_valid, state.standoff, rel)
+    motion (rotate by dtheta, then translate v along the new heading).
+
+    A remembered egocentric point goes stale as soon as the agent moves:
+    steering at a fixed relative bearing turns the pursuit into a spiral,
+    so the point is re-expressed in the new body frame after every
+    executed command. None stays None."""
+    if hold is None:
+        return None
+    th = math.radians(hold.theta - cmd.dtheta)
+    x = hold.dist * math.cos(th) - cmd.v
+    y = hold.dist * math.sin(th)
+    return PolarPoint(math.degrees(math.atan2(y, x)), math.hypot(x, y))
 
 
 def _segment_plan(goal_range: float, bearing: float, limits: MotionLimits) -> np.ndarray:
@@ -113,8 +95,8 @@ def _scan_plan(limits: MotionLimits) -> np.ndarray:
 @lru_cache(maxsize=256, typed=True)
 def _cell_plan(
     token: int, grid: PolarGrid, standoff: float, max_speed: float, max_turn: float
-) -> tuple[PolarPoint, np.ndarray]:
-    """A valid token's cell centroid and its read-only trajectory. The key
+) -> tuple[np.ndarray, PolarPoint]:
+    """A valid token's read-only trajectory and its cell centroid. The key
     is typed and holds the limits as numbers, because a zero limit written
     as 0 compares equal to 0.0 yet plans zeros of another sign (a limit
     of -0.0 still shares the entry of 0.0)."""
@@ -122,43 +104,33 @@ def _cell_plan(
     limits = MotionLimits(max_speed, max_turn)
     traj = _segment_plan(p.dist - standoff, signed_degrees(p.theta), limits)
     traj.flags.writeable = False
-    return p, traj
+    return traj, p
 
 
-def plan_from_polar(p: PolarPoint, state: PursuitState, limits: MotionLimits) -> np.ndarray:
+def plan_from_polar(p: PolarPoint, standoff: float, limits: MotionLimits) -> np.ndarray:
     """Plan toward an un-tokenized relative position, pulled back to the
     standoff distance (used directly by the no-reasoning ablation arm)."""
-    return _segment_plan(p.dist - state.standoff, signed_degrees(p.theta), limits)
+    return _segment_plan(p.dist - standoff, signed_degrees(p.theta), limits)
 
 
 def plan(
     token: int,
     grid: PolarGrid,
-    state: PursuitState,
+    hold: Optional[PolarPoint],
+    policy: PolicySettings,
     limits: MotionLimits,
-    invalid_mode: str = HOLD,
-) -> tuple[np.ndarray, PursuitState]:
-    """Trajectory for the current token plus the updated pursuit state.
+) -> tuple[np.ndarray, Optional[PolarPoint]]:
+    """Trajectory for the current token plus the next hold point: the
+    body-frame position of the last valid sighting, or None before one.
     A valid token's trajectory is shared between calls and read-only."""
-    if invalid_mode not in INVALID_MODES:
-        raise ValueError(f"invalid_mode must be one of {INVALID_MODES}")
-
     if grid.is_valid_token(token):
-        p, traj = _cell_plan(token, grid, state.standoff, limits.max_speed, limits.max_turn)
-        return traj, PursuitState(token, 0, state.standoff, p)
-
+        return _cell_plan(token, grid, policy.standoff, limits.max_speed, limits.max_turn)
     if token != grid.invalid_index:
         raise ValueError(f"token {token} out of range for grid")
-
-    steps = state.steps_since_valid + 1
-    hold = state.hold_rel
-    if invalid_mode == STOP or state.last_valid_cell is None:
-        traj = (
-            np.zeros((NUM_WAYPOINTS, 3))
-            if invalid_mode == STOP
-            else _scan_plan(limits)
-        )
-        return traj, PursuitState(state.last_valid_cell, steps, state.standoff, hold)
+    if policy.invalid_mode == STOP:
+        return np.zeros((NUM_WAYPOINTS, 3)), hold
+    if hold is None:
+        return _scan_plan(limits), None
     # walk into the remembered point, no pull-back: standing off from a
     # stale sighting would stall short of wherever the target went. Once
     # the point is reached with the target still unseen, press on along
@@ -166,11 +138,9 @@ def plan(
     # target has had to move, so the sweep continues beyond it. The
     # search carrot is re-planted ahead so dead reckoning cannot swing
     # the pursuit back onto the consumed point.
-    p = hold if hold is not None else decode(grid, state.last_valid_cell)
-    if p.dist < 0.5:
-        p = hold = PolarPoint(0.0, SEARCH_RANGE)
-    traj = _segment_plan(p.dist, signed_degrees(p.theta), limits)
-    return traj, PursuitState(state.last_valid_cell, steps, state.standoff, hold)
+    if hold.dist < 0.5:
+        hold = PolarPoint(0.0, SEARCH_RANGE)
+    return _segment_plan(hold.dist, signed_degrees(hold.theta), limits), hold
 
 
 def execute_first(traj: np.ndarray, limits: MotionLimits) -> Command:

@@ -34,7 +34,6 @@ from .metrics import score_episode
 from .perception import ReasonerOutput, nearest_detection, observe
 from .policy import (
     NUM_WAYPOINTS,
-    PursuitState,
     advance_hold,
     execute_first,
     plan,
@@ -64,11 +63,10 @@ def run_episode(
         raise ValueError("run_episode needs a fresh world")
 
     grid, rig, params = runtime.grid, runtime.rig, runtime.perception
-    limits, invalid_mode = runtime.limits, runtime.policy.invalid_mode
+    limits, policy = runtime.limits, runtime.policy
     mem = TargetMemory.empty()
-    pstate = PursuitState(standoff=runtime.policy.standoff)
-    expert_state = pstate
-    pending: Optional[ReasonerOutput] = None
+    hold = expert_hold = None
+    pending: Optional[tuple[ReasonerOutput, float]] = None
     frames: list[FrameRecord] = []
     lost_run = 0
     header = EpisodeHeader(
@@ -83,7 +81,7 @@ def run_episode(
         try:
             gt_polar, gt_token = annotate_frame(world, rig, grid, runtime.vis_rules)
             views = view_visibility(world, rig, grid)
-            expert_traj, expert_state = plan(gt_token, grid, expert_state, limits, invalid_mode)
+            expert_traj, expert_hold = plan(gt_token, grid, expert_hold, policy, limits)
 
             if runtime.arm != "no_cot":
                 out = observe(world, rig, mem, grid, params, world.rng)
@@ -91,16 +89,17 @@ def run_episode(
                     output_sink.append(out)
                 conf = confidence(out.logits)
                 if runtime.arm == "full" and pending is not None:
+                    prev, prev_conf = pending
                     mem = update_memory(
                         mem,
-                        pending.token,
-                        pending.logits,
-                        pending.candidate,
+                        prev.token,
+                        prev_conf,
+                        prev.candidate,
                         grid,
                         runtime.count_invalid_in_mean,
                     )
-                pending = out
-                traj, pstate = plan(out.token, grid, pstate, limits, invalid_mode)
+                pending = out, conf
+                traj, hold = plan(out.token, grid, hold, policy, limits)
                 acted_token = out.token
                 topk = out.logits.topk(runtime.log_topk) if runtime.log_topk > 0 else None
             else:
@@ -109,20 +108,18 @@ def run_episode(
                 # is detected this step
                 raw = nearest_detection(world, rig, grid, params, world.rng)
                 if raw is not None:
-                    pstate = PursuitState(
-                        standoff=pstate.standoff, hold_rel=raw
-                    )
-                if pstate.hold_rel is None:
+                    hold = raw
+                if hold is None:
                     traj = np.zeros((NUM_WAYPOINTS, 3))
                 else:
-                    traj = plan_from_polar(pstate.hold_rel, pstate, limits)
+                    traj = plan_from_polar(hold, policy.standoff, limits)
                 acted_token = grid.invalid_index if raw is None else encode(grid, raw)
                 conf = 0.0
                 topk = None
 
             cmd = execute_first(traj, limits)
             events = world.step(cmd)
-            pstate = advance_hold(pstate, cmd)
+            hold = advance_hold(hold, cmd)
         except Exception as e:
             raise RuntimeError(f"episode failed at step {world.step_index}: {e}") from e
 

@@ -122,12 +122,12 @@ def test_criterion_4_memory_protocol():
     assert mem.is_empty and mem.trace.count == 1
 
     # first valid: adopt f1 wholesale
-    mem = update_memory(mem, 0, logits_with_confidence(c1), f1, TINY)
+    mem = update_memory(mem, 0, confidence(logits_with_confidence(c1)), f1, TINY)
     assert np.array_equal(mem.slots, f1)
 
     # second valid with confidence equal to the running mean: w = 1/2
     c2 = mem.trace.mean
-    mem = update_memory(mem, 0, logits_with_confidence(c2), f2, TINY)
+    mem = update_memory(mem, 0, confidence(logits_with_confidence(c2)), f2, TINY)
     mid = 0.5 * (f1 + f2)
     assert mem.slots == pytest.approx(mid, abs=1e-8)
 
@@ -144,7 +144,7 @@ def test_criterion_4_memory_protocol():
     mean = (0.0 + c1 + c2 + 0.0 * 50) / 53.0
     w3 = c3 / (mean + c3)
     expected = (1.0 - w3) * mem.slots + w3 * f3
-    mem = update_memory(mem, 0, logits_with_confidence(c3), f3, TINY)
+    mem = update_memory(mem, 0, confidence(logits_with_confidence(c3)), f3, TINY)
     assert mem.slots == pytest.approx(expected, abs=1e-8)
     report("4 PASS memory protocol: adopt, half blend, 50-step freeze, gated re-blend")
 

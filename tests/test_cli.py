@@ -166,6 +166,26 @@ def test_dataset_gen_and_eval_losses(tmp_path, capsys):
     assert "traj=" in text and "reason=" in text and "total=" in text
 
 
+@pytest.mark.parametrize("command", [
+    ["dataset", "gen", "--scenario", "stt", "--episodes", "1", "--out"],
+    ["episode", "run", "--scenario", "stt", "--out"],
+])
+def test_config_master_seed_is_the_default_seed(tmp_path, capsys, command):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"master_seed": 9}))
+
+    def written(name, *extra):
+        out = tmp_path / name
+        assert main([*command, str(out), *extra]) == EXIT_OK
+        capsys.readouterr()
+        files = sorted(out.glob("*.jsonl")) if out.is_dir() else [out]
+        return [p.read_bytes() for p in files]
+
+    from_config = written("config", "--config", str(cfgp))
+    assert from_config == written("flag", "--seed", "9")
+    assert from_config != written("none")
+
+
 def test_schema_command(capsys):
     assert main(["schema"]) == EXIT_OK
     text = capsys.readouterr().out

@@ -3,7 +3,9 @@
 Every log of a `bench run --out` over the four scenarios x three arms
 (one 120-step episode each), its `report.json` and `report.txt`, every
 log of a `generate_dataset(..., randomize_rig=True)` run and the stdout of
-`eval losses` over that dataset. A change meant to leave the program's
+`eval losses` over that dataset; and the same bench run again with
+``STOP_SETTINGS`` (``GOLDEN_STOP``), so the non-default policy branches
+are pinned too. A change meant to leave the program's
 output alone (a speed-up, a refactor) must leave every digest as it is.
 
 A change that alters bytes on purpose updates the digests in ``GOLDEN``
@@ -46,6 +48,30 @@ GOLDEN = {
     'eval losses stdout': '77217a26d45ff3b6c7d8cd250db54ede3303c6a66812aa28a833da0ce5ef5c04',
 }
 
+# the same bench run under the non-default policy: an invalid token stops
+# the agent, it follows at 1.5 m, and invalid steps stay out of the mean
+STOP_SETTINGS = {
+    "policy": {"invalid_mode": "stop", "standoff": 1.5},
+    "count_invalid_in_mean": False,
+}
+
+GOLDEN_STOP = {
+    'dt_full_0000.jsonl': '3e8acdad72ac01876230050d21e620d9a8a10059270ba61451d0db1132447994',
+    'dt_no_cot_0000.jsonl': 'ebe2f4b6252ce5a3907d064dd78ff7a2ec57fb8598b949c67d710ab060366c36',
+    'dt_no_tim_0000.jsonl': '078fb53656f273ad84dec61ae072c339b0424f1a2a10505d6ec75af86ef267da',
+    'obstacle_full_0000.jsonl': '5836a699a93fd329d10fb7740738a0f2c2a111221e3945bdcc8f6a80f0fe72c5',
+    'obstacle_no_cot_0000.jsonl': '218c7eb664849b16e478233144077234544db014b0d837851e3d7ec9147540d2',
+    'obstacle_no_tim_0000.jsonl': 'cbac5bd15ac7bed81374730672d694ef8dc275591ee9548c60ee183eee6716c1',
+    'report.json': '8f7f709a24e150cd90ffcf0fbec3e28d72136132ada531acf87405d5dd441213',
+    'report.txt': '8bf01b989c6d164351a7ae1800a6474b455b0f285dc329c9b383089355cee895',
+    'stt_full_0000.jsonl': '5ed994bb688dbef49b82fac17d0de6fedc1b94e600702814e00606ba3e26bec1',
+    'stt_no_cot_0000.jsonl': '07ff6d9cdc1d3eaa599ebc2133cd2cf5fb3392cdfa9e6b72c2e1e97961a07de3',
+    'stt_no_tim_0000.jsonl': '78d012484ee0fec6a8475e0f2bdec9087d773d59b081da0597c4e83539f966d7',
+    'winding_full_0000.jsonl': 'bd1fdb76a319135f837ce7d02ca116075f522ff0d609103b5e5756be32235a25',
+    'winding_no_cot_0000.jsonl': 'ac1292afe0c0c2675551a800d29f070ee1f8a927faeb3b4a44d983f2fdfc0545',
+    'winding_no_tim_0000.jsonl': 'd89cfc444cf964786a05861d21b5104a3be6cdd8916dc4392857c1797148bada',
+}
+
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -58,14 +84,19 @@ def run(argv) -> str:
     return out.getvalue()
 
 
-def digests(tmp: Path) -> dict:
+def bench(tmp: Path, **settings) -> None:
     cfg = tmp / "cfg.json"
     cfg.write_text(json.dumps({
         "master_seed": 7,
         "arms": ["full", "no_tim", "no_cot"],
         "scenarios": [{"name": n, "episodes": 1, "max_steps": STEPS} for n in SCENARIO_NAMES],
+        **settings,
     }))
     run(["bench", "run", "--config", str(cfg), "--jobs", "1", "--out", str(tmp / "bench")])
+
+
+def digests(tmp: Path) -> dict:
+    bench(tmp)
     generate_dataset([ScenarioSpec(n, max_steps=STEPS) for n in ("obstacle", "dt", "winding")],
                      n_episodes=1, seed=5, out_dir=tmp / "data", randomize_rig=True)
     losses = run(["eval", "losses", str(tmp / "data")])
@@ -75,15 +106,28 @@ def digests(tmp: Path) -> dict:
     return out
 
 
+def stop_digests(tmp: Path) -> dict:
+    bench(tmp, **STOP_SETTINGS)
+    return {p.name: sha(p.read_bytes()) for p in sorted((tmp / "bench").iterdir())}
+
+
 def test_outputs_match_the_golden_digests(tmp_path):
     assert digests(tmp_path) == GOLDEN
 
 
+def test_stop_mode_outputs_match_the_golden_digests(tmp_path):
+    assert stop_digests(tmp_path) == GOLDEN_STOP
+
+
 def print_digests():
-    """Print a fresh ``GOLDEN`` table (run from the repository root with
+    """Print fresh ``GOLDEN`` and ``GOLDEN_STOP`` tables (run from the
+    repository root with
     ``PYTHONPATH=src:tests python -c 'import test_golden as g; g.print_digests()'``)."""
     import tempfile
 
-    with tempfile.TemporaryDirectory() as d:
-        for name, digest in digests(Path(d)).items():
-            print(f"    {name!r}: {digest!r},")
+    for name, table in (("GOLDEN", digests), ("GOLDEN_STOP", stop_digests)):
+        print(f"{name} = {{")
+        with tempfile.TemporaryDirectory() as d:
+            for key, digest in table(Path(d)).items():
+                print(f"    {key!r}: {digest!r},")
+        print("}")

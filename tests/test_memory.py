@@ -38,13 +38,13 @@ def test_logit_constructor_oracle():
 def test_bootstrap_adopts_first_valid_feature():
     mem = TargetMemory.empty()
     f1 = np.array([1.0, 0.0, 0.0])
-    out = update_memory(mem, VALID, logits_with_confidence(0.2), f1, TINY)
+    out = update_memory(mem, VALID, 0.2, f1, TINY)
     assert out.slots.shape == (3,)
     assert np.array_equal(out.slots, f1)
     # adopted by copy: the caller's array stays its own
     assert out.slots is not f1
-    # sharpness of the bootstrap logits must not matter
-    out2 = update_memory(mem, VALID, logits_with_confidence(0.95), f1, TINY)
+    # the bootstrap confidence must not matter
+    out2 = update_memory(mem, VALID, 0.95, f1, TINY)
     assert np.array_equal(out2.slots, out.slots)
 
 
@@ -53,18 +53,18 @@ def test_blend_midpoint_at_half_weight():
     f1 = np.array([1.0, 0.0])
     f2 = np.array([0.0, 1.0])
     c1 = 0.8
-    mem = update_memory(mem, VALID, logits_with_confidence(c1), f1, TINY)
+    mem = update_memory(mem, VALID, c1, f1, TINY)
     # trace = {0.8}: picking c2 = mean yields w = 0.5 exactly
-    mem = update_memory(mem, VALID, logits_with_confidence(c1), f2, TINY)
+    mem = update_memory(mem, VALID, c1, f2, TINY)
     assert mem.slots == pytest.approx(np.array([0.5, 0.5]), abs=1e-8)
 
 
 def test_invalid_freezes_slots_and_records_zero():
     mem = TargetMemory.empty()
     f1 = np.array([0.3, -0.7, 2.0, 0.0])
-    mem = update_memory(mem, VALID, logits_with_confidence(0.9), f1, TINY)
+    mem = update_memory(mem, VALID, 0.9, f1, TINY)
     before = mem.slots.tobytes()
-    out = update_memory(mem, INVALID, logits_with_confidence(0.9), None, TINY)
+    out = update_memory(mem, INVALID, 0.9, None, TINY)
     assert out.slots.tobytes() == before
     assert out.trace.count == mem.trace.count + 1
     assert out.trace.last == 0.0
@@ -73,11 +73,11 @@ def test_invalid_freezes_slots_and_records_zero():
 def test_freeze_exactness_over_a_long_run():
     mem = TargetMemory.empty()
     f1 = np.array([1.0, 2.0])
-    mem = update_memory(mem, VALID, logits_with_confidence(0.7), f1, TINY)
+    mem = update_memory(mem, VALID, 0.7, f1, TINY)
     before = mem.slots.tobytes()
     count0 = mem.trace.count
     for _ in range(50):
-        mem = update_memory(mem, INVALID, logits_with_confidence(0.0), None, TINY)
+        mem = update_memory(mem, INVALID, 0.0, None, TINY)
     assert mem.slots.tobytes() == before
     assert mem.trace.count == count0 + 50
     assert mem.trace.total == pytest.approx(0.7)
@@ -86,7 +86,7 @@ def test_freeze_exactness_over_a_long_run():
 def test_invalid_exclusion_variant_skips_the_trace():
     mem = TargetMemory.empty()
     f1 = np.array([1.0, 2.0])
-    mem = update_memory(mem, VALID, logits_with_confidence(0.7), f1, TINY)
+    mem = update_memory(mem, VALID, 0.7, f1, TINY)
     out = update_memory(mem, INVALID, None, None, TINY, count_invalid_in_mean=False)
     assert out.trace.count == mem.trace.count
     assert out.slots.tobytes() == mem.slots.tobytes()
@@ -98,17 +98,17 @@ def test_contract_violations():
     with pytest.raises(ValueError):
         update_memory(mem, INVALID, None, f, TINY)  # candidate with invalid
     with pytest.raises(ValueError):
-        update_memory(mem, VALID, logits_with_confidence(0.5), None, TINY)
-    mem = update_memory(mem, VALID, logits_with_confidence(0.5), f, TINY)
+        update_memory(mem, VALID, 0.5, None, TINY)
+    mem = update_memory(mem, VALID, 0.5, f, TINY)
     with pytest.raises(ValueError):
-        update_memory(mem, VALID, logits_with_confidence(0.5), np.ones(5), TINY)
+        update_memory(mem, VALID, 0.5, np.ones(5), TINY)
     with pytest.raises(ValueError):
-        update_memory(mem, 7, logits_with_confidence(0.5), f, TINY)  # token range
+        update_memory(mem, 7, 0.5, f, TINY)  # token range
 
 
 def test_similarity_examples():
     mem = TargetMemory.empty()
-    mem = update_memory(mem, VALID, logits_with_confidence(0.5), np.array([1.0, 0.0]), TINY)
+    mem = update_memory(mem, VALID, 0.5, np.array([1.0, 0.0]), TINY)
     assert memory_similarity(mem, [1.0, 0.0]) == pytest.approx(1.0)
     assert memory_similarity(mem, [0.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
     f = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -155,12 +155,12 @@ def test_convexity_and_boundedness():
     dim, bound = 6, 3.0
     mem = TargetMemory.empty()
     first = rng.uniform(-bound, bound, size=dim)
-    mem = update_memory(mem, VALID, logits_with_confidence(0.5), first, TINY)
+    mem = update_memory(mem, VALID, 0.5, first, TINY)
     for _ in range(100):
         cand = rng.uniform(-bound, bound, size=dim)
         prev = mem.slots.copy()
         mem = update_memory(
-            mem, VALID, logits_with_confidence(float(rng.uniform(0, 1))), cand, TINY
+            mem, VALID, float(rng.uniform(0, 1)), cand, TINY
         )
         lo = np.minimum(prev, cand)
         hi = np.maximum(prev, cand)
@@ -174,23 +174,23 @@ def test_norm_bound_is_preserved():
     b = 2.0
     mem = TargetMemory.empty()
     v = rng.normal(size=8)
-    mem = update_memory(mem, VALID, logits_with_confidence(0.6), b * v / np.linalg.norm(v), TINY)
+    mem = update_memory(mem, VALID, 0.6, b * v / np.linalg.norm(v), TINY)
     for _ in range(200):
         v = rng.normal(size=8)
         cand = rng.uniform(0, b) * v / np.linalg.norm(v)
         mem = update_memory(
-            mem, VALID, logits_with_confidence(float(rng.uniform(0, 1))), cand, TINY
+            mem, VALID, float(rng.uniform(0, 1)), cand, TINY
         )
         assert np.linalg.norm(mem.slots) <= b + 1e-9
 
 
 def test_idempotent_convergence():
     mem = TargetMemory.empty()
-    mem = update_memory(mem, VALID, logits_with_confidence(0.5), np.array([0.0, 0.0]), TINY)
+    mem = update_memory(mem, VALID, 0.5, np.array([0.0, 0.0]), TINY)
     goal = np.array([1.0, -2.0])
     errs = []
     for _ in range(40):
-        mem = update_memory(mem, VALID, logits_with_confidence(0.8), goal, TINY)
+        mem = update_memory(mem, VALID, 0.8, goal, TINY)
         errs.append(float(np.abs(mem.slots - goal).max()))
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-3
@@ -199,9 +199,9 @@ def test_idempotent_convergence():
 def test_digest_tracks_slot_bytes():
     mem = TargetMemory.empty()
     assert mem.digest() == "empty"
-    mem = update_memory(mem, VALID, logits_with_confidence(0.5), np.array([1.0, 0.0]), TINY)
+    mem = update_memory(mem, VALID, 0.5, np.array([1.0, 0.0]), TINY)
     d1 = mem.digest()
     frozen = update_memory(mem, INVALID, None, None, TINY)
     assert frozen.digest() == d1
-    moved = update_memory(mem, VALID, logits_with_confidence(0.9), np.array([0.0, 1.0]), TINY)
+    moved = update_memory(mem, VALID, 0.9, np.array([0.0, 1.0]), TINY)
     assert moved.digest() != d1

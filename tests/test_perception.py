@@ -45,7 +45,7 @@ def bootstrapped(appearance):
     mem = TargetMemory.empty()
     tiny = PolarGrid(r_min=1, r_max=2, n_angle=1, n_dist=1)
     logits = np.array([5.0, 0.0])
-    return update_memory(mem, 0, logits, np.asarray(appearance, dtype=float), tiny)
+    return update_memory(mem, 0, confidence(logits), np.asarray(appearance, dtype=float), tiny)
 
 
 def test_rig_validation_and_coverage():

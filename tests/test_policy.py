@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from polartrack.perception import CameraRig, PerceptionParams, observe
 from polartrack.polar import PolarGrid, PolarPoint, decode, encode, signed_degrees
 from polartrack.policy import (
     NUM_WAYPOINTS,
-    PursuitState,
+    SEARCH_RANGE,
+    PolicySettings,
     advance_hold,
     execute_first,
     plan,
@@ -21,18 +24,20 @@ from polartrack.world import Command, Entity, MotionLimits, Pose2D, World, relat
 
 GRID = PolarGrid()
 LIMITS = MotionLimits(max_speed=0.25, max_turn=30.0)
+POLICY = PolicySettings()
+STOP = PolicySettings(invalid_mode="stop")
 
 
 def test_plan_output_shape():
-    state = PursuitState()
+    hold = None
     for token in (0, 915, GRID.invalid_index):
-        traj, state = plan(token, GRID, state, LIMITS)
+        traj, hold = plan(token, GRID, hold, POLICY, LIMITS)
         assert traj.shape == (NUM_WAYPOINTS, 3)
 
 
 def test_hold_at_standoff():
     token = encode(GRID, PolarPoint(0.0, 2.0))
-    traj, _ = plan(token, GRID, PursuitState(standoff=2.0), LIMITS)
+    traj, _ = plan(token, GRID, None, PolicySettings(standoff=2.0), LIMITS)
     # centroid sits within half a bin of the standoff: near-zero motion,
     # heading pinned to the bin-center bearing
     assert np.abs(traj[:, :2]).max() < 0.01
@@ -41,7 +46,7 @@ def test_hold_at_standoff():
 
 def test_equal_subdivision_to_goal():
     # exact geometry via the un-tokenized planner: target dead ahead at 4 m
-    traj = plan_from_polar(PolarPoint(0.0, 4.0), PursuitState(standoff=2.0), LIMITS)
+    traj = plan_from_polar(PolarPoint(0.0, 4.0), 2.0, LIMITS)
     assert traj[-1, 0] == pytest.approx(2.0)
     assert traj[-1, 1] == pytest.approx(0.0)
     assert traj[-1, 2] == pytest.approx(0.0)
@@ -49,62 +54,70 @@ def test_equal_subdivision_to_goal():
     assert spacing == pytest.approx(np.full(NUM_WAYPOINTS - 1, 0.25))
     # tokenized version agrees within quantization
     token = encode(GRID, PolarPoint(0.0, 4.0))
-    qtraj, _ = plan(token, GRID, PursuitState(standoff=2.0), LIMITS)
+    qtraj, _ = plan(token, GRID, None, PolicySettings(standoff=2.0), LIMITS)
     assert qtraj[-1, 0] == pytest.approx(2.0, abs=GRID.dist_width)
     assert abs(qtraj[-1, 2]) <= GRID.angle_width / 2
 
 
 def test_invalid_turns_toward_last_cell():
     token = encode(GRID, PolarPoint(90.0, 3.0))
-    state = PursuitState(standoff=2.0)
-    _, state = plan(token, GRID, state, LIMITS)
-    assert state.last_valid_cell == token
-    traj, state = plan(GRID.invalid_index, GRID, state, LIMITS)
-    assert state.steps_since_valid == 1
+    _, hold = plan(token, GRID, None, PolicySettings(standoff=2.0), LIMITS)
+    assert hold == decode(GRID, token)
+    traj, hold = plan(GRID.invalid_index, GRID, hold, POLICY, LIMITS)
+    assert hold == decode(GRID, token)
     assert traj[0, 2] > 0.0  # left turn
     assert traj[-1, 1] > 0.0  # motion has a leftward component
 
 
 def test_invalid_without_history_scans():
-    traj, state = plan(GRID.invalid_index, GRID, PursuitState(), LIMITS)
+    traj, hold = plan(GRID.invalid_index, GRID, None, POLICY, LIMITS)
     assert np.abs(traj[:, :2]).max() == 0.0
     assert traj[0, 2] == pytest.approx(LIMITS.max_turn)
-    assert state.steps_since_valid == 1
+    assert hold is None
 
 
 def test_invalid_stop_mode():
     token = encode(GRID, PolarPoint(45.0, 3.0))
-    state = PursuitState()
-    _, state = plan(token, GRID, state, LIMITS)
-    traj, _ = plan(GRID.invalid_index, GRID, state, LIMITS, invalid_mode="stop")
+    _, hold = plan(token, GRID, None, STOP, LIMITS)
+    traj, kept = plan(GRID.invalid_index, GRID, hold, STOP, LIMITS)
     assert np.all(traj == 0.0)
-    with pytest.raises(ValueError):
-        plan(token, GRID, state, LIMITS, invalid_mode="wander")
+    assert kept == hold == decode(GRID, token)
+    # stop mode stands still even with no hold point
+    traj, kept = plan(GRID.invalid_index, GRID, None, STOP, LIMITS)
+    assert np.all(traj == 0.0) and kept is None
+    with pytest.raises(ValueError, match="invalid_mode"):
+        PolicySettings(invalid_mode="wander")
 
 
-def test_valid_token_resets_invalid_counter():
+def test_valid_token_resets_the_hold_point():
     token = encode(GRID, PolarPoint(10.0, 3.0))
-    state = PursuitState()
-    _, state = plan(GRID.invalid_index, GRID, state, LIMITS)
-    _, state = plan(GRID.invalid_index, GRID, state, LIMITS)
-    assert state.steps_since_valid == 2
-    _, state = plan(token, GRID, state, LIMITS)
-    assert state.steps_since_valid == 0
+    _, hold = plan(encode(GRID, PolarPoint(200.0, 4.0)), GRID, None, POLICY, LIMITS)
+    for _ in range(2):
+        _, hold = plan(GRID.invalid_index, GRID, hold, POLICY, LIMITS)
+        hold = advance_hold(hold, Command(v=0.25, dtheta=10.0))
+    _, hold = plan(token, GRID, hold, POLICY, LIMITS)
+    assert hold == decode(GRID, token)
+
+
+def test_reached_hold_point_replants_the_search_carrot():
+    # the hold point is within 0.5 m: the pursuit presses on straight
+    # ahead toward a carrot at SEARCH_RANGE, which becomes the hold point
+    traj, hold = plan(GRID.invalid_index, GRID, PolarPoint(90.0, 0.4), POLICY, LIMITS)
+    assert hold == PolarPoint(0.0, SEARCH_RANGE)
+    assert traj.tobytes() == segment_plan_oracle(SEARCH_RANGE, 0.0, LIMITS).tobytes()
 
 
 def test_advance_hold_dead_reckoning():
     # remembered point dead ahead at 2 m; agent advances 0.25: now 1.75
-    state = PursuitState(hold_rel=PolarPoint(0.0, 2.0))
-    state = advance_hold(state, Command(v=0.25, dtheta=0.0))
-    assert state.hold_rel.dist == pytest.approx(1.75)
-    assert state.hold_rel.theta == pytest.approx(0.0)
+    hold = advance_hold(PolarPoint(0.0, 2.0), Command(v=0.25, dtheta=0.0))
+    assert hold.dist == pytest.approx(1.75)
+    assert hold.theta == pytest.approx(0.0)
     # pure rotation swings the relative bearing the other way
-    state = PursuitState(hold_rel=PolarPoint(0.0, 2.0))
-    state = advance_hold(state, Command(v=0.0, dtheta=30.0))
-    assert state.hold_rel.theta == pytest.approx(330.0)
-    assert state.hold_rel.dist == pytest.approx(2.0)
+    hold = advance_hold(PolarPoint(0.0, 2.0), Command(v=0.0, dtheta=30.0))
+    assert hold.theta == pytest.approx(330.0)
+    assert hold.dist == pytest.approx(2.0)
     # no-op without a remembered point
-    assert advance_hold(PursuitState(), Command(1.0, 5.0)).hold_rel is None
+    assert advance_hold(None, Command(1.0, 5.0)) is None
 
 
 def test_execute_first_examples():
@@ -138,10 +151,10 @@ def test_execute_first_polar_decomposition_oracle():
 
 def test_kinematic_limits_respected():
     rng = np.random.default_rng(5)
-    state = PursuitState()
+    hold = None
     for _ in range(200):
         token = int(rng.integers(0, GRID.vocab_size))
-        traj, state = plan(token, GRID, state, LIMITS)
+        traj, hold = plan(token, GRID, hold, POLICY, LIMITS)
         steps = np.diff(np.vstack([[0.0, 0.0], traj[:, :2]]), axis=0)
         assert np.hypot(steps[:, 0], steps[:, 1]).max() <= LIMITS.max_speed + 1e-9
         turns = np.diff(np.concatenate([[0.0], traj[:, 2]]))
@@ -152,10 +165,10 @@ def test_kinematic_limits_respected():
 
 
 def test_standoff_band_validation():
-    with pytest.raises(ValueError):
-        PursuitState(standoff=0.5)
-    with pytest.raises(ValueError):
-        PursuitState(standoff=3.5)
+    with pytest.raises(ValueError, match="standoff"):
+        PolicySettings(standoff=0.5)
+    with pytest.raises(ValueError, match="standoff"):
+        PolicySettings(standoff=3.5)
 
 
 def closed_loop_world(target_pos):
@@ -185,16 +198,16 @@ def test_convergence_to_standoff_band():
     for target_pos in [(4.5, 0.0), (3.0, 2.5), (-2.0, 3.0)]:
         w = closed_loop_world(target_pos)
         mem = TargetMemory.empty()
-        state = PursuitState(standoff=2.0)
+        hold = None
         params = PerceptionParams().noiseless()
         rig = CameraRig.ring(4)
         dists = []
         for _ in range(350):
             out = observe(w, rig, mem, GRID, params, w.rng)
-            traj, state = plan(out.token, GRID, state, LIMITS)
+            traj, hold = plan(out.token, GRID, hold, POLICY, LIMITS)
             cmd = execute_first(traj, LIMITS)
             ev = w.step(cmd)
-            state = advance_hold(state, cmd)
+            hold = advance_hold(hold, cmd)
             dists.append(ev.target_rel.dist)
         lo = 2.0 - GRID.dist_width
         hi = 2.0 + GRID.dist_width
@@ -210,13 +223,13 @@ def test_frame_consistency_replan_near_hold():
     target_world = (3.5, 1.0)
     rel = relative_polar(agent, target_world)
     token = encode(GRID, rel)
-    traj, _ = plan(token, GRID, PursuitState(standoff=2.0), LIMITS)
+    traj, _ = plan(token, GRID, None, POLICY, LIMITS)
     # place the agent at the trajectory's end, facing per its final heading
     end = traj[-1]
     heading = agent.heading + end[2]
     moved = Pose2D(agent.x + end[0], agent.y + end[1], heading)
     rel2 = relative_polar(moved, target_world)
-    traj2, _ = plan(encode(GRID, rel2), GRID, PursuitState(standoff=2.0), LIMITS)
+    traj2, _ = plan(encode(GRID, rel2), GRID, None, POLICY, LIMITS)
     assert np.hypot(traj2[-1, 0], traj2[-1, 1]) <= GRID.dist_width + 0.15
 
 
@@ -279,17 +292,96 @@ def test_segment_plan_matches_the_element_fill_oracle(goal_range, bearing, max_s
 @pytest.mark.parametrize("standoff", [1.0, 2.5])
 def test_cell_plan_is_computed_once_and_read_only(grid, standoff):
     policy._cell_plan.cache_clear()
-    state = PursuitState(standoff=standoff)
+    settings = PolicySettings(standoff=standoff)
     for token in range(grid.n_cells):
         before = policy._cell_plan.cache_info()
-        first, s1 = plan(token, grid, state, LIMITS)
-        second, s2 = plan(token, grid, state, LIMITS)
+        first, h1 = plan(token, grid, None, settings, LIMITS)
+        second, h2 = plan(token, grid, h1, settings, LIMITS)
         after = policy._cell_plan.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
         assert first.tobytes() == second.tobytes()
         p = decode(grid, token)
         want = segment_plan_oracle(p.dist - standoff, signed_degrees(p.theta), LIMITS)
         assert first.tobytes() == want.tobytes()
-        assert s1 == s2 == PursuitState(token, 0, standoff, p)
+        assert h1 == h2 == p
         with pytest.raises(ValueError):
             first[0, 0] = 1.0
+
+
+@dataclass(frozen=True)
+class OracleState:
+    """The four-field pursuit state the hold point replaced."""
+
+    last_valid_cell: Optional[int] = None
+    steps_since_valid: int = 0
+    standoff: float = 2.0
+    hold_rel: Optional[PolarPoint] = None
+
+
+def oracle_plan(token, grid, state, limits, invalid_mode):
+    """The planner over ``OracleState`` that ``policy.plan`` replaced."""
+    if grid.is_valid_token(token):
+        p = decode(grid, token)
+        traj = segment_plan_oracle(p.dist - state.standoff, signed_degrees(p.theta), limits)
+        return traj, OracleState(token, 0, state.standoff, p)
+    steps = state.steps_since_valid + 1
+    hold = state.hold_rel
+    if invalid_mode == "stop" or state.last_valid_cell is None:
+        traj = np.zeros((NUM_WAYPOINTS, 3)) if invalid_mode == "stop" else scan_plan_oracle(limits)
+        return traj, OracleState(state.last_valid_cell, steps, state.standoff, hold)
+    p = hold if hold is not None else decode(grid, state.last_valid_cell)
+    if p.dist < 0.5:
+        p = hold = PolarPoint(0.0, SEARCH_RANGE)
+    traj = segment_plan_oracle(p.dist, signed_degrees(p.theta), limits)
+    return traj, OracleState(state.last_valid_cell, steps, state.standoff, hold)
+
+
+def oracle_advance_hold(state, cmd):
+    if state.hold_rel is None:
+        return state
+    th = math.radians(state.hold_rel.theta - cmd.dtheta)
+    x = state.hold_rel.dist * math.cos(th) - cmd.v
+    y = state.hold_rel.dist * math.sin(th)
+    rel = PolarPoint(math.degrees(math.atan2(y, x)), math.hypot(x, y))
+    return OracleState(state.last_valid_cell, state.steps_since_valid, state.standoff, rel)
+
+
+def bits(p):
+    """A hold point's exact floats (tells -0.0 from 0.0)."""
+    return None if p is None else (p.theta.hex(), p.dist.hex())
+
+
+# a small grid close to the agent, so random commands reach a hold point
+# and the search carrot gets re-planted
+NEAR = PolarGrid(r_min=0.3, r_max=2.0, n_angle=12, n_dist=4)
+steps = st.lists(
+    st.tuples(
+        # about half the tokens invalid
+        st.integers(0, 2 * NEAR.n_cells).map(lambda t: min(t, NEAR.invalid_index)),
+        st.booleans(),  # execute the plan's first waypoint, or a random command
+        st.floats(0.0, 1.2, allow_nan=False),
+        st.floats(-45.0, 45.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=steps,
+    invalid_mode=st.sampled_from(["hold", "stop"]),
+    standoff=st.floats(1.0, 3.0, allow_nan=False),
+)
+def test_hold_point_planner_matches_the_pursuit_state_oracle(steps, invalid_mode, standoff):
+    settings_ = PolicySettings(standoff=standoff, invalid_mode=invalid_mode)
+    limits = MotionLimits(max_speed=0.5, max_turn=30.0)
+    hold, state = None, OracleState(standoff=standoff)
+    for token, executed, v, dtheta in steps:
+        traj, hold = plan(token, NEAR, hold, settings_, limits)
+        want, state = oracle_plan(token, NEAR, state, limits, invalid_mode)
+        assert traj.tobytes() == want.tobytes()
+        assert bits(hold) == bits(state.hold_rel)
+        cmd = execute_first(traj, limits) if executed else Command(v=v, dtheta=dtheta)
+        hold, state = advance_hold(hold, cmd), oracle_advance_hold(state, cmd)
+        assert bits(hold) == bits(state.hold_rel)

@@ -1,5 +1,6 @@
 import pytest
 
+from polartrack.gating import SparseLogits, confidence
 from polartrack.memory import TargetMemory, update_memory
 from polartrack.metrics import MetricRules
 from polartrack.perception import CameraRig, PerceptionParams
@@ -62,6 +63,24 @@ def test_line_of_sight_once_per_entity_per_step(monkeypatch):
         assert calls == (len(log.frames) + 1) * len(w.entities), (name, arm)
 
 
+def test_each_reasoner_output_is_scored_once(monkeypatch):
+    # the memory takes the confidence the step that produced the output
+    # computed, so the logits' softmax runs once per observe step
+    calls = 0
+    terms = SparseLogits.softmax_terms
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return terms(self)
+
+    monkeypatch.setattr(SparseLogits, "softmax_terms", counting)
+    spec = ScenarioSpec("dt", max_steps=80)
+    log = run_episode(make_scenario(spec, 2), runtime("full"), spec, 2)
+    assert log.frames[-1].mem_digest != "empty"
+    assert calls == len(log.frames)
+
+
 def test_memory_frozen_through_occlusion_window():
     spec = ScenarioSpec("obstacle")
     log = run_episode(make_scenario(spec, 1), runtime(), spec, 1)
@@ -98,7 +117,7 @@ def test_lag_correctness_via_independent_replay():
     for t, frame in enumerate(log.frames):
         if t > 0:
             prev = sink[t - 1]
-            mem = update_memory(mem, prev.token, prev.logits, prev.candidate, GRID)
+            mem = update_memory(mem, prev.token, confidence(prev.logits), prev.candidate, GRID)
         assert frame.mem_digest == mem.digest(), f"step {t}"
 
 
