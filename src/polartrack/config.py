@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .episodes import ARMS, AgentRuntime, AgentSettings
 from .records import FieldError, Record, check
-from .scenarios import ScenarioSpec
+from .scenarios import WORLD_LIMITS, ScenarioSpec
 
 
 class ConfigError(ValueError):
@@ -68,6 +68,10 @@ class RunConfig(AgentSettings):
     )
 
     def __post_init__(self):
+        try:
+            self.limits.check_within(WORLD_LIMITS, "the scenario worlds'")
+        except FieldError as e:
+            raise e.within("limits") from None
         if self.jobs < 1:
             raise FieldError("jobs", "must be >= 1")
         if not self.arms:

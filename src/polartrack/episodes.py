@@ -25,7 +25,7 @@ from .metrics import EpisodeOutcome, MetricRules, score_episode
 from .perception import CameraRig, CameraView, PerceptionParams, is_observable
 from .polar import PolarGrid, PolarPoint, encode
 from .policy import PolicySettings
-from .records import FieldError, Record
+from .records import FieldError, Record, check_non_negative
 from .scenarios import ScenarioSpec, make_scenario
 from .world import MotionLimits, World
 
@@ -46,6 +46,9 @@ class VisibilityRules(Record):
     obstacle split annotates 10-30% of frames invalid."""
 
     min_apparent_size: float = 0.075
+
+    def __post_init__(self):
+        check_non_negative(self, "min_apparent_size")
 
 
 def annotate_frame(

@@ -132,7 +132,7 @@ def confidence(logits) -> float:
     return min(1.0, max(0.0, c))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfidenceTrace:
     """Running record of per-step confidences: count, sum and the most
     recent value. Value-semantic; ``record`` returns a new trace."""

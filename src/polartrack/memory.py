@@ -32,6 +32,12 @@ class TargetMemory:
     slots: Optional[np.ndarray]
     trace: ConfidenceTrace
 
+    def __post_init__(self):
+        # the vector's norm, which memory_similarity reads per detection;
+        # np.linalg.norm of a 1-D float64 vector is sqrt(v.dot(v)), bit for bit
+        v = self.slots
+        object.__setattr__(self, "norm", None if v is None else math.sqrt(v.dot(v)))
+
     @classmethod
     def empty(cls) -> "TargetMemory":
         return cls(slots=None, trace=ConfidenceTrace())
@@ -80,7 +86,7 @@ def update_memory(
     cand = np.asarray(candidate, dtype=np.float64)
     if cand.ndim != 1:
         raise ValueError(f"candidate must be 1-D, got shape {cand.shape}")
-    if not np.all(np.isfinite(cand)):
+    if not np.isfinite(cand).all():
         raise ValueError("candidate feature must be finite")
 
     if mem.is_empty:
@@ -102,9 +108,8 @@ def memory_similarity(mem: TargetMemory, feature) -> float:
     f = np.asarray(feature, dtype=np.float64)
     if f.shape != mem.slots.shape:
         raise ValueError(f"feature shape {f.shape} != {mem.slots.shape}")
-    # np.linalg.norm of a 1-D float64 vector is sqrt(v.dot(v)), bit for bit
     nf = math.sqrt(f.dot(f))
-    nr = math.sqrt(mem.slots.dot(mem.slots))
+    nr = mem.norm
     if nf == 0.0 or nr == 0.0:
         return 0.0
     return float(f.dot(mem.slots) / (nf * nr))

@@ -20,7 +20,7 @@ import numpy as np
 from .gating import SparseLogits
 from .policy import NUM_WAYPOINTS
 from .polar import signed_degrees
-from .records import Record
+from .records import FieldError, Record, check_non_negative
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,15 @@ class MetricRules(Record):
     lost_radius: float = 6.0  # m, early termination when exceeded...
     lost_patience: int = 50  # ...for this many consecutive steps
     band: tuple[float, float] = (1.0, 3.0)
+
+    def __post_init__(self):
+        for name in ("orient_tol", "track_dist", "track_bearing", "lost_radius"):
+            check_non_negative(self, name)
+        if self.lost_patience < 0:
+            raise FieldError("lost_patience", f"must be >= 0, got {self.lost_patience}")
+        lo, hi = self.band
+        if not (math.isfinite(hi) and 0.0 <= lo <= hi):
+            raise FieldError("band", f"need finite 0 <= band[0] <= band[1], got {self.band}")
 
 
 @dataclass(frozen=True)

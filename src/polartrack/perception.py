@@ -25,7 +25,7 @@ import numpy as np
 from .gating import SparseLogits
 from .memory import TargetMemory, memory_similarity
 from .polar import PolarGrid, PolarPoint, encode, signed_degrees
-from .records import Record
+from .records import FieldError, Record
 from .world import Sighting, World
 
 
@@ -33,6 +33,10 @@ from .world import Sighting, World
 class CameraView(Record):
     yaw: float  # degrees ccw from agent heading
     fov: float  # degrees
+
+    def __post_init__(self):
+        if not math.isfinite(self.yaw):
+            raise FieldError("yaw", f"must be finite, got {self.yaw!r}")
 
     def covers(self, theta: float) -> bool:
         return abs(signed_degrees(theta - self.yaw)) <= self.fov / 2.0
@@ -48,6 +52,8 @@ class CameraRig(Record):
         for v in self.views:
             if not (0.0 < v.fov <= 360.0):
                 raise ValueError(f"fov {v.fov} outside (0, 360]")
+        # what ``covers`` reads per entity per step: (yaw, fov / 2) per view
+        object.__setattr__(self, "_cones", tuple((v.yaw, v.fov / 2.0) for v in self.views))
 
     @classmethod
     def front(cls, fov: float = 90.0) -> "CameraRig":
@@ -58,8 +64,9 @@ class CameraRig(Record):
         return cls(views=tuple(CameraView(i * 360.0 / n, fov) for i in range(n)))
 
     def covers(self, theta: float) -> bool:
-        for v in self.views:
-            if v.covers(theta):
+        """``CameraView.covers`` of any view."""
+        for yaw, half_fov in self._cones:
+            if abs(signed_degrees(theta - yaw)) <= half_fov:
                 return True
         return False
 
@@ -108,7 +115,7 @@ class PerceptionParams(Record):
         return replace(self, angle_noise=0.0, dist_noise=0.0, feature_noise=0.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReasonerOutput:
     """Logits over the token vocabulary, the argmax token, and the
     observed appearance of whatever entity won the argmax cell (absent
@@ -145,15 +152,18 @@ def observe(
         if params.base_detectability < 1.0 and rng.random() >= params.base_detectability:
             continue
         detected_any = True
-        theta = s.rel.theta + rng.normal() * params.angle_noise
-        dist = s.rel.dist + rng.normal() * params.dist_noise
+        feat = s.entity.appearance
+        # one draw for the angle, range and (when on) feature noise
+        noise = rng.normal(size=2 + feat.size if params.feature_noise > 0.0 else 2)
+        angle_z, dist_z = noise[:2].tolist()
+        theta = s.rel.theta + angle_z * params.angle_noise
+        dist = s.rel.dist + dist_z * params.dist_noise
         # the entity was deemed observable from its true range; noise only
         # jitters the cell, it cannot push the detection out of the annulus
         dist = min(max(dist, grid.r_min), grid.r_max)
         cell = encode(grid, PolarPoint(theta, dist))
-        feat = s.entity.appearance
         if params.feature_noise > 0.0:
-            feat = feat + rng.normal(size=feat.size) * params.feature_noise
+            feat = feat + noise[2:] * params.feature_noise
         if mem.is_empty:
             sim = params.empty_mem_similarity
         else:

@@ -13,13 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .records import Record
+from .records import FieldError, Record
 
 
 def wrap_degrees(angle: float) -> float:
     """Normalize an angle in degrees into [0, 360)."""
     a = math.fmod(angle, 360.0)
-    return a + 360.0 if a < 0.0 else a
+    if a < 0.0:
+        a += 360.0
+        # a tiny negative angle rounds up to 360 itself
+        if a == 360.0:
+            return 0.0
+    return a
 
 
 def signed_degrees(angle: float) -> float:
@@ -44,37 +49,27 @@ class PolarGrid(Record):
     n_dist: int = 30
 
     def __post_init__(self):
+        if not math.isfinite(self.r_max):
+            raise FieldError("r_max", f"must be finite, got {self.r_max!r}")
         if not (0.0 < self.r_min < self.r_max):
             raise ValueError(f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
         if self.n_angle < 1 or self.n_dist < 1:
             raise ValueError("n_angle and n_dist must be >= 1")
-
-    @property
-    def angle_width(self) -> float:
-        return 360.0 / self.n_angle
-
-    @property
-    def dist_width(self) -> float:
-        return (self.r_max - self.r_min) / self.n_dist
-
-    @property
-    def n_cells(self) -> int:
-        return self.n_angle * self.n_dist
-
-    @property
-    def invalid_index(self) -> int:
-        return self.n_cells
-
-    @property
-    def vocab_size(self) -> int:
-        """Token count including the invalid token (the K of the entropy norm)."""
-        return self.n_cells + 1
+        # constants read per entity per step, computed once; they are not
+        # fields, so the JSON, equality and hashing do not see them
+        n_cells = self.n_angle * self.n_dist
+        object.__setattr__(self, "angle_width", 360.0 / self.n_angle)
+        object.__setattr__(self, "dist_width", (self.r_max - self.r_min) / self.n_dist)
+        object.__setattr__(self, "n_cells", n_cells)
+        object.__setattr__(self, "invalid_index", n_cells)
+        # token count including the invalid token (the K of the entropy norm)
+        object.__setattr__(self, "vocab_size", n_cells + 1)
 
     def is_valid_token(self, token: int) -> bool:
         return 0 <= token < self.n_cells
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PolarPoint:
     """A position relative to the agent: bearing counterclockwise from the
     heading, in degrees [0, 360), and range in meters."""
@@ -82,12 +77,13 @@ class PolarPoint:
     theta: float
     dist: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.dist)):
-            raise ValueError(f"non-finite polar point ({self.theta}, {self.dist})")
-        if self.dist < 0.0:
-            raise ValueError(f"negative distance {self.dist}")
-        object.__setattr__(self, "theta", wrap_degrees(self.theta))
+    def __init__(self, theta: float, dist: float):
+        if not (math.isfinite(theta) and math.isfinite(dist)):
+            raise ValueError(f"non-finite polar point ({theta}, {dist})")
+        if dist < 0.0:
+            raise ValueError(f"negative distance {dist}")
+        object.__setattr__(self, "theta", wrap_degrees(theta))
+        object.__setattr__(self, "dist", dist)
 
 
 # nudges values sitting exactly on a bin edge into the upper bin, which

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 import types
 import typing
 
@@ -169,6 +170,14 @@ def check(tp, value, path: str = "", complete: bool = False):
         return _reader(tp, complete)(value)
     except FieldError as e:
         raise e.within(path) from None
+
+
+def check_non_negative(record, name: str) -> None:
+    """Raise a ``FieldError`` unless the field ``name`` of ``record`` is
+    finite and >= 0 (-0.0 included)."""
+    v = getattr(record, name)
+    if not (math.isfinite(v) and v >= 0.0):
+        raise FieldError(name, f"must be finite and >= 0, got {v!r}")
 
 
 def _holds_record(tp) -> bool:

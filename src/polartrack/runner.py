@@ -61,6 +61,7 @@ def run_episode(
     """
     if world.step_index != 0:
         raise ValueError("run_episode needs a fresh world")
+    runtime.limits.check_within(world.limits, "the world's")
 
     grid, rig, params = runtime.grid, runtime.rig, runtime.perception
     limits, policy = runtime.limits, runtime.policy
@@ -136,7 +137,7 @@ def run_episode(
                 gt_token=gt_token,
                 token=acted_token,
                 confidence=conf,
-                expert_traj=list(map(tuple, expert_traj.tolist())),
+                expert_traj=[tuple(r) for r in expert_traj.tolist()],
                 mem_digest=mem.digest(),
                 mem_slot0=slot0,
                 collided=events.collided,

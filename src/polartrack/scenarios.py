@@ -40,6 +40,8 @@ SCENARIO_NAMES = ("stt", "dt", "obstacle", "winding")
 
 ENTITY_RADIUS = 0.3
 AGENT_RADIUS = 0.3
+# every scenario world enforces these; an agent may not plan beyond them
+WORLD_LIMITS = MotionLimits()
 # follow equilibrium sits near standoff + 8 * target speed, so this keeps
 # a pursuer with default limits comfortably inside the 1-3 m band
 TARGET_SPEED = 0.09
@@ -286,6 +288,6 @@ def make_scenario(spec: ScenarioSpec, seed: int) -> World:
         obstacles=obstacles,
         rng=rng,
         agent_radius=AGENT_RADIUS,
-        limits=MotionLimits(),
+        limits=WORLD_LIMITS,
         max_steps=spec.max_steps,
     )

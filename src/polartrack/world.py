@@ -18,22 +18,24 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .polar import PolarPoint, wrap_degrees
-from .records import Record
+from .records import FieldError, Record, check_non_negative
 
 TARGET = "target"
 DISTRACTOR = "distractor"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Pose2D:
     x: float
     y: float
     heading: float  # degrees in [0, 360)
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.heading)):
+    def __init__(self, x: float, y: float, heading: float):
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(heading)):
             raise ValueError("pose must be finite")
-        object.__setattr__(self, "heading", wrap_degrees(self.heading))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "heading", wrap_degrees(heading))
 
 
 @dataclass(frozen=True)
@@ -41,8 +43,21 @@ class MotionLimits(Record):
     max_speed: float = 0.25  # m/step
     max_turn: float = 30.0  # deg/step
 
+    def __post_init__(self):
+        # zero is legal: an agent that may not move or turn
+        check_non_negative(self, "max_speed")
+        check_non_negative(self, "max_turn")
 
-@dataclass(frozen=True)
+    def check_within(self, bound: "MotionLimits", whose: str) -> None:
+        """Raise a ``FieldError`` naming the first limit set above
+        ``bound``, the limits ``whose`` world enforces."""
+        for name in ("max_speed", "max_turn"):
+            v, b = getattr(self, name), getattr(bound, name)
+            if v > b:
+                raise FieldError(name, f"{v!r} is above {whose} limit {b!r}")
+
+
+@dataclass(frozen=True, slots=True)
 class Command:
     v: float
     dtheta: float
@@ -53,8 +68,8 @@ def relative_polar(pose: Pose2D, point) -> PolarPoint:
     a pose."""
     dx = point[0] - pose.x
     dy = point[1] - pose.y
-    theta = wrap_degrees(math.degrees(math.atan2(dy, dx)) - pose.heading)
-    return PolarPoint(theta=theta, dist=math.hypot(dx, dy))
+    # PolarPoint wraps the bearing
+    return PolarPoint(math.degrees(math.atan2(dy, dx)) - pose.heading, math.hypot(dx, dy))
 
 
 def discs_collide(p1, r1: float, p2, r2: float) -> bool:
@@ -217,7 +232,7 @@ class Sighting(NamedTuple):
     los: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class StepEvents:
     """What one world step produced: collision flag (and who) and the
     exact post-step target position in agent polar coordinates."""
@@ -311,11 +326,12 @@ class World:
 
         self.step_index += 1
 
-        apos = (self.agent.x, self.agent.y)
+        ax, ay = apos = (self.agent.x, self.agent.y)
         collided = False
         collided_with: Optional[str] = None
         for e in self.entities:
-            if discs_collide(apos, self.agent_radius, e.position(), e.radius):
+            # discs_collide, without building the entity's position tuple
+            if math.hypot(ax - e.pose.x, ay - e.pose.y) < self.agent_radius + e.radius:
                 collided = True
                 collided_with = f"{e.kind}:{e.id}"
                 break
@@ -342,11 +358,12 @@ class World:
         )
 
     def _sight(self) -> None:
-        apos = (self.agent.x, self.agent.y)
+        agent = self.agent
+        apos = (agent.x, agent.y)
         self.sightings = []
         for e in self.entities:
-            pos = e.position()
-            s = Sighting(e, relative_polar(self.agent, pos), self.line_of_sight(apos, pos))
+            pos = (e.pose.x, e.pose.y)
+            s = Sighting(e, relative_polar(agent, pos), self.line_of_sight(apos, pos))
             self.sightings.append(s)
             if e is self.target:
                 self.target_sighting = s

@@ -84,6 +84,21 @@ WRONG_FIELDS = [
 OUT_OF_RANGE = [
     ({"policy": {"standoff": 5.0}}, "policy.standoff"),
     ({"policy": {"invalid_mode": "wander"}}, "policy.invalid_mode"),
+    ({"limits": {"max_speed": math.nan}}, "limits.max_speed"),
+    ({"limits": {"max_turn": -1.0}}, "limits.max_turn"),
+    ({"rig": {"views": [{"yaw": math.nan, "fov": 90}]}}, "rig.views[0].yaw"),
+    ({"rules": {"lost_radius": -1}}, "rules.lost_radius"),
+    ({"rules": {"orient_tol": math.nan}}, "rules.orient_tol"),
+    ({"rules": {"track_dist": math.inf}}, "rules.track_dist"),
+    ({"rules": {"band": [3, 1]}}, "rules.band"),
+    ({"rules": {"band": [-1, 3]}}, "rules.band"),
+    ({"rules": {"lost_patience": -5}}, "rules.lost_patience"),
+    ({"vis_rules": {"min_apparent_size": math.nan}}, "vis_rules.min_apparent_size"),
+    ({"vis_rules": {"min_apparent_size": -1}}, "vis_rules.min_apparent_size"),
+    ({"grid": {"r_max": math.inf}}, "grid.r_max"),
+    # above the limits every scenario world enforces
+    ({"limits": {"max_speed": 0.5}}, "limits.max_speed"),
+    ({"limits": {"max_turn": 45.0}}, "limits.max_turn"),
 ]
 
 
@@ -109,3 +124,19 @@ def test_partial_block_keeps_the_other_defaults():
     assert config_from_dict({"grid": {"r_min": 0.8}}).grid == PolarGrid(r_min=0.8)
     # an int stands in for a float and is stored as one
     assert repr(config_from_dict({"grid": {"r_max": 5}}).grid.r_max) == "5.0"
+
+
+def test_zero_limits_and_the_world_limits_load():
+    # -0.0 and zero stay legal: an agent that may not move or turn
+    for limits in ({"max_speed": 0.0, "max_turn": -0.0}, {"max_speed": 0.25, "max_turn": 30.0}):
+        assert config_from_dict({"limits": limits}).limits.max_speed == limits["max_speed"]
+
+
+def test_limits_above_the_worlds_exit_as_config_error(tmp_path, capsys):
+    from polartrack.cli import EXIT_CONFIG, main
+
+    p = tmp_path / "fast.json"
+    p.write_text(json.dumps({"limits": {"max_speed": 0.5}}))
+    assert main(["bench", "run", "--config", str(p)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "'limits.max_speed'" in err

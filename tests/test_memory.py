@@ -169,6 +169,34 @@ def test_convexity_and_boundedness():
         assert np.linalg.norm(mem.slots) <= bound * np.sqrt(dim) + 1e-9
 
 
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.just(VALID), st.floats(0.0, 1.0),
+                  st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4)),
+        st.tuples(st.just(INVALID), st.just(0.0), st.none()),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps, st.booleans())
+def test_memory_stays_in_the_hull_of_what_it_saw(seq, count_invalid):
+    # each coordinate within [min, max] of the adopted and candidate
+    # features so far, up to the rounding of one blend per step
+    mem, seen = TargetMemory.empty(), []
+    for token, conf, cand in seq:
+        mem = update_memory(mem, token, conf, cand, TINY, count_invalid)
+        if cand is not None:
+            seen.append(cand)
+        if seen:
+            lo, hi = np.min(seen, axis=0), np.max(seen, axis=0)
+            slack = 1e-13 * max(1.0, float(np.abs(seen).max()))
+            assert np.all(lo - slack <= mem.slots) and np.all(mem.slots <= hi + slack)
+        else:
+            assert mem.is_empty
+
+
 def test_norm_bound_is_preserved():
     rng = np.random.default_rng(37)
     b = 2.0

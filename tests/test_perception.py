@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polartrack.gating import confidence
-from polartrack.memory import TargetMemory, update_memory
+from polartrack.gating import SparseLogits, confidence
+from polartrack.memory import TargetMemory, memory_similarity, update_memory
 from polartrack.perception import (
     CameraRig,
     CameraView,
     PerceptionParams,
+    ReasonerOutput,
     nearest_detection,
     observe,
 )
 from polartrack.polar import PolarGrid, PolarPoint, encode
-from polartrack.world import Entity, MotionLimits, Obstacle, Pose2D, World, relative_polar
+from polartrack.scenarios import ScenarioSpec, make_scenario
+from polartrack.world import Command, Entity, MotionLimits, Obstacle, Pose2D, World, relative_polar
 
 GRID = PolarGrid()
 RING = CameraRig.ring(4)
@@ -230,3 +234,95 @@ def test_perception_params_reject_non_finite():
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=name):
                 PerceptionParams(**{name: bad})
+
+
+def observe_oracle(world, rig, mem, grid, params, rng):
+    """``observe`` as it read before its noise became one draw per
+    detection: scalar angle and range draws, then the feature draw, and
+    the rig's coverage asked of each view in turn."""
+    cell_owner = {}
+    detected_any = False
+    for s in world.sightings:
+        if not (grid.r_min <= s.rel.dist <= grid.r_max
+                and any(v.covers(s.rel.theta) for v in rig.views) and s.los):
+            continue
+        if params.base_detectability < 1.0 and rng.random() >= params.base_detectability:
+            continue
+        detected_any = True
+        theta = s.rel.theta + rng.normal() * params.angle_noise
+        dist = s.rel.dist + rng.normal() * params.dist_noise
+        dist = min(max(dist, grid.r_min), grid.r_max)
+        cell = encode(grid, PolarPoint(theta, dist))
+        feat = s.entity.appearance
+        if params.feature_noise > 0.0:
+            feat = feat + rng.normal(size=feat.size) * params.feature_noise
+        if mem.is_empty:
+            sim = params.empty_mem_similarity
+        else:
+            sim = memory_similarity(mem, feat)
+        score = params.detect_score + params.sim_temperature * sim
+        best = cell_owner.get(cell)
+        if best is None or score > best[0]:
+            cell_owner[cell] = (score, feat)
+
+    invalid = params.invalid_bias
+    if not detected_any:
+        invalid += params.no_detection_bonus
+    logits = SparseLogits(
+        grid.vocab_size,
+        invalid,
+        {cell: max(0.0, score) for cell, (score, _) in cell_owner.items()},
+    )
+    token = grid.invalid_index
+    if cell_owner:
+        def rank(item):
+            cell, (score, _) = item
+            a, r = divmod(cell, grid.n_dist)
+            return (score, -min(a, grid.n_angle - a), -r, -cell)
+
+        best_cell, (best_score, _) = max(cell_owner.items(), key=rank)
+        if best_score >= invalid:
+            token = best_cell
+    candidate = None if token == grid.invalid_index else cell_owner[token][1]
+    return ReasonerOutput(logits=logits, token=token, candidate=candidate)
+
+
+def output_bytes(out: ReasonerOutput):
+    lg = out.logits
+    return (
+        lg.size,
+        list(lg.cells),
+        np.array([lg.invalid, *lg.cells.values()]).tobytes(),
+        out.token,
+        None if out.candidate is None else out.candidate.tobytes(),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(("dt", "obstacle")),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 60),
+    detectability=st.sampled_from((1.0, 0.8, 0.3)),
+    feature_noise=st.sampled_from((0.05, 0.0)),
+    rig=st.sampled_from((RING, CameraRig.front(120.0))),
+    turns=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=8),
+)
+def test_observe_matches_the_scalar_draw_oracle(
+    name, seed, steps, detectability, feature_noise, rig, turns
+):
+    # the same output and the same generator state after every call,
+    # along a pursuit where the memory follows the outputs
+    params = PerceptionParams(base_detectability=detectability, feature_noise=feature_noise)
+    w = make_scenario(ScenarioSpec(name), seed)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    mem = TargetMemory.empty()
+    for k in range(steps):
+        out = observe(w, rig, mem, GRID, params, rng)
+        want = observe_oracle(w, rig, mem, GRID, params, oracle_rng)
+        assert output_bytes(out) == output_bytes(want)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        mem = update_memory(mem, out.token, confidence(out.logits), out.candidate, GRID)
+        w.step(Command(w.limits.max_speed, turns[k % len(turns)]))
+        if w.terminated:
+            break

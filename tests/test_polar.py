@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polartrack.polar import (
     PolarGrid,
@@ -124,6 +126,40 @@ def test_wrap_helpers():
     assert wrap_degrees(720.0) == 0.0
     assert signed_degrees(270.0) == -90.0
     assert signed_degrees(180.0) == 180.0
+
+
+def test_tiny_negative_angles_wrap_to_zero():
+    # fmod(-1e-14, 360) + 360 rounds up to 360 itself
+    assert wrap_degrees(-1e-14) == 0.0
+    assert PolarPoint(-1e-20, 2.0).theta == 0.0
+    assert Pose2D(0.0, 0.0, -1e-20).heading == 0.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_wrap_ranges_and_idempotence(x):
+    w = wrap_degrees(x)
+    assert 0.0 <= w < 360.0
+    assert -180.0 < signed_degrees(x) <= 180.0
+    assert wrap_degrees(w) == w
+
+
+grids = st.builds(
+    lambda r_min, span, n_angle, n_dist: PolarGrid(r_min, r_min + span, n_angle, n_dist),
+    st.floats(0.05, 5.0), st.floats(0.05, 50.0), st.integers(1, 720), st.integers(1, 200),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids, st.data())
+def test_codec_bijection_on_random_grids(grid, data):
+    # every valid token decodes to a centroid that encodes back to it
+    tokens = data.draw(st.lists(st.integers(0, grid.n_cells - 1), min_size=1, max_size=50))
+    for token in tokens + [0, grid.n_cells - 1]:
+        p = decode(grid, token)
+        assert grid.r_min <= p.dist <= grid.r_max
+        assert encode(grid, p) == token
+    assert decode(grid, grid.invalid_index) is None
 
 
 def test_to_world_examples():

@@ -19,7 +19,7 @@ from polartrack.perception import CameraRig, CameraView, PerceptionParams
 from polartrack.polar import PolarGrid
 from polartrack.policy import INVALID_MODES, PolicySettings
 from polartrack.records import FieldError, Record, check
-from polartrack.scenarios import SCENARIO_NAMES, ScenarioSpec
+from polartrack.scenarios import SCENARIO_NAMES, WORLD_LIMITS, ScenarioSpec
 from polartrack.world import MotionLimits
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -37,10 +37,11 @@ RECORDS = {
         PerceptionParams, positive, positive, st.floats(1e-3, 1e3), st.floats(0.0, 1.0),
         finite, finite, positive, finite, finite,
     ),
-    MetricRules: st.builds(MetricRules, finite, finite, finite, finite, st.integers(),
-                           st.tuples(finite, finite)),
-    VisibilityRules: st.builds(VisibilityRules, finite),
-    MotionLimits: st.builds(MotionLimits, finite, finite),
+    MetricRules: st.builds(MetricRules, positive, positive, positive, positive,
+                           st.integers(0, 10**6), st.tuples(positive, positive).map(sorted)
+                           .map(tuple)),
+    VisibilityRules: st.builds(VisibilityRules, positive),
+    MotionLimits: st.builds(MotionLimits, positive, positive),
     # explicit family values; only dt and obstacle take distractors
     ScenarioSpec: st.sampled_from(SCENARIO_NAMES).flatmap(
         lambda name: st.builds(ScenarioSpec, st.just(name),
@@ -76,7 +77,9 @@ RECORDS[RunConfig] = st.builds(
     # a run's logs are named after its scenario, so names are unique
     scenarios=st.lists(RECORDS[ScenarioRun], min_size=1, max_size=4,
                        unique_by=lambda r: r.spec.name),
-    **SETTINGS,
+    # the agent may not plan beyond the limits the scenario worlds enforce
+    **dict(SETTINGS, limits=st.builds(MotionLimits, st.floats(0.0, WORLD_LIMITS.max_speed),
+                                      st.floats(0.0, WORLD_LIMITS.max_turn))),
 )
 RECORDS[FrameRecord] = st.builds(
     lambda gt_polar, **kw: FrameRecord(gt_invalid=gt_polar is None, gt_polar=gt_polar, **kw),

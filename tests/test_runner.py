@@ -44,6 +44,20 @@ def test_requires_fresh_world():
         run_episode(w, runtime(), spec, 0)
 
 
+def test_limits_above_the_worlds_fail_before_the_first_step():
+    from polartrack.world import MotionLimits
+
+    spec = ScenarioSpec("stt")
+    for limits in (MotionLimits(0.5, 30.0), MotionLimits(0.25, 31.0)):
+        w = make_scenario(spec, 0)
+        with pytest.raises(ValueError, match="above the world's limit"):
+            run_episode(w, runtime(limits=limits), spec, 0)
+        assert w.step_index == 0
+    # up to the world's own limits the episode runs
+    w = make_scenario(spec, 0)
+    run_episode(w, runtime(limits=MotionLimits(0.25, 30.0)), spec, 0)
+
+
 def test_line_of_sight_once_per_entity_per_step(monkeypatch):
     calls = 0
     los = World.line_of_sight
