@@ -9,14 +9,13 @@ reasoning should trail.
 
 from polartrack.bench import run_bench
 from polartrack.config import RunConfig, ScenarioRun
-from polartrack.scenarios import ScenarioSpec
 
 cfg = RunConfig()
 cfg.master_seed = 0
 cfg.arms = ["full", "no_tim", "no_cot"]
 cfg.scenarios = [
-    ScenarioRun(ScenarioSpec("stt"), 25),
-    ScenarioRun(ScenarioSpec("dt"), 25),
+    ScenarioRun("stt", episodes=25),
+    ScenarioRun("dt", episodes=25),
 ]
 
 report, results = run_bench(cfg, jobs=1)

@@ -42,7 +42,7 @@ def _run_one(args) -> EpisodeResult:
         runtime = cfg.runtime_for_arm(arm)
         log = run_episode(world, runtime, scenario=run.spec, seed=seed)
         if out_dir is not None:
-            path = Path(out_dir) / f"{run.spec.name}_{arm}_{ep_idx:04d}.jsonl"
+            path = Path(out_dir) / f"{run.name}_{arm}_{ep_idx:04d}.jsonl"
             write_episode(log, path)
         return EpisodeResult(scen_idx, arm, ep_idx, seed, log.outcome)
     except Exception as e:  # isolate the episode, keep the suite going
@@ -50,22 +50,18 @@ def _run_one(args) -> EpisodeResult:
 
 
 def run_bench(
-    cfg: RunConfig,
-    jobs: Optional[int] = None,
-    out_dir=None,
-    arms: Optional[list] = None,
+    cfg: RunConfig, jobs: Optional[int] = None, out_dir=None
 ) -> tuple[SuiteReport, list[EpisodeResult]]:
     """Run the whole suite; returns the report and the raw per-episode
     results (including any failures)."""
     jobs = jobs if jobs is not None else cfg.jobs
-    arms = arms if arms is not None else cfg.arms
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
 
     tasks = [
         (cfg, scen_idx, arm, ep_idx, None if out_dir is None else str(out_dir))
         for scen_idx, run in enumerate(cfg.scenarios)
-        for arm in arms
+        for arm in cfg.arms
         for ep_idx in range(run.episodes)
     ]
 
@@ -76,11 +72,11 @@ def run_bench(
         results = [_run_one(t) for t in tasks]
 
     # deterministic merge order, independent of scheduling
-    results.sort(key=lambda r: (r.scenario_index, arms.index(r.arm), r.episode_index))
+    results.sort(key=lambda r: (r.scenario_index, cfg.arms.index(r.arm), r.episode_index))
 
     failures = [r for r in results if r.error is not None]
     for r in failures:
-        scen = cfg.scenarios[r.scenario_index].spec.name
+        scen = cfg.scenarios[r.scenario_index].name
         print(
             f"episode failed: scenario={scen} arm={r.arm} seed={r.seed}: {r.error}",
             file=sys.stderr,
@@ -88,7 +84,7 @@ def run_bench(
 
     rows = []
     for scen_idx, run in enumerate(cfg.scenarios):
-        for arm in arms:
+        for arm in cfg.arms:
             block = [
                 r
                 for r in results
@@ -98,7 +94,7 @@ def run_bench(
                 continue
             rows.append(
                 aggregate(
-                    run.spec.name,
+                    run.name,
                     arm,
                     [r.outcome for r in block],
                     [r.seed for r in block],

@@ -67,14 +67,16 @@ def _flag_or_env(args, flag: str, default: int) -> int:
 
 
 def _load_or_default_config(args) -> RunConfig:
-    if getattr(args, "config", None) is not None:
-        return load_config(args.config)
-    return RunConfig()
+    """The ``--config`` file, else the defaults, with ``master_seed``
+    taken from ``--seed`` or POLARTRACK_SEED when given; the config's own
+    checks apply to the seed from either."""
+    cfg = load_config(args.config) if args.config is not None else RunConfig()
+    return replace(cfg, master_seed=_flag_or_env(args, "seed", cfg.master_seed))
 
 
 def cmd_episode_run(args) -> int:
     cfg = _load_or_default_config(args)
-    seed = _flag_or_env(args, "seed", cfg.master_seed)
+    seed = cfg.master_seed
     spec = ScenarioSpec(name=args.scenario)
     runtime = cfg.runtime_for_arm(args.arm, args.log_topk)
     world = make_scenario(spec, seed)
@@ -94,10 +96,9 @@ def cmd_episode_run(args) -> int:
 def cmd_bench_run(args) -> int:
     cfg = _load_or_default_config(args)
     # flags and environment override the file and are checked like it
-    cfg = replace(cfg, master_seed=_flag_or_env(args, "seed", cfg.master_seed),
-                  jobs=_flag_or_env(args, "jobs", cfg.jobs))
-    arms = [args.arm] if args.arm is not None else None
-    report, results = run_bench(cfg, out_dir=args.out, arms=arms)
+    cfg = replace(cfg, jobs=_flag_or_env(args, "jobs", cfg.jobs),
+                  arms=cfg.arms if args.arm is None else [args.arm])
+    report, results = run_bench(cfg, out_dir=args.out)
     print(report.to_table())
     if args.out is not None:
         out = Path(args.out)
@@ -129,14 +130,13 @@ def _check_dataset_settings(cfg: RunConfig) -> None:
 def cmd_dataset_gen(args) -> int:
     cfg = _load_or_default_config(args)
     _check_dataset_settings(cfg)
-    seed = _flag_or_env(args, "seed", cfg.master_seed)
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     specs = [ScenarioSpec(name=n) for n in args.scenario]
     written = generate_dataset(
         specs,
         n_episodes=args.episodes,
-        seed=seed,
+        seed=cfg.master_seed,
         out_dir=args.out,
         randomize_rig=args.randomize_rig,
         rig=cfg.rig,

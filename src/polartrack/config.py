@@ -2,14 +2,14 @@
 
 A config file is a ``RunConfig`` record: the agent's settings, declared
 once in ``AgentSettings`` and shared with every episode header, plus the
-suite (``master_seed``, ``jobs``, ``arms``, ``scenarios``). One rule holds
-in every block: omitted fields take their defaults, while unknown
-keys and values of the wrong JSON type are rejected (an int may stand in
-for a float; nothing else converts). Errors are ``ConfigError``s naming
-the dotted field, e.g. ``'rig.views[0].fov'``. The master seed plus
-(scenario index, episode index) deterministically derive every episode
-seed, and the same episode seed is shared across ablation arms so arm
-comparisons are paired.
+suite (``master_seed`` >= 0, ``jobs``, ``arms``, ``scenarios``, each a
+``ScenarioRun``: a spec plus its ``episodes``). Omitted fields take their
+defaults; unknown keys, values of the wrong JSON type (an int may stand
+in for a float, nothing else converts) and values out of range are
+rejected with a ``ConfigError`` naming the dotted field, e.g.
+``'rig.views[0].fov'``. The master seed plus (scenario index, episode
+index) derive every episode seed, and the same episode seed is shared
+across ablation arms so arm comparisons are paired.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .episodes import ARMS, AgentRuntime, AgentSettings
-from .records import FieldError, Record, check
+from .records import FieldError
 from .scenarios import WORLD_LIMITS, ScenarioSpec
 
 
@@ -28,28 +28,17 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ScenarioRun(Record):
-    """One ``scenarios`` entry: a spec and how many episodes of it to run,
-    written as one object holding the spec's fields and ``episodes``."""
+class ScenarioRun(ScenarioSpec):
+    """One ``scenarios`` entry: a spec and how many episodes of it to run.
+    ``spec`` is the plain spec, which the episode headers carry."""
 
-    spec: ScenarioSpec
-    episodes: int
+    episodes: int = 1
 
     def __post_init__(self):
+        super().__post_init__()
         if self.episodes < 1:
-            raise FieldError("episodes", "must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {**self.spec.to_dict(), "episodes": self.episodes}
-
-    @classmethod
-    def from_dict(cls, d, path: str = ""):
-        try:
-            spec = dict(check(dict, d))
-            episodes = check(int, spec.pop("episodes", 1), "episodes")
-            return cls(ScenarioSpec.from_dict(spec), episodes)
-        except FieldError as e:
-            raise e.within(path) from None
+            raise FieldError("episodes", f"must be >= 1, got {self.episodes}")
+        object.__setattr__(self, "spec", ScenarioSpec(**ScenarioSpec.values_of(self)))
 
 
 @dataclass
@@ -62,8 +51,8 @@ class RunConfig(AgentSettings):
     arms: list[str] = field(default_factory=lambda: list(ARMS))
     scenarios: list[ScenarioRun] = field(
         default_factory=lambda: [
-            ScenarioRun(ScenarioSpec("stt"), 20),
-            ScenarioRun(ScenarioSpec("dt"), 20),
+            ScenarioRun("stt", episodes=20),
+            ScenarioRun("dt", episodes=20),
         ]
     )
 
@@ -72,6 +61,8 @@ class RunConfig(AgentSettings):
             self.limits.check_within(WORLD_LIMITS, "the scenario worlds'")
         except FieldError as e:
             raise e.within("limits") from None
+        if self.master_seed < 0:
+            raise FieldError("master_seed", f"must be >= 0, got {self.master_seed}")
         if self.jobs < 1:
             raise FieldError("jobs", "must be >= 1")
         if not self.arms:
@@ -82,7 +73,7 @@ class RunConfig(AgentSettings):
         if not self.scenarios:
             raise FieldError("scenarios", "needs at least one entry")
         # logs are named after the scenario, so a repeated name overwrites
-        names = [s.spec.name for s in self.scenarios]
+        names = [s.name for s in self.scenarios]
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise FieldError(f"scenarios[{i}].name", f"{name!r} repeats "

@@ -20,8 +20,6 @@ import numpy as np
 from .gating import ConfidenceTrace, gate_weight
 from .polar import PolarGrid
 
-DEFAULT_FEATURE_DIM = 16
-
 
 @dataclass(frozen=True)
 class TargetMemory:

@@ -25,7 +25,7 @@ import numpy as np
 from .gating import SparseLogits
 from .memory import TargetMemory, memory_similarity
 from .polar import PolarGrid, PolarPoint, encode, signed_degrees
-from .records import FieldError, Record
+from .records import FieldError, Record, check_non_negative
 from .world import Sighting, World
 
 
@@ -37,6 +37,8 @@ class CameraView(Record):
     def __post_init__(self):
         if not math.isfinite(self.yaw):
             raise FieldError("yaw", f"must be finite, got {self.yaw!r}")
+        if not (0.0 < self.fov <= 360.0):
+            raise FieldError("fov", f"{self.fov!r} outside (0, 360]")
 
     def covers(self, theta: float) -> bool:
         return abs(signed_degrees(theta - self.yaw)) <= self.fov / 2.0
@@ -48,10 +50,7 @@ class CameraRig(Record):
 
     def __post_init__(self):
         if not (1 <= len(self.views) <= 8):
-            raise ValueError("rig needs 1..8 views")
-        for v in self.views:
-            if not (0.0 < v.fov <= 360.0):
-                raise ValueError(f"fov {v.fov} outside (0, 360]")
+            raise FieldError("views", f"a rig needs 1..8 views, got {len(self.views)}")
         # what ``covers`` reads per entity per step: (yaw, fov / 2) per view
         object.__setattr__(self, "_cones", tuple((v.yaw, v.fov / 2.0) for v in self.views))
 
@@ -99,15 +98,15 @@ class PerceptionParams(Record):
 
     def __post_init__(self):
         for f in fields(self):
-            v = getattr(self, f.name)
-            if not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite, got {v!r}")
-        if self.angle_noise < 0 or self.dist_noise < 0 or self.feature_noise < 0:
-            raise ValueError("noise stddevs must be >= 0")
+            if f.name.endswith("_noise"):  # the three noise stddevs
+                check_non_negative(self, f.name)
+            elif not math.isfinite(v := getattr(self, f.name)):
+                raise FieldError(f.name, f"must be finite, got {v!r}")
         if self.sim_temperature <= 0:
-            raise ValueError("sim_temperature must be > 0")
+            raise FieldError("sim_temperature", f"must be > 0, got {self.sim_temperature!r}")
         if not (0.0 <= self.base_detectability <= 1.0):
-            raise ValueError("base_detectability must be in [0, 1]")
+            raise FieldError("base_detectability",
+                             f"must be in [0, 1], got {self.base_detectability!r}")
 
     def noiseless(self) -> "PerceptionParams":
         from dataclasses import replace

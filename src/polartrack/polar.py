@@ -49,12 +49,13 @@ class PolarGrid(Record):
     n_dist: int = 30
 
     def __post_init__(self):
-        if not math.isfinite(self.r_max):
-            raise FieldError("r_max", f"must be finite, got {self.r_max!r}")
+        if not (math.isfinite(self.r_max) and self.r_max > 0.0):
+            raise FieldError("r_max", f"must be finite and > 0, got {self.r_max!r}")
         if not (0.0 < self.r_min < self.r_max):
-            raise ValueError(f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
-        if self.n_angle < 1 or self.n_dist < 1:
-            raise ValueError("n_angle and n_dist must be >= 1")
+            raise FieldError("r_min", f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
+        for name in ("n_angle", "n_dist"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, f"must be >= 1, got {getattr(self, name)}")
         # constants read per entity per step, computed once; they are not
         # fields, so the JSON, equality and hashing do not see them
         n_cells = self.n_angle * self.n_dist

@@ -8,9 +8,10 @@ converts), and every error names the dotted path of the offending field,
 e.g. ``'rig.views[0].fov'``.
 
 A log states every setting it ran with, so it is read ``complete``:
-every field of every record in it is required, defaults or not. A record
-whose JSON shape is not its fields (a config ``scenarios`` entry) writes
-and reads itself by overriding ``to_dict`` and ``from_dict``.
+every field of every record in it is required, defaults or not. A
+record's own checks raise ``FieldError``s naming their field, so a value
+out of range is reported by its dotted path just like one of the wrong
+type.
 
 Episode logs are read and written a frame at a time, so the reader of
 each annotation and the fields of each record class are worked out once
@@ -77,7 +78,7 @@ def _reader(tp, complete: bool = False):
     if origin in (tuple, list):
         return _sequence_reader(tp, complete)
     if issubclass(tp, Record):
-        return tp.from_dict if "from_dict" in vars(tp) else _record_reader(tp, complete)
+        return _record_reader(tp, complete)
     name = JSON_NAMES.get(tp, tp.__name__)
 
     def read_value(v):
@@ -153,12 +154,7 @@ def _record_reader(cls, complete: bool):
                     raise e.within(name) from None
             elif required:
                 raise FieldError(name, "missing required field")
-        try:
-            return cls(**kwargs)
-        except FieldError:  # the record's own checks, naming their field
-            raise
-        except ValueError as e:  # the record's own range checks
-            raise FieldError("", str(e)) from e
+        return cls(**kwargs)
 
     return read
 

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .records import Record
+from .records import FieldError, Record, check_non_negative
 from .world import (
     DISTRACTOR,
     TARGET,
@@ -70,19 +70,22 @@ class ScenarioSpec(Record):
 
     def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
-            raise ValueError(
-                f"unknown scenario {self.name!r}, expected one of {SCENARIO_NAMES}"
-            )
+            raise FieldError("name", f"unknown scenario {self.name!r}, "
+                             f"expected one of {SCENARIO_NAMES}")
         if self.n_distractors is None:
             object.__setattr__(self, "n_distractors", FAMILY_DISTRACTORS[self.name])
         if self.sigma_app is None:
             object.__setattr__(self, "sigma_app", FAMILY_SIGMA_APP[self.name])
         if self.n_distractors < 0:
-            raise ValueError("n_distractors must be >= 0")
+            raise FieldError("n_distractors", f"must be >= 0, got {self.n_distractors}")
         if self.n_distractors and self.name in ("stt", "winding"):
-            raise ValueError(f"{self.name} takes no distractors, got {self.n_distractors}")
-        if self.sigma_app < 0:
-            raise ValueError("sigma_app must be >= 0")
+            raise FieldError("n_distractors",
+                             f"{self.name} takes no distractors, got {self.n_distractors}")
+        check_non_negative(self, "sigma_app")
+        # an empty episode cannot be scored; an empty feature scores every similarity 0
+        for name in ("feature_dim", "max_steps"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, f"must be >= 1, got {getattr(self, name)}")
 
 
 def _unit_feature(rng: np.random.Generator, dim: int) -> np.ndarray:

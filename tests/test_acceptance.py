@@ -223,8 +223,8 @@ def test_criterion_9_bench_determinism(tmp_path):
     cfg.master_seed = 17
     cfg.arms = ["full", "no_tim"]
     cfg.scenarios = [
-        ScenarioRun(ScenarioSpec("stt", max_steps=200), 3),
-        ScenarioRun(ScenarioSpec("dt", max_steps=200), 3),
+        ScenarioRun("stt", max_steps=200, episodes=3),
+        ScenarioRun("dt", max_steps=200, episodes=3),
     ]
     outs = []
     for run_dir in (tmp_path / "a", tmp_path / "b"):
@@ -248,7 +248,7 @@ def test_criterion_10_throughput(tmp_path):
     cfg = RunConfig()
     cfg.master_seed = 3
     cfg.arms = ["full"]
-    cfg.scenarios = [ScenarioRun(ScenarioSpec("stt"), 1000)]
+    cfg.scenarios = [ScenarioRun("stt", episodes=1000)]
     start = time.perf_counter()
     suite, results = run_bench(cfg, jobs=1)
     elapsed = time.perf_counter() - start
@@ -259,7 +259,7 @@ def test_criterion_10_throughput(tmp_path):
 
     # --jobs scaling stays monotone within measurement slack, and the
     # report is identical regardless of scheduling
-    cfg.scenarios = [ScenarioRun(ScenarioSpec("stt", max_steps=250), 60)]
+    cfg.scenarios = [ScenarioRun("stt", max_steps=250, episodes=60)]
     t0 = time.perf_counter()
     r1, _ = run_bench(cfg, jobs=1)
     t1 = time.perf_counter() - t0

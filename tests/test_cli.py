@@ -307,3 +307,98 @@ def test_replay_verify_names_the_first_differing_line_and_field(tmp_path, capsys
     ep.write_text(json.dumps(head, separators=(",", ":")) + "\n" + good.split("\n", 1)[1])
     assert main(["replay", "verify", str(ep)]) == EXIT_RUNTIME
     assert "not replayable" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "run"],
+    ["episode", "run", "--scenario", "stt"],
+    ["dataset", "gen", "--scenario", "stt", "--episodes", "1"],
+], ids=["bench", "episode", "dataset"])
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+def test_a_negative_seed_is_a_config_error(tmp_path, capsys, monkeypatch, argv, source):
+    # one check covers the flag, the variable and the file
+    if source == "flag":
+        argv = argv + ["--seed", "-1"]
+    elif source == "env":
+        monkeypatch.setenv("POLARTRACK_SEED", "-5")
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"master_seed": -1}))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    argv = argv + ["--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "'master_seed'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_arm_flag_runs_only_that_arm(tmp_path, capsys):
+    scenarios = [{"name": "stt", "episodes": 1, "max_steps": 30}]
+    every = write_config(tmp_path / "every.json", scenarios=scenarios,
+                         arms=["full", "no_tim", "no_cot"])
+    one = write_config(tmp_path / "one.json", scenarios=scenarios, arms=["no_tim"])
+    assert main(["bench", "run", "--config", str(every), "--arm", "no_tim",
+                 "--out", str(tmp_path / "flag")]) == EXIT_OK
+    assert main(["bench", "run", "--config", str(one), "--out", str(tmp_path / "file")]) == EXIT_OK
+    capsys.readouterr()
+    files = sorted(p.name for p in (tmp_path / "flag").iterdir())
+    assert files == ["report.json", "report.txt", "stt_no_tim_0000.jsonl"]
+    assert files == sorted(p.name for p in (tmp_path / "file").iterdir())
+    for name in files:
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+
+def test_a_failing_episode_is_reported_and_left_out(tmp_path, capsys, monkeypatch):
+    from polartrack import bench
+
+    real = bench.run_episode
+
+    def failing_for_no_tim(world, runtime, **kw):
+        if runtime.arm == "no_tim":
+            raise RuntimeError("boom")
+        return real(world, runtime, **kw)
+
+    monkeypatch.setattr(bench, "run_episode", failing_for_no_tim)
+    cfgp = write_config(tmp_path / "cfg.json", scenarios=[{"name": "stt", "episodes": 1,
+                                                           "max_steps": 30}])
+    report, results = bench.run_bench(load_config(cfgp), jobs=1)
+    failed = [r for r in results if r.error is not None]
+    assert [(r.arm, r.error, r.outcome) for r in failed] == [("no_tim", "boom", None)]
+    err = capsys.readouterr().err
+    assert f"episode failed: scenario=stt arm=no_tim seed={failed[0].seed}: boom" in err
+    assert [(row.scenario, row.arm) for row in report.rows] == [("stt", "full")]
+
+    assert main(["bench", "run", "--config", str(cfgp)]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert "episode failed: scenario=stt arm=no_tim" in captured.err
+    assert " no_tim " not in captured.out and " full " in captured.out
+
+
+def test_jobs_variable_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("POLARTRACK_JOBS", "abc")
+    assert main(["bench", "run"]) == EXIT_CONFIG
+    assert "POLARTRACK_JOBS='abc' is not an integer" in capsys.readouterr().err
+
+
+def test_eval_losses_needs_logged_logits(tmp_path, capsys):
+    cfgp = write_config(tmp_path / "cfg.json", scenarios=[{"name": "stt", "episodes": 1,
+                                                           "max_steps": 20}], arms=["full"])
+    assert main(["bench", "run", "--config", str(cfgp), "--out", str(tmp_path / "b")]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", "losses", str(tmp_path / "b")]) == EXIT_CONFIG
+    assert "frames carry no logits" in capsys.readouterr().err
+
+
+def test_replay_verify_rejects_an_empty_directory_and_a_cut_log(tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    assert main(["replay", "verify", str(tmp_path / "empty")]) == EXIT_CONFIG
+    assert "no episode files found" in capsys.readouterr().err
+
+    ep = tmp_path / "ep.jsonl"
+    assert main(["episode", "run", "--scenario", "stt", "--seed", "1", "--out", str(ep)]) == EXIT_OK
+    lines = ep.read_text().splitlines(keepends=True)
+    del lines[-2]  # the last frame, before the footer
+    ep.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["replay", "verify", str(ep)]) == EXIT_RUNTIME
+    out = capsys.readouterr().out
+    assert "footer outcome" in out and out.splitlines()[-1] == "0 of 1 logs replay byte for byte"

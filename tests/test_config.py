@@ -33,7 +33,7 @@ def test_distractors_are_rejected_where_the_scenario_has_none():
     # make_scenario builds no distractor for these, so the log would lie
     for name in ("stt", "winding"):
         rejects({"scenarios": [{"name": name, "episodes": 1, "n_distractors": 3}]},
-                "scenarios[0]")
+                "scenarios[0].n_distractors")
         config_from_dict({"scenarios": [{"name": name, "episodes": 1, "n_distractors": 0}]})
 
 
@@ -53,7 +53,7 @@ def test_count_invalid_in_mean_takes_only_a_json_boolean():
 
 
 def test_non_finite_perception_value_is_rejected(tmp_path):
-    rejects({"perception": {"invalid_bias": math.nan}}, "perception")
+    rejects({"perception": {"invalid_bias": math.nan}}, "perception.invalid_bias")
     # the JSON reader accepts the NaN literal; the config must not
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"perception": {"detect_score": math.inf}}))
@@ -96,6 +96,27 @@ OUT_OF_RANGE = [
     ({"vis_rules": {"min_apparent_size": math.nan}}, "vis_rules.min_apparent_size"),
     ({"vis_rules": {"min_apparent_size": -1}}, "vis_rules.min_apparent_size"),
     ({"grid": {"r_max": math.inf}}, "grid.r_max"),
+    ({"grid": {"r_min": -1}}, "grid.r_min"),
+    ({"grid": {"n_angle": 0}}, "grid.n_angle"),
+    ({"rig": {"views": [{"yaw": 0, "fov": 0}]}}, "rig.views[0].fov"),
+    ({"rig": {"views": []}}, "rig.views"),
+    ({"perception": {"angle_noise": -1}}, "perception.angle_noise"),
+    ({"perception": {"sim_temperature": 0}}, "perception.sim_temperature"),
+    ({"perception": {"base_detectability": 1.5}}, "perception.base_detectability"),
+    ({"scenarios": [{"name": "maze"}]}, "scenarios[0].name"),
+    ({"scenarios": [{"name": "dt", "sigma_app": -0.1}]}, "scenarios[0].sigma_app"),
+    ({"scenarios": [{"name": "dt", "episodes": 0}]}, "scenarios[0].episodes"),
+    ({"scenarios": []}, "scenarios"),
+    ({"arms": []}, "arms"),
+    ({"arms": ["fast"]}, "arms[0]"),
+    # these loaded, then failed or ran wrongly at run time: an empty
+    # episode cannot be scored, a zero-length feature makes every
+    # similarity 0, and a seed must be a non-negative integer
+    ({"scenarios": [{"name": "dt", "max_steps": 0}]}, "scenarios[0].max_steps"),
+    ({"scenarios": [{"name": "dt", "max_steps": -3}]}, "scenarios[0].max_steps"),
+    ({"scenarios": [{"name": "dt", "feature_dim": 0}]}, "scenarios[0].feature_dim"),
+    ({"scenarios": [{"name": "dt", "feature_dim": -2}]}, "scenarios[0].feature_dim"),
+    ({"master_seed": -1}, "master_seed"),
     # above the limits every scenario world enforces
     ({"limits": {"max_speed": 0.5}}, "limits.max_speed"),
     ({"limits": {"max_turn": 45.0}}, "limits.max_turn"),
@@ -140,3 +161,25 @@ def test_limits_above_the_worlds_exit_as_config_error(tmp_path, capsys):
     assert main(["bench", "run", "--config", str(p)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and "'limits.max_speed'" in err
+
+
+@pytest.mark.parametrize("d, field", [
+    ({"scenarios": [{"name": "dt", "max_steps": 0}]}, "scenarios[0].max_steps"),
+    ({"scenarios": [{"name": "dt", "feature_dim": -2}]}, "scenarios[0].feature_dim"),
+    ({"master_seed": -1}, "master_seed"),
+], ids=["max_steps", "feature_dim", "master_seed"])
+def test_settings_that_failed_at_run_time_exit_as_config_errors(tmp_path, capsys, d, field):
+    from polartrack.cli import EXIT_CONFIG, main
+
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(d))
+    assert main(["bench", "run", "--config", str(p)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{field}'" in err
+
+
+def test_a_config_file_must_hold_an_object(tmp_path):
+    p = tmp_path / "list.json"
+    p.write_text(json.dumps([{"master_seed": 1}]))
+    with pytest.raises(ConfigError, match="must hold a JSON object"):
+        load_config(p)

@@ -459,3 +459,18 @@ def test_non_object_line_and_record_after_footer_are_rejected(tmp_path):
         path.write_text("\n".join(bad) + "\n")
         with pytest.raises(EpisodeFormatError, match=where):
             read_episode(path)
+
+
+def test_empty_file_and_unknown_record_type_are_rejected(tmp_path):
+    p = tmp_path / "ep.jsonl"
+    p.write_text("")
+    with pytest.raises(EpisodeFormatError, match="empty file"):
+        read_episode(p)
+
+    spec = ScenarioSpec("stt", max_steps=5)
+    write_episode(run_episode(make_scenario(spec, 0), AgentRuntime(), spec, 0), p)
+    lines = p.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].replace('"type":"frame"', '"type":"note"')
+    p.write_text("".join(lines))
+    with pytest.raises(EpisodeFormatError, match="line 3: unknown record type 'note'"):
+        read_episode(p)

@@ -1,5 +1,9 @@
+import dataclasses
 import json
+import math
 import re
+import types
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -70,13 +74,16 @@ RECORDS[EpisodeHeader] = st.builds(
     EpisodeHeader, scenario=st.none() | RECORDS[ScenarioSpec], seed=st.integers(),
     max_steps=st.integers(), expert=st.text(), **RUNTIME,
 )
-RECORDS[ScenarioRun] = st.builds(ScenarioRun, RECORDS[ScenarioSpec], st.integers(1, 1000))
+RECORDS[ScenarioRun] = st.builds(
+    lambda spec, n: ScenarioRun(**ScenarioSpec.values_of(spec), episodes=n),
+    RECORDS[ScenarioSpec], st.integers(1, 1000),
+)
 RECORDS[RunConfig] = st.builds(
-    RunConfig, master_seed=st.integers(), jobs=st.integers(1, 64),
+    RunConfig, master_seed=st.integers(min_value=0), jobs=st.integers(1, 64),
     arms=st.lists(st.sampled_from(ARMS), min_size=1),
     # a run's logs are named after its scenario, so names are unique
     scenarios=st.lists(RECORDS[ScenarioRun], min_size=1, max_size=4,
-                       unique_by=lambda r: r.spec.name),
+                       unique_by=lambda r: r.name),
     # the agent may not plan beyond the limits the scenario worlds enforce
     **dict(SETTINGS, limits=st.builds(MotionLimits, st.floats(0.0, WORLD_LIMITS.max_speed),
                                       st.floats(0.0, WORLD_LIMITS.max_turn))),
@@ -118,6 +125,47 @@ def test_record_round_trips(cls, data):
     # directly, where sequences are still tuples, and through JSON text
     assert cls.from_dict(r.to_dict()) == r
     assert cls.from_dict(json.loads(json.dumps(r.to_dict()))) == r
+
+
+def test_no_record_codes_itself():
+    # the fields are the schema: one reader and one writer serve every record
+    for cls in subclasses(Record):
+        assert not {"to_dict", "from_dict"} & vars(cls).keys(), cls.__name__
+
+
+# values of a scalar field's own JSON type that a record may reject
+EDGE_VALUES = {int: (-1, 0, 10**9), float: (math.nan, math.inf, -math.inf, -1.0, 0.0, 1e9)}
+
+
+def edge_values(tp) -> tuple:
+    """The values tried for a field annotated ``tp``: an int or float,
+    optional or not; () for any other annotation."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+    return EDGE_VALUES.get(tp, ())
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_rejected_value_names_its_field(cls, data):
+    r = data.draw(RECORDS[cls])
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        for v in edge_values(hints[f.name]):
+            try:
+                dataclasses.replace(r, **{f.name: v})
+            except FieldError as e:
+                assert re.match(rf"{f.name}($|[.\[])", e.path), (f.name, v, str(e))
+
+
+def test_a_scenario_run_is_its_spec_and_a_count():
+    run = ScenarioRun("dt", max_steps=40, episodes=3)
+    assert run.spec == ScenarioSpec("dt", max_steps=40) and type(run.spec) is ScenarioSpec
+    assert list(run.to_dict()) == [*ScenarioSpec("dt").to_dict(), "episodes"]
+    # episodes defaults to 1
+    assert ScenarioRun.from_dict({"name": "dt", "max_steps": 40}) == dataclasses.replace(
+        run, episodes=1)
 
 
 def test_unset_scenario_fields_are_written_resolved():

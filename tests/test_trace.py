@@ -31,7 +31,7 @@ def run(out_dir):
     cfg = RunConfig(
         master_seed=4,
         arms=list(ARMS),
-        scenarios=[ScenarioRun(ScenarioSpec("dt", max_steps=40), 1)],
+        scenarios=[ScenarioRun("dt", max_steps=40, episodes=1)],
     )
     report, results = bench.run_bench(cfg, jobs=1, out_dir=out_dir)
     assert all(r.error is None for r in results)
