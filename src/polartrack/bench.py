@@ -40,7 +40,8 @@ def _run_one(args) -> EpisodeResult:
     try:
         world = make_scenario(run.spec, seed)
         runtime = cfg.runtime_for_arm(arm)
-        log = run_episode(world, runtime, scenario=run.spec, seed=seed)
+        log = run_episode(world, runtime, scenario=run.spec, seed=seed,
+                          record=out_dir is not None)
         if out_dir is not None:
             path = Path(out_dir) / f"{run.name}_{arm}_{ep_idx:04d}.jsonl"
             write_episode(log, path)

@@ -77,10 +77,12 @@ def _load_or_default_config(args) -> RunConfig:
 def cmd_episode_run(args) -> int:
     cfg = _load_or_default_config(args)
     seed = cfg.master_seed
-    spec = ScenarioSpec(name=args.scenario)
+    # the config's entry of that name, else the scenario's defaults
+    spec = next((s.spec for s in cfg.scenarios if s.name == args.scenario),
+                ScenarioSpec(name=args.scenario))
     runtime = cfg.runtime_for_arm(args.arm, args.log_topk)
     world = make_scenario(spec, seed)
-    log = run_episode(world, runtime, scenario=spec, seed=seed)
+    log = run_episode(world, runtime, scenario=spec, seed=seed, record=args.out is not None)
     o = log.outcome
     print(
         f"scenario={spec.name} arm={args.arm} seed={seed} "

@@ -139,11 +139,26 @@ class EpisodeHeader(AgentRuntime):
 
 @dataclass
 class EpisodeLog:
+    """One episode: its header, its frames and, once scored, its outcome.
+    A score-only run (``run_episode(record=False)``) keeps a ``StepResult``
+    per step in ``frames`` instead, which is enough to score but not to
+    write."""
+
     header: EpisodeHeader
     frames: list[FrameRecord]
     outcome: Optional[EpisodeOutcome] = None
 
     def to_jsonl(self) -> str:
+        """The log as JSONL. A log whose frame count differs from its
+        outcome's episode length, or that holds anything but frames,
+        raises ``ValueError``: ``read_episode`` would reject its file."""
+        n = len(self.frames)
+        if self.outcome is not None and n != self.outcome.episode_length:
+            raise ValueError(
+                f"log holds {n} frames for an episode of {self.outcome.episode_length} steps"
+            )
+        if not all(isinstance(f, FrameRecord) for f in self.frames):
+            raise ValueError("a score-only log (run_episode(record=False)) has no frames to write")
         records = [
             {"type": "header", "version": SCHEMA_VERSION, **self.header.to_dict()},
             *({"type": "frame", **f.to_dict()} for f in self.frames),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +51,16 @@ class EpisodeOutcome(Record):
     reason: str  # cap | collision | lost
 
 
+class StepResult(NamedTuple):
+    """What scoring reads from one step, the two fields a ``FrameRecord``
+    also carries: the target's post-step ``(theta, dist)`` and whether the
+    step collided. A score-only episode keeps one per step in place of a
+    frame."""
+
+    target_rel: tuple[float, float]
+    collided: bool
+
+
 def frame_tracked(dist: float, theta: float, rules: MetricRules) -> bool:
     return dist <= rules.track_dist and abs(signed_degrees(theta)) <= rules.track_bearing
 
@@ -58,9 +68,10 @@ def frame_tracked(dist: float, theta: float, rules: MetricRules) -> bool:
 def score_episode(log, rules: MetricRules) -> EpisodeOutcome:
     """Recompute the outcome from a complete episode log.
 
-    Works on any log object exposing ``frames`` (each with
-    ``target_rel``, the post-step ``(theta, dist)`` of the target, and
-    ``collided``) and a header with ``max_steps``.
+    Works on any log object exposing ``frames`` (``FrameRecord``s or
+    ``StepResult``s: each has ``target_rel``, the post-step ``(theta,
+    dist)`` of the target, and ``collided``) and a header with
+    ``max_steps``.
     """
     frames = log.frames
     if not frames:

@@ -1,4 +1,6 @@
-"""Per-step orchestration: observe, update memory, plan, act, log.
+"""Per-step orchestration: observe, update memory, plan, act, log. A
+score-only run (``record=False``) skips the log and keeps per step only
+what scoring reads.
 
 The memory consumes the reasoner output of the *previous* step, one step
 behind the observation that produced it, so the snapshot logged at step T
@@ -30,7 +32,7 @@ from .episodes import (  # ARMS is re-exported
 )
 from .gating import confidence
 from .memory import TargetMemory, update_memory
-from .metrics import score_episode
+from .metrics import StepResult, score_episode
 from .perception import ReasonerOutput, nearest_detection, observe
 from .policy import (
     NUM_WAYPOINTS,
@@ -50,11 +52,18 @@ def run_episode(
     scenario: Optional[ScenarioSpec] = None,
     seed: int = 0,
     output_sink: Optional[list] = None,
+    record: bool = True,
 ) -> EpisodeLog:
     """Run one episode to termination (collision, prolonged loss, or the
     step cap) and return the complete scored log. Its header is
     ``runtime`` plus ``scenario`` and ``seed``, the spec and seed
     ``world`` was built from (None for a hand-built world).
+
+    With ``record`` false the episode is score-only: the work that only
+    the log reads (annotation, view flags, the expert plan, top-k, the
+    memory digest and the frame itself) is skipped, and the log keeps one
+    ``StepResult`` per step instead of a frame. Its outcome is the same;
+    it cannot be written.
 
     ``output_sink``, when given, collects every ReasonerOutput in order;
     replay checks use it to verify the memory lag independently.
@@ -67,8 +76,9 @@ def run_episode(
     limits, policy = runtime.limits, runtime.policy
     mem = TargetMemory.empty()
     hold = expert_hold = None
+    out: Optional[ReasonerOutput] = None  # stays None in the no_cot arm
     pending: Optional[tuple[ReasonerOutput, float]] = None
-    frames: list[FrameRecord] = []
+    frames: list = []
     lost_run = 0
     header = EpisodeHeader(
         **AgentRuntime.values_of(runtime),
@@ -80,9 +90,10 @@ def run_episode(
 
     while not world.terminated:
         try:
-            gt_polar, gt_token = annotate_frame(world, rig, grid, runtime.vis_rules)
-            views = view_visibility(world, rig, grid)
-            expert_traj, expert_hold = plan(gt_token, grid, expert_hold, policy, limits)
+            if record:
+                gt_polar, gt_token = annotate_frame(world, rig, grid, runtime.vis_rules)
+                views = view_visibility(world, rig, grid)
+                expert_traj, expert_hold = plan(gt_token, grid, expert_hold, policy, limits)
 
             if runtime.arm != "no_cot":
                 out = observe(world, rig, mem, grid, params, world.rng)
@@ -102,7 +113,6 @@ def run_episode(
                 pending = out, conf
                 traj, hold = plan(out.token, grid, hold, policy, limits)
                 acted_token = out.token
-                topk = out.logits.topk(runtime.log_topk) if runtime.log_topk > 0 else None
             else:
                 # no tokens, no invalid semantics: steer at the latest raw
                 # reading, or the dead-reckoned previous one when nothing
@@ -116,7 +126,6 @@ def run_episode(
                     traj = plan_from_polar(hold, policy.standoff, limits)
                 acted_token = grid.invalid_index if raw is None else encode(grid, raw)
                 conf = 0.0
-                topk = None
 
             cmd = execute_first(traj, limits)
             events = world.step(cmd)
@@ -124,26 +133,32 @@ def run_episode(
         except Exception as e:
             raise RuntimeError(f"episode failed at step {world.step_index}: {e}") from e
 
-        slot0 = None if mem.is_empty else mem.slots[:3].tolist()
-        frames.append(
-            FrameRecord(
-                step=len(frames),
-                agent=(world.agent.x, world.agent.y, world.agent.heading),
-                target=(world.target.pose.x, world.target.pose.y),
-                target_rel=(events.target_rel.theta, events.target_rel.dist),
-                view_visible=views,
-                gt_invalid=gt_polar is None,
-                gt_polar=None if gt_polar is None else (gt_polar.theta, gt_polar.dist),
-                gt_token=gt_token,
-                token=acted_token,
-                confidence=conf,
-                expert_traj=[tuple(r) for r in expert_traj.tolist()],
-                mem_digest=mem.digest(),
-                mem_slot0=slot0,
-                collided=events.collided,
-                logits_topk=None if topk is None else list(map(tuple, topk)),
+        target_rel = (events.target_rel.theta, events.target_rel.dist)
+        if record:
+            topk = None
+            if out is not None and runtime.log_topk > 0:
+                topk = list(map(tuple, out.logits.topk(runtime.log_topk)))
+            frames.append(
+                FrameRecord(
+                    step=len(frames),
+                    agent=(world.agent.x, world.agent.y, world.agent.heading),
+                    target=(world.target.pose.x, world.target.pose.y),
+                    target_rel=target_rel,
+                    view_visible=views,
+                    gt_invalid=gt_polar is None,
+                    gt_polar=None if gt_polar is None else (gt_polar.theta, gt_polar.dist),
+                    gt_token=gt_token,
+                    token=acted_token,
+                    confidence=conf,
+                    expert_traj=[tuple(r) for r in expert_traj.tolist()],
+                    mem_digest=mem.digest(),
+                    mem_slot0=None if mem.is_empty else mem.slots[:3].tolist(),
+                    collided=events.collided,
+                    logits_topk=topk,
+                )
             )
-        )
+        else:
+            frames.append(StepResult(target_rel, events.collided))
 
         if events.collided:
             break

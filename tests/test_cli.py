@@ -141,6 +141,22 @@ def test_episode_run_and_replay_dump(tmp_path, capsys):
     assert csvp.read_bytes() == csvp2.read_bytes()
 
 
+def test_episode_run_takes_the_configs_scenario_entry(tmp_path, capsys):
+    cfgp = write_config(tmp_path / "cfg.json",
+                        scenarios=[{"name": "stt", "episodes": 1, "max_steps": 40}])
+    assert main(["episode", "run", "--scenario", "stt", "--config", str(cfgp)]) == EXIT_OK
+    assert "el=40 reason=cap" in capsys.readouterr().out
+    # the log's header carries that spec, and a scenario the config does
+    # not list runs at its defaults
+    for name, steps in (("stt", 40), ("dt", 500)):
+        ep = tmp_path / f"{name}.jsonl"
+        argv = ["episode", "run", "--scenario", name, "--config", str(cfgp), "--out", str(ep)]
+        assert main(argv) == EXIT_OK
+        assert read_episode(ep).header.scenario == ScenarioSpec(name, max_steps=steps)
+    capsys.readouterr()
+    assert main(["replay", "verify", str(tmp_path / "stt.jsonl")]) == EXIT_OK
+
+
 def test_replay_dump_missing_file(tmp_path, capsys):
     code = main(["replay", "dump", "--episode", str(tmp_path / "x.jsonl"), "--out", str(tmp_path / "x.csv")])
     assert code != EXIT_OK

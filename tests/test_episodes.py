@@ -140,6 +140,21 @@ def test_episode_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_a_log_without_its_frames_cannot_be_written(tmp_path):
+    spec = ScenarioSpec("dt", max_steps=40)
+    scored = run_episode(make_scenario(spec, 1), AgentRuntime(), spec, 1, record=False)
+    with pytest.raises(ValueError, match="score-only"):
+        write_episode(scored, tmp_path / "scored.jsonl")
+    scored.frames = []
+    with pytest.raises(ValueError, match="0 frames for an episode of 40 steps"):
+        write_episode(scored, tmp_path / "frameless.jsonl")
+    recorded = run_episode(make_scenario(spec, 1), AgentRuntime(), spec, 1)
+    recorded.frames.pop()
+    with pytest.raises(ValueError, match="39 frames for an episode of 40 steps"):
+        write_episode(recorded, tmp_path / "cut.jsonl")
+    assert not list(tmp_path.iterdir())
+
+
 def test_truncated_file_names_line(tmp_path):
     log = run_stt_episode()
     path = tmp_path / "ep.jsonl"

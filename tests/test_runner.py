@@ -2,11 +2,11 @@ import pytest
 
 from polartrack.gating import SparseLogits, confidence
 from polartrack.memory import TargetMemory, update_memory
-from polartrack.metrics import MetricRules
+from polartrack.metrics import MetricRules, StepResult
 from polartrack.perception import CameraRig, PerceptionParams
 from polartrack.polar import PolarGrid
 from polartrack.runner import ARMS, AgentRuntime, run_episode
-from polartrack.scenarios import ScenarioSpec, make_scenario
+from polartrack.scenarios import SCENARIO_NAMES, ScenarioSpec, make_scenario
 from polartrack.world import World
 
 GRID = PolarGrid()
@@ -212,3 +212,19 @@ def test_logits_topk_logging():
     assert vals == sorted(vals, reverse=True)
     # the acted token's logit is among them
     assert any(i == f.token for i, _ in f.logits_topk)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_a_score_only_run_has_the_recorded_outcome(name):
+    # same world, same draws: skipping the log-only work changes nothing
+    # the episode does, and the outcome is scored from the same two fields
+    spec = ScenarioSpec(name, max_steps=300)
+    for arm in ARMS:
+        for seed in (0, 1):
+            recorded = run_episode(make_scenario(spec, seed), runtime(arm), spec, seed)
+            scored = run_episode(make_scenario(spec, seed), runtime(arm), spec, seed,
+                                 record=False)
+            assert scored.header == recorded.header
+            assert scored.outcome == recorded.outcome, (arm, seed)
+            assert scored.frames == [StepResult(f.target_rel, f.collided)
+                                     for f in recorded.frames]
