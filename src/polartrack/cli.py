@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -74,12 +75,16 @@ def _load_or_default_config(args) -> RunConfig:
     return replace(cfg, master_seed=_flag_or_env(args, "seed", cfg.master_seed))
 
 
+def _spec_for(cfg: RunConfig, name: str) -> ScenarioSpec:
+    """The spec of the config's scenario entry of that name, else the
+    scenario's defaults."""
+    return next((s.spec for s in cfg.scenarios if s.name == name), ScenarioSpec(name=name))
+
+
 def cmd_episode_run(args) -> int:
     cfg = _load_or_default_config(args)
     seed = cfg.master_seed
-    # the config's entry of that name, else the scenario's defaults
-    spec = next((s.spec for s in cfg.scenarios if s.name == args.scenario),
-                ScenarioSpec(name=args.scenario))
+    spec = _spec_for(cfg, args.scenario)
     runtime = cfg.runtime_for_arm(args.arm, args.log_topk)
     world = make_scenario(spec, seed)
     log = run_episode(world, runtime, scenario=spec, seed=seed, record=args.out is not None)
@@ -134,7 +139,7 @@ def cmd_dataset_gen(args) -> int:
     _check_dataset_settings(cfg)
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
-    specs = [ScenarioSpec(name=n) for n in args.scenario]
+    specs = [_spec_for(cfg, n) for n in args.scenario]
     written = generate_dataset(
         specs,
         n_episodes=args.episodes,
@@ -173,6 +178,8 @@ def _episode_paths(args) -> list[Path]:
 
 
 def cmd_eval_losses(args) -> int:
+    if not 0.0 <= args.text_loss < math.inf:
+        raise ConfigError(f"--text-loss must be finite and >= 0, got {args.text_loss!r}")
     paths = _episode_paths(args)
     grand_traj, grand_reason, n_frames = 0.0, 0.0, 0
     for path in paths:

@@ -70,6 +70,10 @@ class RunConfig(AgentSettings):
         for i, arm in enumerate(self.arms):
             if arm not in ARMS:
                 raise FieldError(f"arms[{i}]", f"unknown arm {arm!r}, expected {ARMS}")
+            # a repeated arm would run, and report, every episode twice
+            if arm in self.arms[:i]:
+                raise FieldError(f"arms[{i}]", f"{arm!r} repeats arms[{self.arms.index(arm)}]; "
+                                 "arms must be unique")
         if not self.scenarios:
             raise FieldError("scenarios", "needs at least one entry")
         # logs are named after the scenario, so a repeated name overwrites

@@ -143,8 +143,8 @@ def total_loss(
 ) -> float:
     """Weighted sum of the three training terms. There is no text head in
     this package, so the text term is an externally supplied scalar."""
-    if l_traj < 0 or l_reason < 0 or l_text < 0:
-        raise ValueError("loss terms must be >= 0")
+    if not all(0.0 <= term < math.inf for term in (l_traj, l_reason, l_text)):
+        raise ValueError(f"loss terms must be finite and >= 0, got {(l_traj, l_reason, l_text)}")
     return l_traj + alpha * l_reason + beta * l_text
 
 

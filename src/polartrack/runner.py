@@ -61,7 +61,8 @@ def run_episode(
 
     With ``record`` false the episode is score-only: the work that only
     the log reads (annotation, view flags, the expert plan, top-k, the
-    memory digest and the frame itself) is skipped, and the log keeps one
+    memory digest, the frame itself, and the confidence and acted token
+    outside the ``full`` arm) is skipped, and the log keeps one
     ``StepResult`` per step instead of a frame. Its outcome is the same;
     it cannot be written.
 
@@ -99,18 +100,15 @@ def run_episode(
                 out = observe(world, rig, mem, grid, params, world.rng)
                 if output_sink is not None:
                     output_sink.append(out)
-                conf = confidence(out.logits)
-                if runtime.arm == "full" and pending is not None:
-                    prev, prev_conf = pending
-                    mem = update_memory(
-                        mem,
-                        prev.token,
-                        prev_conf,
-                        prev.candidate,
-                        grid,
-                        runtime.count_invalid_in_mean,
-                    )
-                pending = out, conf
+                # the memory and the frame are the confidence's only readers
+                if record or runtime.arm == "full":
+                    conf = confidence(out.logits)
+                if runtime.arm == "full":
+                    if pending is not None:
+                        prev, prev_conf = pending
+                        mem = update_memory(mem, prev.token, prev_conf, prev.candidate, grid,
+                                            runtime.count_invalid_in_mean)
+                    pending = out, conf
                 traj, hold = plan(out.token, grid, hold, policy, limits)
                 acted_token = out.token
             else:
@@ -124,8 +122,9 @@ def run_episode(
                     traj = np.zeros((NUM_WAYPOINTS, 3))
                 else:
                     traj = plan_from_polar(hold, policy.standoff, limits)
-                acted_token = grid.invalid_index if raw is None else encode(grid, raw)
-                conf = 0.0
+                if record:
+                    acted_token = grid.invalid_index if raw is None else encode(grid, raw)
+                    conf = 0.0
 
             cmd = execute_first(traj, limits)
             events = world.step(cmd)
@@ -142,7 +141,7 @@ def run_episode(
                 FrameRecord(
                     step=len(frames),
                     agent=(world.agent.x, world.agent.y, world.agent.heading),
-                    target=(world.target.pose.x, world.target.pose.y),
+                    target=(world.target.x, world.target.y),
                     target_rel=target_rel,
                     view_visible=views,
                     gt_invalid=gt_polar is None,

@@ -72,58 +72,54 @@ def relative_polar(pose: Pose2D, point) -> PolarPoint:
     return PolarPoint(math.degrees(math.atan2(dy, dx)) - pose.heading, math.hypot(dx, dy))
 
 
-def discs_collide(p1, r1: float, p2, r2: float) -> bool:
-    return math.hypot(p1[0] - p2[0], p1[1] - p2[1]) < r1 + r2
-
-
-@dataclass
 class Entity:
     """A scripted actor: the target or a look-alike distractor.
 
     ``path`` is a closed loop of world waypoints; ``speeds[i]`` is the
     speed while walking toward ``path[i]``. ``leg`` indexes the waypoint
-    currently being approached. ``advance`` walks float copies of both,
-    taken at construction.
+    currently being approached. The position and heading are plain
+    floats that ``advance`` updates in place, walking float copies of
+    ``path`` and ``speeds`` taken at construction; ``pose`` builds the
+    ``Pose2D`` on read.
     """
 
-    id: int
-    kind: str
-    pose: Pose2D
-    radius: float
-    appearance: np.ndarray
-    path: np.ndarray  # (P, 2)
-    speeds: np.ndarray  # (P,)
-    leg: int = 1
-
-    def __post_init__(self):
-        if self.kind not in (TARGET, DISTRACTOR):
-            raise ValueError(f"unknown entity kind {self.kind!r}")
-        if self.radius <= 0:
+    def __init__(self, id: int, kind: str, pose: Pose2D, radius: float, appearance: np.ndarray,
+                 path: np.ndarray, speeds: np.ndarray, leg: int = 1):
+        if kind not in (TARGET, DISTRACTOR):
+            raise ValueError(f"unknown entity kind {kind!r}")
+        if radius <= 0:
             raise ValueError("entity radius must be positive")
-        self.path = np.asarray(self.path, dtype=np.float64)
-        self.speeds = np.asarray(self.speeds, dtype=np.float64)
+        self.path = np.asarray(path, dtype=np.float64)  # (P, 2)
+        self.speeds = np.asarray(speeds, dtype=np.float64)  # (P,)
         if self.path.ndim != 2 or self.path.shape[1] != 2 or len(self.path) < 1:
             raise ValueError("path must be a (P, 2) array")
         if self.speeds.shape != (len(self.path),):
             raise ValueError("need one speed per path waypoint")
+        # finite waypoints and speeds keep every position advance() walks to finite
+        if not (np.isfinite(self.path).all() and np.isfinite(self.speeds).all()):
+            raise ValueError("path and speeds must be finite")
+        self.id, self.kind, self.radius, self.leg = id, kind, radius, leg
+        self.appearance = appearance
+        self.x, self.y, self.heading = pose.x, pose.y, pose.heading
         self._path = self.path.tolist()
         self._speeds = self.speeds.tolist()
 
-    def position(self) -> tuple[float, float]:
-        return (self.pose.x, self.pose.y)
+    @property
+    def pose(self) -> Pose2D:
+        return Pose2D(self.x, self.y, self.heading)
 
     def advance(self):
         """Walk one step along the loop, wrapping at the end. Crossing a
         waypoint mid-step carries the leftover distance onto the next leg
         (capped at that leg's speed, so a step never moves farther than
         the fastest leg involved)."""
-        path, speeds = self._path, self._speeds
-        x, y = self.pose.x, self.pose.y
-        remaining = speeds[self.leg]
+        path, speeds, leg = self._path, self._speeds, self.leg
+        x, y = self.x, self.y
+        remaining = speeds[leg]
         for _ in range(len(path) + 1):
             if remaining <= 0.0:
                 break
-            tx, ty = path[self.leg]
+            tx, ty = path[leg]
             d = math.hypot(tx - x, ty - y)
             if d > remaining:
                 x += (tx - x) / d * remaining
@@ -132,14 +128,13 @@ class Entity:
             else:
                 x, y = tx, ty
                 remaining -= d
-                self.leg = (self.leg + 1) % len(path)
-                remaining = min(remaining, speeds[self.leg])
+                leg = (leg + 1) % len(path)
+                remaining = min(remaining, speeds[leg])
         # face the waypoint being approached
-        nx, ny = path[self.leg]
-        heading = self.pose.heading
+        nx, ny = path[leg]
         if math.hypot(nx - x, ny - y) > 1e-12:
-            heading = math.degrees(math.atan2(ny - y, nx - x))
-        self.pose = Pose2D(x, y, heading)
+            self.heading = math.degrees(math.atan2(ny - y, nx - x))
+        self.x, self.y, self.leg = x, y, leg
 
 
 @dataclass(frozen=True)
@@ -304,8 +299,9 @@ class World:
         return True
 
     def step(self, cmd: Command) -> StepEvents:
-        """Turn and move the agent by ``cmd``, advance every entity, then
-        check for collisions at the new poses. Collisions are checked
+        """Turn and move the agent by ``cmd``, advance every entity, refresh
+        the sightings, then check for collisions at the new poses, entities
+        first (from the sightings' ranges). Collisions are checked
         after each step only, not along the paths between steps: no
         entity moves more than the 0.6 m contact distance relative to the
         agent in one step (about 0.5 m at most over the scenario suite;
@@ -332,44 +328,33 @@ class World:
             e.advance()
 
         self.step_index += 1
+        self._sight()
 
-        ax, ay = apos = (self.agent.x, self.agent.y)
-        collided = False
         collided_with: Optional[str] = None
-        for e in self.entities:
-            # discs_collide, without building the entity's position tuple
-            if math.hypot(ax - e.pose.x, ay - e.pose.y) < self.agent_radius + e.radius:
-                collided = True
-                collided_with = f"{e.kind}:{e.id}"
+        for s in self.sightings:
+            # rel.dist is the agent-entity distance
+            if s.rel.dist < self.agent_radius + s.entity.radius:
+                collided_with = f"{s.entity.kind}:{s.entity.id}"
                 break
-        if not collided:
+        else:
+            ax, ay = apos = (self.agent.x, self.agent.y)
+            r = self.agent_radius
             for k, obs in enumerate(self.obstacles):
                 x0, y0, x1, y1 = obs.bounds
-                if (
-                    apos[0] < x0 - self.agent_radius
-                    or apos[0] > x1 + self.agent_radius
-                    or apos[1] < y0 - self.agent_radius
-                    or apos[1] > y1 + self.agent_radius
-                ):
+                if ax < x0 - r or ax > x1 + r or ay < y0 - r or ay > y1 + r:
                     continue
-                if obs.distance_to(apos) < self.agent_radius:
-                    collided = True
+                if obs.distance_to(apos) < r:
                     collided_with = f"obstacle:{k}"
                     break
 
-        self._sight()
-        return StepEvents(
-            collided=collided,
-            collided_with=collided_with,
-            target_rel=self.target_sighting.rel,
-        )
+        return StepEvents(collided_with is not None, collided_with, self.target_sighting.rel)
 
     def _sight(self) -> None:
         agent = self.agent
         apos = (agent.x, agent.y)
         self.sightings = []
         for e in self.entities:
-            pos = (e.pose.x, e.pose.y)
+            pos = (e.x, e.y)
             s = Sighting(e, relative_polar(agent, pos), self.line_of_sight(apos, pos))
             self.sightings.append(s)
             if e is self.target:

@@ -178,7 +178,8 @@ def test_criterion_7_directional_ablation():
     success = {a: [] for a in arms}
     for seed in range(200):
         for arm in arms:
-            log = run_episode(make_scenario(spec, seed), runtime_for(arm), spec, seed)
+            log = run_episode(make_scenario(spec, seed), runtime_for(arm), spec, seed,
+                              record=False)
             success[arm].append(log.outcome.success)
     sr = {a: sum(success[a]) for a in arms}
     assert sr["full"] > sr["no_tim"] > sr["no_cot"], sr

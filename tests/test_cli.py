@@ -418,3 +418,29 @@ def test_replay_verify_rejects_an_empty_directory_and_a_cut_log(tmp_path, capsys
     assert main(["replay", "verify", str(ep)]) == EXIT_RUNTIME
     out = capsys.readouterr().out
     assert "footer outcome" in out and out.splitlines()[-1] == "0 of 1 logs replay byte for byte"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_eval_losses_rejects_a_bad_text_loss_before_reading(tmp_path, capsys, value):
+    # the episode file is not a log: reading it would be a runtime error
+    bad = tmp_path / "ep.jsonl"
+    bad.write_text("not a log\n")
+    assert main(["eval", "losses", str(bad), f"--text-loss={value}"]) == EXIT_CONFIG
+    assert "--text-loss" in capsys.readouterr().err
+
+
+def test_dataset_gen_takes_the_configs_scenario_entry(tmp_path, capsys):
+    cfgp = write_config(tmp_path / "cfg.json",
+                        scenarios=[{"name": "stt", "episodes": 1, "max_steps": 20}])
+    out = tmp_path / "data"
+    argv = ["dataset", "gen", "--scenario", "stt", "--scenario", "obstacle", "--episodes", "1",
+            "--config", str(cfgp), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    # stt takes the config's entry, obstacle (not listed) its defaults
+    logs = {read_episode(p).header.scenario.name: read_episode(p) for p in out.glob("*.jsonl")}
+    assert len(logs["stt"].frames) == 20
+    assert logs["stt"].header.scenario == ScenarioSpec("stt", max_steps=20)
+    assert logs["obstacle"].header.scenario == ScenarioSpec("obstacle")
+    capsys.readouterr()
+    assert main(["replay", "verify", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "2 of 2 logs replay byte for byte"

@@ -45,6 +45,12 @@ def test_scenario_names_must_be_unique():
             "scenarios[2].name")
 
 
+def test_arms_must_be_unique():
+    # a second full would run, and report, every full episode twice
+    rejects({"arms": ["full", "full"]}, "arms[1]")
+    rejects({"arms": ["no_cot", "full", "no_cot"]}, "arms[2]")
+
+
 def test_count_invalid_in_mean_takes_only_a_json_boolean():
     for bad in ("false", 0, 1, None):
         rejects({"count_invalid_in_mean": bad}, "count_invalid_in_mean")

@@ -65,7 +65,7 @@ def test_annotate_visible_target():
     w = static_world((2.0 * np.cos(np.radians(10)), 2.0 * np.sin(np.radians(10))))
     rel, token = annotate_frame(w, RING, GRID, VIS)
     assert rel is not None
-    assert token == encode(GRID, relative_polar(w.agent, w.target.position()))
+    assert token == encode(GRID, relative_polar(w.agent, (w.target.x, w.target.y)))
     assert rel.theta == pytest.approx(10.0)
     assert rel.dist == pytest.approx(2.0)
 

@@ -149,6 +149,10 @@ def test_total_loss_examples():
     assert total_loss(2.0, 5.0, 4.0) == pytest.approx(5.0)
     with pytest.raises(ValueError):
         total_loss(-1.0, 0.0, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for terms in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                total_loss(*terms)
 
 
 def test_aggregate_hand_means():

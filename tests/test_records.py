@@ -80,8 +80,9 @@ RECORDS[ScenarioRun] = st.builds(
 )
 RECORDS[RunConfig] = st.builds(
     RunConfig, master_seed=st.integers(min_value=0), jobs=st.integers(1, 64),
-    arms=st.lists(st.sampled_from(ARMS), min_size=1),
-    # a run's logs are named after its scenario, so names are unique
+    # each arm runs once, and a run's logs are named after its scenario,
+    # so arms and scenario names are unique
+    arms=st.lists(st.sampled_from(ARMS), min_size=1, unique=True),
     scenarios=st.lists(RECORDS[ScenarioRun], min_size=1, max_size=4,
                        unique_by=lambda r: r.name),
     # the agent may not plan beyond the limits the scenario worlds enforce

@@ -7,7 +7,7 @@ from polartrack.perception import CameraRig, PerceptionParams
 from polartrack.polar import PolarGrid
 from polartrack.runner import ARMS, AgentRuntime, run_episode
 from polartrack.scenarios import SCENARIO_NAMES, ScenarioSpec, make_scenario
-from polartrack.world import World
+from polartrack.world import Pose2D, World
 
 GRID = PolarGrid()
 
@@ -228,3 +228,53 @@ def test_a_score_only_run_has_the_recorded_outcome(name):
             assert scored.outcome == recorded.outcome, (arm, seed)
             assert scored.frames == [StepResult(f.target_rel, f.collided)
                                      for f in recorded.frames]
+
+
+def test_a_score_only_step_builds_only_the_agents_pose(monkeypatch):
+    # entities keep their position and heading as plain floats, so the
+    # agent's pose is the one Pose2D a step builds
+    spec = ScenarioSpec("dt", max_steps=120)
+    built = 0
+    init = Pose2D.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    worlds = {arm: make_scenario(spec, 3) for arm in ARMS}
+    assert all(len(w.entities) == 4 for w in worlds.values())
+    monkeypatch.setattr(Pose2D, "__init__", counting)
+    for arm, w in worlds.items():
+        built = 0
+        log = run_episode(w, runtime(arm), spec, 3, record=False)
+        assert built == log.outcome.episode_length, arm
+
+
+def test_a_score_only_run_skips_what_only_the_frame_reads(monkeypatch):
+    # outside the full arm the memory does not read the confidence, and
+    # no arm but the frame reads no_cot's encoded token
+    import polartrack.runner as runner
+
+    calls = {"softmax_terms": 0, "encode": 0}
+    terms, encode = SparseLogits.softmax_terms, runner.encode
+
+    def counting_terms(self):
+        calls["softmax_terms"] += 1
+        return terms(self)
+
+    def counting_encode(grid, p):
+        calls["encode"] += 1
+        return encode(grid, p)
+
+    monkeypatch.setattr(SparseLogits, "softmax_terms", counting_terms)
+    monkeypatch.setattr(runner, "encode", counting_encode)
+    spec = ScenarioSpec("dt", max_steps=120)
+    for arm in ("no_tim", "no_cot"):
+        run_episode(make_scenario(spec, 4), runtime(arm), spec, 4, record=False)
+    assert calls == {"softmax_terms": 0, "encode": 0}
+    # recording, each still runs once per step
+    for arm, key in (("no_tim", "softmax_terms"), ("no_cot", "encode")):
+        calls[key] = 0
+        log = run_episode(make_scenario(spec, 4), runtime(arm), spec, 4)
+        assert calls[key] == len(log.frames), arm

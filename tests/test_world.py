@@ -16,9 +16,16 @@ from polartrack.world import (
     Obstacle,
     Pose2D,
     World,
-    discs_collide,
     relative_polar,
 )
+
+
+def discs_collide(p1, r1: float, p2, r2: float) -> bool:
+    return math.hypot(p1[0] - p2[0], p1[1] - p2[1]) < r1 + r2
+
+
+def position(e: Entity) -> tuple[float, float]:
+    return (e.x, e.y)
 
 
 def make_entity(eid=0, kind="target", pos=(5.0, 0.0), path=None, speed=0.1, radius=0.3):
@@ -91,7 +98,7 @@ def test_collision_at_disc_contact():
     assert ev.collided
     assert ev.collided_with == "target:0"
     # disc-intersection oracle
-    assert discs_collide((w.agent.x, w.agent.y), r_agent, e.position(), r_entity)
+    assert discs_collide((w.agent.x, w.agent.y), r_agent, position(e), r_entity)
 
 
 def test_collision_symmetry():
@@ -124,13 +131,13 @@ def test_entities_never_teleport():
     spec = ScenarioSpec("dt")
     w = make_scenario(spec, 5)
     max_speed = {e.id: float(e.speeds.max()) for e in w.entities}
-    prev = {e.id: e.position() for e in w.entities}
+    prev = {e.id: position(e) for e in w.entities}
     for _ in range(300):
         w.step(Command(0.0, 0.0))
         for e in w.entities:
             d = math.hypot(e.pose.x - prev[e.id][0], e.pose.y - prev[e.id][1])
             assert d <= max_speed[e.id] + 1e-9
-            prev[e.id] = e.position()
+            prev[e.id] = position(e)
 
 
 def test_no_entity_crosses_the_contact_distance_in_one_step(monkeypatch):
@@ -171,6 +178,15 @@ def test_no_entity_crosses_the_contact_distance_in_one_step(monkeypatch):
     assert 0.0 < worst < 1.0, worst
 
 
+def test_entity_rejects_a_non_finite_path_or_speed():
+    for path, speed in (([(0.0, 0.0), (math.nan, 1.0)], 0.1),
+                        ([(0.0, 0.0), (1.0, math.inf)], 0.1),
+                        ([(0.0, 0.0), (1.0, 1.0)], math.inf),
+                        ([(0.0, 0.0), (1.0, 1.0)], math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            make_entity(pos=(0.0, 0.0), path=path, speed=speed)
+
+
 def test_waypoint_wraparound():
     e = make_entity(pos=(0.0, 0.0), path=[(0.0, 0.0), (1.0, 0.0)], speed=0.3)
     w = make_world([e])
@@ -186,7 +202,7 @@ def test_waypoint_wraparound():
 
 def advance_oracle(e):
     """``Entity.advance`` as it read the ndarray ``path`` and ``speeds``."""
-    x, y = e.pose.x, e.pose.y
+    x, y = e.x, e.y
     remaining = float(e.speeds[e.leg])
     for _ in range(len(e.path) + 1):
         if remaining <= 0.0:
@@ -203,10 +219,10 @@ def advance_oracle(e):
             e.leg = (e.leg + 1) % len(e.path)
             remaining = min(remaining, float(e.speeds[e.leg]))
     nx, ny = e.path[e.leg]
-    heading = e.pose.heading
+    heading = e.heading
     if math.hypot(nx - x, ny - y) > 1e-12:
         heading = math.degrees(math.atan2(ny - y, nx - x))
-    e.pose = Pose2D(x, y, heading)
+    e.x, e.y, e.heading = x, y, heading
 
 
 def test_advance_matches_the_ndarray_path_oracle():
@@ -288,8 +304,8 @@ def assert_sightings_fresh(w: World):
     assert len(w.sightings) == len(w.entities)
     for s, e in zip(w.sightings, w.entities):
         assert s.entity is e
-        assert s.rel == relative_polar(w.agent, e.position())
-        assert s.los == w.line_of_sight(apos, e.position())
+        assert s.rel == relative_polar(w.agent, position(e))
+        assert s.los == w.line_of_sight(apos, position(e))
     assert w.target_sighting.entity is w.target
 
 
@@ -304,7 +320,7 @@ def test_target_rel_matches_recomputation():
                 dtheta=float(rng.uniform(-w.limits.max_turn, w.limits.max_turn)),
             )
             ev = w.step(cmd)
-            assert ev.target_rel == relative_polar(w.agent, w.target.position())
+            assert ev.target_rel == relative_polar(w.agent, position(w.target))
             assert_sightings_fresh(w)
 
 
@@ -358,7 +374,7 @@ def test_obstacle_scenario_guarantees_occlusion_from_start_pose():
         blocked = 0
         for _ in range(499):
             w.step(Command(0.0, 0.0))  # agent holds still, world runs
-            if not w.line_of_sight(start, w.target.position()):
+            if not w.line_of_sight(start, position(w.target)):
                 blocked += 1
         assert blocked >= 10
 
@@ -369,7 +385,7 @@ def test_distractors_spawn_outside_annulus():
             w = make_scenario(ScenarioSpec(name), seed)
             for e in w.entities:
                 if e.kind == "distractor":
-                    rel = relative_polar(w.agent, e.position())
+                    rel = relative_polar(w.agent, position(e))
                     assert rel.dist > 5.0
 
 
