@@ -66,6 +66,7 @@ def run_bench(
         for ep_idx in range(run.episodes)
     ]
 
+    jobs = min(jobs, len(tasks))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_run_one, tasks, chunksize=4)

@@ -43,7 +43,7 @@ from .episodes import (
 from .gating import SparseLogits
 from .metrics import frame_tracked, reason_loss, total_loss, traj_loss
 from .policy import advance_hold, execute_first, plan
-from .records import FieldError, Record
+from .records import FieldError
 from .runner import ARMS, run_episode
 from .scenarios import SCENARIO_NAMES, ScenarioSpec, make_scenario
 
@@ -119,24 +119,8 @@ def cmd_bench_run(args) -> int:
     return EXIT_OK
 
 
-def _check_dataset_settings(cfg: RunConfig) -> None:
-    """A dataset runs the noiseless expert at every default setting but
-    ``grid`` and ``rig``; any other agent setting a config changes would
-    be dropped, so it is an error."""
-    default = AgentSettings()
-    for name, value in AgentSettings.values_of(cfg).items():
-        if name in ("grid", "rig") or value == getattr(default, name):
-            continue
-        if isinstance(value, Record):
-            ours, theirs = value.to_dict(), getattr(default, name).to_dict()
-            name += "." + next(k for k in ours if ours[k] != theirs[k])
-        raise ConfigError(f"config field '{name}': dataset gen reads only 'grid' and 'rig' "
-                          "from a config; leave the other agent settings at their defaults")
-
-
 def cmd_dataset_gen(args) -> int:
     cfg = _load_or_default_config(args)
-    _check_dataset_settings(cfg)
     if args.episodes < 1:
         raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     specs = [_spec_for(cfg, n) for n in args.scenario]
@@ -146,8 +130,7 @@ def cmd_dataset_gen(args) -> int:
         seed=cfg.master_seed,
         out_dir=args.out,
         randomize_rig=args.randomize_rig,
-        rig=cfg.rig,
-        grid=cfg.grid,
+        **AgentSettings.values_of(cfg),
     )
     print(f"wrote {len(written)} episodes to {args.out}")
     return EXIT_OK

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -340,30 +340,45 @@ def generate_dataset(
     seed: int,
     out_dir,
     randomize_rig: bool = False,
-    rig: Optional[CameraRig] = None,
-    grid: Optional[PolarGrid] = None,
+    **settings,
 ) -> list[Path]:
     """Roll out annotated expert episodes and write one JSONL file each.
 
-    Deterministic given ``seed``. With ``randomize_rig``, each episode
-    draws per-view fields of view and keeps a random subset of the
-    non-front views; the front view is always present. Frames keep the
-    top-``DATASET_TOPK`` logits, so a world with more entities than fit
-    beside the invalid token raises ``ValueError``.
+    ``settings`` are the ``AgentSettings`` fields by keyword (``grid``,
+    ``rig``, ``perception``, ``rules``, ``limits``, ``vis_rules``,
+    ``policy``, ``count_invalid_in_mean``); omitted ones take their
+    defaults. A dataset overrides only what defines it: perception runs
+    noiseless and frames keep the top-``DATASET_TOPK`` logits. With
+    ``randomize_rig``, each episode replaces the rig: it draws per-view
+    fields of view and keeps a random subset of the non-front views; the
+    front view is always present. Deterministic given ``seed``. A spec
+    with more entities than fit in the top-k beside the invalid token is
+    a ``FieldError`` naming ``n_distractors``, raised before any file is
+    written.
     """
     from .runner import run_episode  # deferred: runner imports us
 
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
+    # each entity scores at most one cell, so the logged top-k holds every
+    # non-zero logit (and rebuilds them exactly) as long as the entities
+    # and the invalid entry fit in it
+    for spec in specs:
+        if 1 + spec.n_distractors > DATASET_TOPK - 1:
+            raise FieldError("n_distractors", (
+                f"scenario {spec.name!r} has {1 + spec.n_distractors} entities; the "
+                f"top-{DATASET_TOPK} logits a dataset frame keeps cover at most "
+                f"{DATASET_TOPK - 1}"))
+    runtime = AgentRuntime(**settings, log_topk=DATASET_TOPK)
+    runtime = replace(runtime, perception=runtime.perception.noiseless())
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = grid or PolarGrid()
-    base_rig = rig or CameraRig.ring(4)
 
     written: list[Path] = []
     for si, spec in enumerate(specs):
         for ei in range(n_episodes):
             ep_seed = derive_seed(seed, si, ei)
+            ep_runtime = runtime
             if randomize_rig:
                 rig_rng = np.random.default_rng(
                     np.random.SeedSequence([seed, si, ei, 1])
@@ -375,26 +390,9 @@ def generate_dataset(
                     fov = float(rig_rng.uniform(70.0, 110.0))
                     if keep:
                         views.append(CameraView(yaw, fov))
-                ep_rig = CameraRig(views=tuple(views))
-            else:
-                ep_rig = base_rig
-            runtime = AgentRuntime(
-                grid=grid,
-                rig=ep_rig,
-                perception=PerceptionParams().noiseless(),
-                log_topk=DATASET_TOPK,
-            )
+                ep_runtime = replace(runtime, rig=CameraRig(views=tuple(views)))
             world = make_scenario(spec, ep_seed)
-            # each entity scores at most one cell, so the logged top-k holds
-            # every non-zero logit (and rebuilds them exactly) as long as
-            # the entities and the invalid entry fit in it
-            if len(world.entities) > DATASET_TOPK - 1:
-                raise ValueError(
-                    f"scenario {spec.name!r} has {len(world.entities)} entities; the "
-                    f"top-{DATASET_TOPK} logits a dataset frame keeps cover at most "
-                    f"{DATASET_TOPK - 1}"
-                )
-            log = run_episode(world, runtime, scenario=spec, seed=ep_seed)
+            log = run_episode(world, ep_runtime, scenario=spec, seed=ep_seed)
             path = out / f"{spec.name}_{ei:04d}.jsonl"
             write_episode(log, path)
             written.append(path)

@@ -98,6 +98,9 @@ class Entity:
         # finite waypoints and speeds keep every position advance() walks to finite
         if not (np.isfinite(self.path).all() and np.isfinite(self.speeds).all()):
             raise ValueError("path and speeds must be finite")
+        # advance() walks no farther than the leg's speed: a negative one freezes the entity
+        if (self.speeds < 0).any():
+            raise ValueError("speeds must be >= 0")
         self.id, self.kind, self.radius, self.leg = id, kind, radius, leg
         self.appearance = appearance
         self.x, self.y, self.heading = pose.x, pose.y, pose.heading

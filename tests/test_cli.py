@@ -250,33 +250,57 @@ def test_bad_counts_and_settings_are_config_errors(tmp_path, capsys, monkeypatch
     assert not list(tmp_path.rglob("*.jsonl"))
 
 
-@pytest.mark.parametrize(
-    "config, field",
-    [
-        ({"policy": {"standoff": 2.5}}, "policy.standoff"),
-        # the first changed field in declaration order
-        ({"policy": {"standoff": 2.5}, "limits": {"max_speed": 0.2}}, "limits.max_speed"),
-        ({"perception": {"angle_noise": 0.5}}, "perception.angle_noise"),
-        ({"count_invalid_in_mean": False}, "count_invalid_in_mean"),
-    ],
-)
-def test_dataset_gen_rejects_settings_it_would_drop(tmp_path, capsys, config, field):
+def test_dataset_gen_reads_the_configs_grid_and_rig(tmp_path, capsys):
     cfgp = tmp_path / "cfg.json"
-    cfgp.write_text(json.dumps(config))
+    cfgp.write_text(json.dumps({"grid": {"n_angle": 36, "n_dist": 20},
+                                "rig": {"views": [{"yaw": 0, "fov": 120}]}}))
     argv = ["dataset", "gen", "--scenario", "stt", "--episodes", "1", "--config", str(cfgp),
             "--out", str(tmp_path / "data")]
-    assert main(argv) == EXIT_CONFIG
-    assert f"config field '{field}'" in capsys.readouterr().err
-    assert not list(tmp_path.rglob("*.jsonl"))
-
-    # the grid and rig are read, and the suite settings mean nothing here
-    config = {"grid": {"n_angle": 36, "n_dist": 20}, "rig": {"views": [{"yaw": 0, "fov": 120}]},
-              "master_seed": 9, "policy": {"standoff": 2}}
-    cfgp.write_text(json.dumps(config))
     assert main(argv) == EXIT_OK
     header = read_episode(tmp_path / "data" / "stt_0000.jsonl").header
     assert (header.grid.n_angle, header.grid.n_dist) == (36, 20)
     assert len(header.rig.views) == 1 and header.rig.views[0].fov == 120
+
+
+def test_dataset_gen_runs_the_configs_agent_settings(tmp_path, capsys):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"policy": {"standoff": 2.5}, "perception": {"angle_noise": 0.5},
+                                "rules": {"lost_patience": 10}, "count_invalid_in_mean": False}))
+    out = tmp_path / "data"
+    assert main(["dataset", "gen", "--scenario", "obstacle", "--scenario", "dt", "--episodes",
+                 "2", "--randomize-rig", "--config", str(cfgp), "--out", str(out)]) == EXIT_OK
+    paths = sorted(out.glob("*.jsonl"))
+    assert len(paths) == 4
+    for p in paths:
+        h = read_episode(p).header
+        assert (h.policy.standoff, h.rules.lost_patience, h.count_invalid_in_mean) == (2.5, 10,
+                                                                                     False)
+        # a dataset's own overrides: noiseless perception and top-8 logits
+        assert (h.perception.angle_noise, h.log_topk) == (0.0, 8)
+    capsys.readouterr()
+    assert main(["replay", "verify", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "4 of 4 logs replay byte for byte"
+
+
+def test_dataset_gen_with_the_default_config_writes_the_same_bytes(tmp_path, capsys):
+    cfgp = tmp_path / "cfg.json"
+    assert main(["config", "dump", "--out", str(cfgp)]) == EXIT_OK
+    argv = ["dataset", "gen", "--scenario", "obstacle", "--episodes", "1", "--randomize-rig"]
+    assert main([*argv, "--config", str(cfgp), "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main([*argv, "--out", str(tmp_path / "b")]) == EXIT_OK
+    name = "obstacle_0000.jsonl"
+    assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_dataset_gen_checks_every_scenarios_entity_count_first(tmp_path, capsys):
+    cfgp = write_config(tmp_path / "cfg.json",
+                        scenarios=[{"name": "dt", "episodes": 1, "n_distractors": 9}])
+    argv = ["dataset", "gen", "--scenario", "stt", "--scenario", "dt", "--episodes", "1",
+            "--config", str(cfgp), "--out", str(tmp_path / "data")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: 'n_distractors'" in err and "10 entities" in err
+    assert not list(tmp_path.rglob("*.jsonl"))
 
 
 def test_replay_dump_rows_keep_three_memory_cells(tmp_path, capsys):

@@ -18,8 +18,9 @@ from polartrack.episodes import (
     write_episode,
 )
 from polartrack.metrics import MetricRules
-from polartrack.perception import CameraRig, PerceptionParams
+from polartrack.perception import CameraRig, CameraView, PerceptionParams
 from polartrack.polar import PolarGrid, encode
+from polartrack.records import FieldError
 from polartrack.runner import AgentRuntime, run_episode
 from polartrack.scenarios import ScenarioSpec, make_scenario
 from polartrack.world import Entity, Obstacle, Pose2D, World, relative_polar
@@ -217,6 +218,16 @@ def test_generate_dataset_deterministic(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
     different = generate_dataset(specs, n_episodes=2, seed=4, out_dir=tmp_path / "c")
     assert different[0].read_bytes() != out1[0].read_bytes()
+
+
+def test_generate_dataset_takes_rig_and_grid_as_settings_keywords(tmp_path):
+    rig = CameraRig(views=(CameraView(0.0, 120.0),))
+    grid = PolarGrid(n_angle=36, n_dist=20)
+    (path,) = generate_dataset([ScenarioSpec("stt", max_steps=20)], n_episodes=1, seed=0,
+                               out_dir=tmp_path, rig=rig, grid=grid)
+    header = read_episode(path).header
+    assert (header.rig, header.grid) == (rig, grid)
+    assert header.perception == PerceptionParams().noiseless() and header.log_topk == 8
 
 
 def test_generate_dataset_rejects_zero_episodes(tmp_path):
@@ -420,11 +431,13 @@ def test_gt_invalid_must_say_whether_gt_polar_is_null(tmp_path, edit):
 
 
 def test_generate_dataset_rejects_worlds_its_topk_cannot_cover(tmp_path):
-    # 1 target + 9 distractors score up to 10 cells: top-8 would drop some
-    with pytest.raises(ValueError, match="10 entities"):
-        generate_dataset([ScenarioSpec("dt", n_distractors=9, max_steps=5)],
-                         n_episodes=1, seed=0, out_dir=tmp_path)
-    assert not list(tmp_path.glob("*.jsonl"))
+    # 1 target + 9 distractors score up to 10 cells: top-8 would drop some.
+    # Every spec is checked before the first file, so stt writes nothing either
+    with pytest.raises(FieldError, match="'n_distractors': .*10 entities"):
+        generate_dataset([ScenarioSpec("stt", max_steps=5),
+                          ScenarioSpec("dt", n_distractors=9, max_steps=5)],
+                         n_episodes=1, seed=0, out_dir=tmp_path / "data")
+    assert not (tmp_path / "data").exists()
     # 7 entities still fit beside the invalid token
     (path,) = generate_dataset([ScenarioSpec("dt", n_distractors=6, max_steps=5)],
                                n_episodes=1, seed=0, out_dir=tmp_path)

@@ -187,6 +187,16 @@ def test_entity_rejects_a_non_finite_path_or_speed():
             make_entity(pos=(0.0, 0.0), path=path, speed=speed)
 
 
+def test_entity_rejects_a_negative_speed():
+    # advance() would never move it: the leg's budget starts below zero
+    with pytest.raises(ValueError, match=">= 0"):
+        make_entity(pos=(0.0, 0.0), path=[(0.0, 0.0), (5.0, 0.0)], speed=-0.1)
+    # a standing entity is legal
+    e = make_entity(pos=(0.0, 0.0), path=[(0.0, 0.0), (5.0, 0.0)], speed=0.0)
+    e.advance()
+    assert position(e) == (0.0, 0.0)
+
+
 def test_waypoint_wraparound():
     e = make_entity(pos=(0.0, 0.0), path=[(0.0, 0.0), (1.0, 0.0)], speed=0.3)
     w = make_world([e])
