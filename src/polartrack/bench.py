@@ -10,6 +10,7 @@ is reported and the rest of the suite continues.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import sys
 from dataclasses import dataclass
@@ -68,8 +69,10 @@ def run_bench(
 
     jobs = min(jobs, len(tasks))
     if jobs > 1:
+        # chunks of up to 4, but small enough that every worker gets one
+        chunksize = min(4, math.ceil(len(tasks) / jobs))
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_run_one, tasks, chunksize=4)
+            results = pool.map(_run_one, tasks, chunksize=chunksize)
     else:
         results = [_run_one(t) for t in tasks]
 

@@ -87,7 +87,7 @@ class FrameRecord(Record):
     gt_token: int
     token: int  # token the policy actually consumed
     confidence: float
-    expert_traj: list[tuple[float, float, float]]  # 8 x (x, y, theta)
+    expert_traj: list[tuple[float, float, float]]  # 8 x (x, y, theta), shared per cell
     mem_digest: str
     mem_slot0: Optional[list[float]]  # first 3 coords of the memory vector
     collided: bool
@@ -159,13 +159,25 @@ class EpisodeLog:
             )
         if not all(isinstance(f, FrameRecord) for f in self.frames):
             raise ValueError("a score-only log (run_episode(record=False)) has no frames to write")
-        records = [
-            {"type": "header", "version": SCHEMA_VERSION, **self.header.to_dict()},
-            *({"type": "frame", **f.to_dict()} for f in self.frames),
-        ]
+        encode = json.JSONEncoder(separators=(",", ":")).encode
+        lines = [encode({"type": "header", "version": SCHEMA_VERSION, **self.header.to_dict()})]
+        # Frames of one cell share their expert_traj list (see run_episode):
+        # each distinct list is encoded once and spliced into its frames'
+        # lines. Every frame stays alive in self.frames, so ids are unique.
+        traj_text: dict[int, str] = {}
+        for f in self.frames:
+            d = {"type": "frame", **f.to_dict()}
+            traj = d["expert_traj"]
+            text = traj_text.get(id(traj))
+            if text is None:
+                text = traj_text[id(traj)] = encode(traj)
+            # the first match is the key itself: only non-string fields precede it
+            d["expert_traj"] = 0
+            lines.append(encode(d).replace('"expert_traj":0,', f'"expert_traj":{text},', 1))
         if self.outcome is not None:
-            records.append({"type": "footer", "outcome": self.outcome.to_dict()})
-        return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+            lines.append(encode({"type": "footer", "outcome": self.outcome.to_dict()}))
+        lines.append("")  # the trailing newline, without copying the text
+        return "\n".join(lines)
 
 
 class EpisodeFormatError(ValueError):

@@ -91,17 +91,20 @@ class SparseLogits(NamedTuple):
         if k < 1:
             raise ValueError(f"top-k needs k >= 1, got {k}")
         self.values()
-        entries = [(self.size - 1, self.invalid), *self.cells.items()]
-        taken = {i for i, _ in entries}
+        # (-value, index, value): indices are distinct, so plain tuple
+        # order is value descending then index ascending
+        entries = [(-self.invalid, self.size - 1, self.invalid),
+                   *((-v, i, v) for i, v in self.cells.items())]
+        taken = {self.size - 1, *self.cells}
         need = min(k, self.size - len(taken))
         i = 0
         while need > 0:
             if i not in taken:
-                entries.append((i, 0.0))
+                entries.append((-0.0, i, 0.0))
                 need -= 1
             i += 1
-        entries.sort(key=lambda e: (-e[1], e[0]))
-        return [[i, float(v)] for i, v in entries[:k]]
+        entries.sort()
+        return [[i, float(v)] for _, i, v in entries[:k]]
 
 
 def confidence(logits) -> float:

@@ -80,6 +80,9 @@ def run_episode(
     out: Optional[ReasonerOutput] = None  # stays None in the no_cot arm
     pending: Optional[tuple[ReasonerOutput, float]] = None
     frames: list = []
+    # a valid gt_token always plans the same cell trajectory, so its frames
+    # share one list of rows (built on the token's first visit)
+    expert_rows: dict[int, list] = {}
     lost_run = 0
     header = EpisodeHeader(
         **AgentRuntime.values_of(runtime),
@@ -137,6 +140,11 @@ def run_episode(
             topk = None
             if out is not None and runtime.log_topk > 0:
                 topk = list(map(tuple, out.logits.topk(runtime.log_topk)))
+            rows = expert_rows.get(gt_token)
+            if rows is None:
+                rows = [tuple(r) for r in expert_traj.tolist()]
+                if gt_polar is not None:
+                    expert_rows[gt_token] = rows
             frames.append(
                 FrameRecord(
                     step=len(frames),
@@ -149,7 +157,7 @@ def run_episode(
                     gt_token=gt_token,
                     token=acted_token,
                     confidence=conf,
-                    expert_traj=[tuple(r) for r in expert_traj.tolist()],
+                    expert_traj=rows,
                     mem_digest=mem.digest(),
                     mem_slot0=None if mem.is_empty else mem.slots[:3].tolist(),
                     collided=events.collided,

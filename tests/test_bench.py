@@ -1,6 +1,7 @@
 """A bench run that keeps no logs scores the same episodes as one that
 writes them: run_bench without ``out_dir`` runs score-only episodes."""
 
+import math
 import multiprocessing
 
 import pytest
@@ -29,14 +30,15 @@ def test_a_bench_run_reports_the_same_with_and_without_logs(tmp_path, settings, 
     assert {r.outcome.reason for r in scored_results} == {"cap", "collision", "lost"}
 
 
-def test_run_bench_starts_no_more_workers_than_tasks(monkeypatch):
-    asked = []
+@pytest.fixture
+def pools(monkeypatch):
+    """``(processes, chunksize)`` of every pool ``run_bench`` starts;
+    the stand-in pool maps in-process."""
+    started = []
 
     class RecordingPool:
-        """Records the worker count asked for and maps in-process."""
-
         def __init__(self, processes):
-            asked.append(processes)
+            self.processes = processes
 
         def __enter__(self):
             return self
@@ -45,16 +47,37 @@ def test_run_bench_starts_no_more_workers_than_tasks(monkeypatch):
             return False
 
         def map(self, fn, tasks, chunksize=1):
+            started.append((self.processes, chunksize))
             return [fn(t) for t in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    return started
 
+
+def suite(scenarios, arms, episodes):
+    return config_from_dict({"arms": arms, "scenarios": [
+        {"name": n, "episodes": episodes, "max_steps": 20} for n in scenarios]})
+
+
+def test_run_bench_starts_no_more_workers_than_tasks(pools):
     def report(episodes, jobs):
-        cfg = config_from_dict({"arms": ["full"], "scenarios": [
-            {"name": "stt", "episodes": episodes, "max_steps": 20}]})
-        return run_bench(cfg, jobs=jobs)[0].to_dict()
+        return run_bench(suite(["stt"], ["full"], episodes), jobs=jobs)[0].to_dict()
 
     assert report(2, 8) == report(2, 1)
-    assert asked == [2]
+    assert [processes for processes, _ in pools] == [2]
     report(1, 8)  # one task runs in-process
-    assert asked == [2]
+    assert len(pools) == 1
+
+
+def test_run_bench_hands_every_worker_a_chunk(pools):
+    # at most 4 tasks a chunk, but never so many that a worker gets none
+    for scenarios, arms, episodes, jobs, want in (
+        (["stt"], ["full"], 3, 2, (2, 2)),
+        (["stt"], ["full"], 4, 2, (2, 2)),
+        (["stt"], ["full", "no_tim"], 3, 3, (3, 2)),
+        (SCENARIO_NAMES, ["full", "no_tim", "no_cot"], 2, 2, (2, 4)),  # 24 tasks
+    ):
+        results = run_bench(suite(scenarios, arms, episodes), jobs=jobs)[1]
+        processes, chunksize = pools[-1]
+        assert (processes, chunksize) == want, (len(results), jobs)
+        assert math.ceil(len(results) / chunksize) >= processes

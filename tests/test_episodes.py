@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polartrack.episodes import (
+    SCHEMA_VERSION,
     EpisodeFormatError,
+    EpisodeLog,
     VisibilityRules,
     annotate_frame,
     derive_seed,
@@ -476,6 +479,42 @@ def test_jsonl_write_read_write_is_byte_identical(tmp_path_factory, scenario, ar
     assert read_episode(path) == log
     write_episode(read_episode(path), path)
     assert path.read_bytes() == first
+
+
+def dumps_per_record(log) -> str:
+    """The log as JSONL, each record dumped on its own."""
+    records = [
+        {"type": "header", "version": SCHEMA_VERSION, **log.header.to_dict()},
+        *({"type": "frame", **f.to_dict()} for f in log.frames),
+    ]
+    if log.outcome is not None:
+        records.append({"type": "footer", "outcome": log.outcome.to_dict()})
+    return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+
+
+@pytest.mark.parametrize("scenario", ["stt", "obstacle"])
+def test_shared_and_copied_trajectories_write_the_same_bytes(scenario):
+    log = run_stt_episode(scenario=scenario, log_topk=8)
+    text = log.to_jsonl()
+    assert text == dumps_per_record(log)
+    shared = log.frames[0].expert_traj
+    one_list = EpisodeLog(log.header, [replace(f, expert_traj=shared) for f in log.frames],
+                          log.outcome)
+    assert one_list.to_jsonl() == dumps_per_record(one_list)
+    copies = EpisodeLog(log.header, [replace(f, expert_traj=list(f.expert_traj))
+                                     for f in log.frames], log.outcome)
+    assert copies.to_jsonl() == dumps_per_record(copies) == text
+
+
+def test_a_string_field_spelling_the_trajectory_key_is_written_as_is():
+    log = run_stt_episode()
+    tricky = '"expert_traj":0,'
+    frame = replace(log.frames[0], mem_digest=tricky)
+    hand_built = EpisodeLog(log.header, [frame, replace(frame, step=1)])
+    text = hand_built.to_jsonl()
+    assert text == dumps_per_record(hand_built)
+    assert [json.loads(line).get("mem_digest") for line in text.splitlines()] == [
+        None, tricky, tricky]
 
 
 def test_non_object_line_and_record_after_footer_are_rejected(tmp_path):

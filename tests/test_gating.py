@@ -166,6 +166,22 @@ def test_topk_is_a_stable_sort_of_the_dense_vector(logits):
         assert logits.topk(k) == stable_topk(x, k)
 
 
+def test_topk_edge_cases_match_the_stable_sort():
+    negative_invalid = SparseLogits(6, -2.0, {1: 3.0})
+    explicit_zeros = SparseLogits(6, 1.0, {0: 0.0, 3: 0.0, 2: 4.0})
+    mixed = SparseLogits(5, 0.0, {0: -1.0, 2: 0.5, 3: -0.0})
+    for logits in (negative_invalid, explicit_zeros, mixed):
+        x = logits.dense()
+        for k in (1, 3, logits.size - 1, logits.size):  # up to the whole vocabulary
+            assert logits.topk(k) == stable_topk(x, k), (logits, k)
+    # the negative invalid logit sorts below every zero cell
+    assert negative_invalid.topk(6) == [[1, 3.0], [0, 0.0], [2, 0.0], [3, 0.0], [4, 0.0],
+                                        [5, -2.0]]
+    # explicit zero cells take their index's place among the implicit ones
+    assert explicit_zeros.topk(6) == [[2, 4.0], [5, 1.0], [0, 0.0], [1, 0.0], [3, 0.0],
+                                      [4, 0.0]]
+
+
 @settings(max_examples=100, deadline=None)
 @given(sparse_logits())
 def test_dense_round_trips(logits):

@@ -5,6 +5,7 @@ from polartrack.memory import TargetMemory, update_memory
 from polartrack.metrics import MetricRules, StepResult
 from polartrack.perception import CameraRig, PerceptionParams
 from polartrack.polar import PolarGrid
+from polartrack.policy import plan
 from polartrack.runner import ARMS, AgentRuntime, run_episode
 from polartrack.scenarios import SCENARIO_NAMES, ScenarioSpec, make_scenario
 from polartrack.world import Pose2D, World
@@ -212,6 +213,28 @@ def test_logits_topk_logging():
     assert vals == sorted(vals, reverse=True)
     # the acted token's logit is among them
     assert any(i == f.token for i, _ in f.logits_topk)
+
+
+@pytest.mark.parametrize("name", ["stt", "obstacle"])
+def test_frames_of_one_cell_share_their_expert_rows(name):
+    # a valid gt_token always plans its cell's trajectory, so its frames
+    # share one list; an invalid one plans from the hold point, per frame
+    spec = ScenarioSpec(name)
+    rt = runtime(noiseless=True)
+    log = run_episode(make_scenario(spec, 0), rt, spec, 0)
+    first, invalid, hold = {}, [], None
+    for f in log.frames:
+        traj, hold = plan(f.gt_token, GRID, hold, rt.policy, rt.limits)
+        assert f.expert_traj == [tuple(r) for r in traj.tolist()], f.step
+        if f.gt_invalid:
+            invalid.append(f.expert_traj)
+        else:
+            assert first.setdefault(f.gt_token, f.expert_traj) is f.expert_traj, f.step
+    assert len(first) < len(log.frames) - len(invalid)  # some cell is visited twice
+    lists = {id(f.expert_traj) for f in log.frames}
+    assert len(lists) == len(first) + len(invalid)  # invalid frames share nothing
+    if name == "obstacle":
+        assert len(invalid) > 2  # the occlusion, not only the first steps
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
