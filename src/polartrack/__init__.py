@@ -19,7 +19,7 @@ from .metrics import (
     total_loss,
     traj_loss,
 )
-from .perception import CameraRig, CameraView, PerceptionParams, ReasonerOutput, observe
+from .perception import CameraRig, CameraView, PerceptionParams, ReasonerOutput, observe, view_masks
 from .polar import PolarGrid, PolarPoint, decode, encode, roundtrip_cell, to_world
 from .policy import NUM_WAYPOINTS, PolicySettings, execute_first, plan
 from .runner import ARMS, AgentRuntime, run_episode
@@ -80,4 +80,5 @@ __all__ = [
     "total_loss",
     "traj_loss",
     "update_memory",
+    "view_masks",
 ]

@@ -222,13 +222,13 @@ def cmd_replay_dump(args) -> int:
 
 def _replay_mismatch(path: Path) -> Optional[str]:
     """Why the log at ``path`` does not re-run from its header to the same
-    bytes, or None when it does."""
+    bytes, or None when it does. An unreadable file is its own mismatch."""
     try:
         h = read_episode(path).header
         if h.scenario is None:
             return "not replayable: a hand-built world (scenario null)"
         rerun = run_episode(make_scenario(h.scenario, h.seed), h, h.scenario, h.seed)
-    except (ValueError, RuntimeError) as e:
+    except (OSError, ValueError, RuntimeError) as e:
         return str(e)
     logged = path.read_text(encoding="utf-8").splitlines(keepends=True)
     replayed = rerun.to_jsonl().splitlines(keepends=True)

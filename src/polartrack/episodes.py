@@ -22,9 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .metrics import EpisodeOutcome, MetricRules, score_episode
-from .perception import CameraRig, CameraView, PerceptionParams, is_observable
+from .perception import CameraRig, CameraView, PerceptionParams
 from .polar import PolarGrid, PolarPoint, encode
-from .policy import PolicySettings
+from .policy import NUM_WAYPOINTS, PolicySettings
 from .records import FieldError, Record, check_non_negative
 from .scenarios import ScenarioSpec, make_scenario
 from .world import MotionLimits, World
@@ -52,27 +52,20 @@ class VisibilityRules(Record):
 
 
 def annotate_frame(
-    world: World, rig: CameraRig, grid: PolarGrid, vis_rules: VisibilityRules
+    world: World, masks: list[int], grid: PolarGrid, vis_rules: VisibilityRules
 ) -> tuple[Optional[PolarPoint], int]:
-    """Ground-truth polar position and token for the target right now.
-
-    Invalid when the target is occluded, outside every camera's field of
-    view, outside the annulus, or apparently too small."""
-    s = world.target_sighting
-    rel = s.rel
-    if not is_observable(s, rig, grid):
+    """Ground-truth polar position and token for the target right now: invalid
+    when no view sees it (its ``view_masks`` entry is 0) or it looks too small."""
+    s = world.sightings[world.target_index]
+    if not masks[world.target_index] or s.entity.radius / s.rel.dist < vis_rules.min_apparent_size:
         return None, grid.invalid_index
-    if rel.dist > 0 and s.entity.radius / rel.dist < vis_rules.min_apparent_size:
-        return None, grid.invalid_index
-    return rel, encode(grid, rel)
+    return s.rel, encode(grid, s.rel)
 
 
-def view_visibility(world: World, rig: CameraRig, grid: PolarGrid) -> list[bool]:
-    """Per-view summary: does this view see the target (annulus, field of
-    view, line of sight)."""
-    s = world.target_sighting
-    seen = s.los and grid.r_min <= s.rel.dist <= grid.r_max
-    return [seen and v.covers(s.rel.theta) for v in rig.views]
+def view_visibility(world: World, masks: list[int], rig: CameraRig) -> list[bool]:
+    """Per-view flags: bit *i* of the target's entry in the step's ``view_masks``."""
+    m = masks[world.target_index]
+    return [bool(m >> i & 1) for i in range(len(rig.views))]
 
 
 @dataclass
@@ -228,24 +221,33 @@ def read_episode(path) -> EpisodeLog:
         )
     # the header states every setting the episode ran with
     header = build(0, lambda d: EpisodeHeader.from_dict(d, complete=True), head)
-    vocab_size = header.grid.vocab_size
+    grid, views = header.grid, header.rig.views
+    vocab_size = grid.vocab_size
     frames: list[FrameRecord] = []
 
     def read_frame(d: dict) -> FrameRecord:
-        """A frame, checked against itself and the header: its step index,
-        a gt_polar given exactly when gt_invalid is false, its tokens, and
-        its top-k logits (indices in ``[0, vocab_size)``, none repeated,
-        each logit finite)."""
+        """A frame, checked against itself and the header: step index, shapes,
+        confidence, gt_polar given exactly when gt_invalid is false, gt_token its
+        cell, token range and top-k logits (in range, none repeated, finite)."""
         f = FrameRecord.from_dict(d)
         if f.step != len(frames):
             raise FieldError("step", f"{f.step}, expected {len(frames)}")
+        if len(f.view_visible) != len(views):
+            raise FieldError("view_visible", f"{len(f.view_visible)} flags for {len(views)} views")
+        if len(f.expert_traj) != NUM_WAYPOINTS:
+            raise FieldError("expert_traj", f"{len(f.expert_traj)} rows, not {NUM_WAYPOINTS}")
+        if not 0.0 <= f.confidence <= 1.0:
+            raise FieldError("confidence", f"{f.confidence!r} outside [0, 1]")
         if f.gt_invalid != (f.gt_polar is None):
             raise FieldError("gt_invalid", "must be true exactly when gt_polar is null")
-        for name, token in (("gt_token", f.gt_token), ("token", f.token)):
-            if not 0 <= token < vocab_size:
-                raise FieldError(
-                    name, f"token {token} outside the header grid's range [0, {vocab_size - 1}]"
-                )
+        try:
+            cell = grid.invalid_index if f.gt_invalid else encode(grid, PolarPoint(*f.gt_polar))
+        except ValueError as e:
+            raise FieldError("gt_polar", str(e)) from e
+        if f.gt_token != cell:
+            raise FieldError("gt_token", f"{f.gt_token}, expected {cell}")
+        if not 0 <= f.token < vocab_size:
+            raise FieldError("token", f"{f.token} outside the header grid's [0, {vocab_size - 1}]")
         seen = set()
         for j, (index, logit) in enumerate(f.logits_topk or ()):
             if not 0 <= index < vocab_size or index in seen or not math.isfinite(logit):

@@ -5,8 +5,8 @@ appearance similarity against the target memory are turned into sparse
 logits over the cell tokens (``SparseLogits``: the invalid entry plus one
 score per detected cell, every other cell zero). Positions and line of
 sight come from the world's per-step ``sightings``; nothing here
-recomputes them. An entity is observable when it sits inside the annulus,
-inside some camera's field of view, and has line of sight to the agent.
+recomputes them. ``view_masks`` works out once per step which camera views
+see each entity (line of sight, annulus, field of view); a seen one is observable.
 Each detected entity puts mass on its (noise-jittered) cell; how much
 depends on how similar it looks to the remembered target, which is what
 lets a bootstrapped memory pull the argmax onto the true target and away
@@ -17,14 +17,14 @@ large bonus when nothing is detected at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass, fields, replace
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .gating import SparseLogits
 from .memory import TargetMemory, memory_similarity
-from .polar import PolarGrid, PolarPoint, encode, signed_degrees
+from .polar import PolarGrid, PolarPoint, encode
 from .records import FieldError, Record, check_non_negative
 from .world import Sighting, World
 
@@ -40,9 +40,6 @@ class CameraView(Record):
         if not (0.0 < self.fov <= 360.0):
             raise FieldError("fov", f"{self.fov!r} outside (0, 360]")
 
-    def covers(self, theta: float) -> bool:
-        return abs(signed_degrees(theta - self.yaw)) <= self.fov / 2.0
-
 
 @dataclass(frozen=True)
 class CameraRig(Record):
@@ -51,8 +48,9 @@ class CameraRig(Record):
     def __post_init__(self):
         if not (1 <= len(self.views) <= 8):
             raise FieldError("views", f"a rig needs 1..8 views, got {len(self.views)}")
-        # what ``covers`` reads per entity per step: (yaw, fov / 2) per view
-        object.__setattr__(self, "_cones", tuple((v.yaw, v.fov / 2.0) for v in self.views))
+        # what ``view_masks`` reads per entity per step: (yaw, fov / 2, bit) per view
+        object.__setattr__(self, "_cones", tuple(
+            (v.yaw, v.fov / 2.0, 1 << i) for i, v in enumerate(self.views)))
 
     @classmethod
     def front(cls, fov: float = 90.0) -> "CameraRig":
@@ -61,13 +59,6 @@ class CameraRig(Record):
     @classmethod
     def ring(cls, n: int = 4, fov: float = 90.0) -> "CameraRig":
         return cls(views=tuple(CameraView(i * 360.0 / n, fov) for i in range(n)))
-
-    def covers(self, theta: float) -> bool:
-        """``CameraView.covers`` of any view."""
-        for yaw, half_fov in self._cones:
-            if abs(signed_degrees(theta - yaw)) <= half_fov:
-                return True
-        return False
 
 
 @dataclass(frozen=True)
@@ -109,8 +100,6 @@ class PerceptionParams(Record):
                              f"must be in [0, 1], got {self.base_detectability!r}")
 
     def noiseless(self) -> "PerceptionParams":
-        from dataclasses import replace
-
         return replace(self, angle_noise=0.0, dist_noise=0.0, feature_noise=0.0)
 
 
@@ -125,32 +114,48 @@ class ReasonerOutput:
     candidate: Optional[np.ndarray]
 
 
-def is_observable(s: Sighting, rig: CameraRig, grid: PolarGrid) -> bool:
-    return grid.r_min <= s.rel.dist <= grid.r_max and rig.covers(s.rel.theta) and s.los
+def view_masks(world: World, rig: CameraRig, grid: PolarGrid) -> list[int]:
+    """One int per ``world.sightings`` entry: bit *i* is set when view *i*
+    sees that entity, so 0 means it is not observable."""
+    r_min, r_max, cones = grid.r_min, grid.r_max, rig._cones
+    masks = []
+    for s in world.sightings:
+        mask = 0
+        if s.los and r_min <= s.rel.dist <= r_max:
+            theta = s.rel.theta
+            for yaw, half_fov, bit in cones:
+                # abs(signed_degrees(theta - yaw)) <= half_fov, without the calls: d is
+                # wrap_degrees(theta - yaw) (360 where it gives 0); 360 - d is exact for d >= 180
+                d = (theta - yaw) % 360.0
+                if d <= half_fov or 360.0 - d <= half_fov:
+                    mask |= bit
+        masks.append(mask)
+    return masks
+
+
+def _detected(world: World, masks: list[int], params: PerceptionParams,
+              rng: np.random.Generator) -> Iterator[Sighting]:
+    """Observable sightings that pass the detectability draw, lazily, in entity order."""
+    p = params.base_detectability
+    return (s for s, m in zip(world.sightings, masks) if m and (p >= 1.0 or rng.random() < p))
 
 
 def observe(
     world: World,
-    rig: CameraRig,
+    masks: list[int],
     mem: TargetMemory,
     grid: PolarGrid,
     params: PerceptionParams,
     rng: np.random.Generator,
 ) -> ReasonerOutput:
     """One reasoning step: build logits from the currently detectable
-    entities and pick the argmax token.
+    entities (``masks`` from ``view_masks``) and pick the argmax token.
 
     Deterministic given the generator state; draws happen in entity-list
     order so replays are bit-exact.
     """
     cell_owner: dict[int, tuple[float, np.ndarray]] = {}
-    detected_any = False
-    for s in world.sightings:
-        if not is_observable(s, rig, grid):
-            continue
-        if params.base_detectability < 1.0 and rng.random() >= params.base_detectability:
-            continue
-        detected_any = True
+    for s in _detected(world, masks, params, rng):
         feat = s.entity.appearance
         # one draw for the angle, range and (when on) feature noise
         noise = rng.normal(size=2 + feat.size if params.feature_noise > 0.0 else 2)
@@ -173,7 +178,7 @@ def observe(
             cell_owner[cell] = (score, feat)
 
     invalid = params.invalid_bias
-    if not detected_any:
+    if not cell_owner:  # every detection owns or shares a cell
         invalid += params.no_detection_bonus
     logits = SparseLogits(
         grid.vocab_size,
@@ -200,8 +205,7 @@ def observe(
 
 def nearest_detection(
     world: World,
-    rig: CameraRig,
-    grid: PolarGrid,
+    masks: list[int],
     params: PerceptionParams,
     rng: np.random.Generator,
 ) -> Optional[PolarPoint]:
@@ -210,11 +214,7 @@ def nearest_detection(
     appearance handling. This is the degraded front end used by the arm
     that runs without spatial-token reasoning."""
     best: Optional[PolarPoint] = None
-    for s in world.sightings:
-        if not is_observable(s, rig, grid):
-            continue
-        if params.base_detectability < 1.0 and rng.random() >= params.base_detectability:
-            continue
+    for s in _detected(world, masks, params, rng):
         if best is None or s.rel.dist < best.dist:
             best = s.rel
     if best is None:

@@ -33,7 +33,7 @@ from .episodes import (  # ARMS is re-exported
 from .gating import confidence
 from .memory import TargetMemory, update_memory
 from .metrics import StepResult, score_episode
-from .perception import ReasonerOutput, nearest_detection, observe
+from .perception import ReasonerOutput, nearest_detection, observe, view_masks
 from .policy import (
     NUM_WAYPOINTS,
     advance_hold,
@@ -94,13 +94,14 @@ def run_episode(
 
     while not world.terminated:
         try:
+            masks = view_masks(world, rig, grid)
             if record:
-                gt_polar, gt_token = annotate_frame(world, rig, grid, runtime.vis_rules)
-                views = view_visibility(world, rig, grid)
+                gt_polar, gt_token = annotate_frame(world, masks, grid, runtime.vis_rules)
+                views = view_visibility(world, masks, rig)
                 expert_traj, expert_hold = plan(gt_token, grid, expert_hold, policy, limits)
 
             if runtime.arm != "no_cot":
-                out = observe(world, rig, mem, grid, params, world.rng)
+                out = observe(world, masks, mem, grid, params, world.rng)
                 if output_sink is not None:
                     output_sink.append(out)
                 # the memory and the frame are the confidence's only readers
@@ -118,7 +119,7 @@ def run_episode(
                 # no tokens, no invalid semantics: steer at the latest raw
                 # reading, or the dead-reckoned previous one when nothing
                 # is detected this step
-                raw = nearest_detection(world, rig, grid, params, world.rng)
+                raw = nearest_detection(world, masks, params, world.rng)
                 if raw is not None:
                     hold = raw
                 if hold is None:

@@ -93,10 +93,6 @@ def _unit_feature(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _loop_speeds(path: np.ndarray, speed: float) -> np.ndarray:
-    return np.full(len(path), speed)
-
-
 def _make_target(path: np.ndarray, speeds: np.ndarray, appearance: np.ndarray) -> Entity:
     heading = float(np.degrees(np.arctan2(*(path[1] - path[0])[::-1])))
     return Entity(
@@ -134,7 +130,7 @@ def _make_distractor(
         radius=ENTITY_RADIUS,
         appearance=appearance,
         path=path,
-        speeds=_loop_speeds(path, speed),
+        speeds=np.full(len(path), speed),
         leg=start_leg,
     )
 
@@ -196,7 +192,7 @@ def make_scenario(spec: ScenarioSpec, seed: int) -> World:
             ]
         )
         speed = TARGET_SPEED * rng.uniform(0.9, 1.1)
-        entities.append(_make_target(loop, _loop_speeds(loop, speed), target_app))
+        entities.append(_make_target(loop, np.full(len(loop), speed), target_app))
         if spec.name == "stt":
             # off-path boxes, well clear of the circuit
             obstacles.append(Obstacle.rect(x0 + 1.0, -4.5, x0 + 3.0, -3.0))
@@ -280,7 +276,7 @@ def make_scenario(spec: ScenarioSpec, seed: int) -> World:
         back = np.array([[xs[-1] + pitch, 0.0], [xs[-1] + pitch, amp + 1.0], [4.2, amp + 1.0]])
         loop = np.vstack([zig, back])
         speed = TARGET_SPEED * rng.uniform(0.9, 1.1)
-        entities.append(_make_target(loop, _loop_speeds(loop, speed), target_app))
+        entities.append(_make_target(loop, np.full(len(loop), speed), target_app))
 
     else:  # pragma: no cover - guarded by ScenarioSpec
         raise ValueError(spec.name)

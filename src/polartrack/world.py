@@ -242,9 +242,9 @@ class StepEvents:
 
 class World:
     """Mutable episode state. One world per episode; the owning runner is
-    the only mutator. ``sightings`` (one per entity, in entity order) and
-    ``target_sighting`` describe the current poses: they are refreshed at
-    construction and after every step, and everything else reads them."""
+    the only mutator. ``sightings`` (one per entity, in entity order; the
+    target's at ``target_index``) describe the current poses: they are
+    refreshed at construction and after every step, and everything else reads them."""
 
     def __init__(
         self,
@@ -268,6 +268,7 @@ class World:
         self.max_steps = max_steps
         self.step_index = 0
         self.target = targets[0]
+        self.target_index = entities.index(self.target)
         self._sight()
 
     @property
@@ -350,15 +351,13 @@ class World:
                     collided_with = f"obstacle:{k}"
                     break
 
-        return StepEvents(collided_with is not None, collided_with, self.target_sighting.rel)
+        return StepEvents(collided_with is not None, collided_with,
+                          self.sightings[self.target_index].rel)
 
     def _sight(self) -> None:
         agent = self.agent
         apos = (agent.x, agent.y)
-        self.sightings = []
-        for e in self.entities:
-            pos = (e.x, e.y)
-            s = Sighting(e, relative_polar(agent, pos), self.line_of_sight(apos, pos))
-            self.sightings.append(s)
-            if e is self.target:
-                self.target_sighting = s
+        self.sightings = [
+            Sighting(e, relative_polar(agent, (e.x, e.y)), self.line_of_sight(apos, (e.x, e.y)))
+            for e in self.entities
+        ]

@@ -468,3 +468,14 @@ def test_dataset_gen_takes_the_configs_scenario_entry(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", "verify", str(out)]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[-1] == "2 of 2 logs replay byte for byte"
+
+
+def test_replay_verify_reports_a_missing_file_and_checks_the_rest(tmp_path, capsys):
+    ep = tmp_path / "ep.jsonl"
+    assert main(["episode", "run", "--scenario", "stt", "--seed", "1", "--out", str(ep)]) == EXIT_OK
+    missing = tmp_path / "nope.jsonl"
+    capsys.readouterr()
+    assert main(["replay", "verify", str(missing), str(ep)]) == EXIT_RUNTIME
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith(f"{missing}: ") and "No such file" in out[0]
+    assert out[1:] == [f"{ep}: ok", "1 of 2 logs replay byte for byte"]

@@ -21,7 +21,7 @@ from polartrack.episodes import (
     write_episode,
 )
 from polartrack.metrics import MetricRules
-from polartrack.perception import CameraRig, CameraView, PerceptionParams
+from polartrack.perception import CameraRig, CameraView, PerceptionParams, view_masks
 from polartrack.polar import PolarGrid, encode
 from polartrack.records import FieldError
 from polartrack.runner import AgentRuntime, run_episode
@@ -67,7 +67,7 @@ def run_stt_episode(seed=0, scenario="stt", log_topk=0):
 
 def test_annotate_visible_target():
     w = static_world((2.0 * np.cos(np.radians(10)), 2.0 * np.sin(np.radians(10))))
-    rel, token = annotate_frame(w, RING, GRID, VIS)
+    rel, token = annotate_frame(w, view_masks(w, RING, GRID), GRID, VIS)
     assert rel is not None
     assert token == encode(GRID, relative_polar(w.agent, (w.target.x, w.target.y)))
     assert rel.theta == pytest.approx(10.0)
@@ -77,28 +77,31 @@ def test_annotate_visible_target():
 def test_annotate_occluded_target():
     wall = Obstacle.rect(1.0, -1.0, 1.4, 1.0)
     w = static_world((3.0, 0.0), [wall])
-    rel, token = annotate_frame(w, RING, GRID, VIS)
+    rel, token = annotate_frame(w, view_masks(w, RING, GRID), GRID, VIS)
     assert rel is None
     assert token == GRID.invalid_index
 
 
 def test_annotate_out_of_range_target():
-    rel, token = annotate_frame(static_world((7.0, 0.0)), RING, GRID, VIS)
+    w = static_world((7.0, 0.0))
+    rel, token = annotate_frame(w, view_masks(w, RING, GRID), GRID, VIS)
     assert rel is None and token == GRID.invalid_index
 
 
 def test_annotate_out_of_view_target():
     front = CameraRig.front(90.0)
-    rel, token = annotate_frame(static_world((0.0, -3.0)), front, GRID, VIS)
+    w = static_world((0.0, -3.0))
+    rel, token = annotate_frame(w, view_masks(w, front, GRID), GRID, VIS)
     assert rel is None and token == GRID.invalid_index
 
 
 def test_annotate_apparent_size_cutoff():
     w = static_world((4.0, 0.0))
-    rel, _ = annotate_frame(w, RING, GRID, VIS)
+    rel, _ = annotate_frame(w, view_masks(w, RING, GRID), GRID, VIS)
     assert rel is not None
     # radius/dist = 0.075 at 4 m: raising the cutoff above that flips it
-    rel, token = annotate_frame(w, RING, GRID, VisibilityRules(min_apparent_size=0.08))
+    rel, token = annotate_frame(w, view_masks(w, RING, GRID), GRID,
+                                VisibilityRules(min_apparent_size=0.08))
     assert rel is None and token == GRID.invalid_index
 
 
@@ -112,16 +115,17 @@ def test_invalid_rate_monotone_in_apparent_size():
     for cut in cuts:
         vis = VisibilityRules(min_apparent_size=cut)
         rates.append(
-            sum(annotate_frame(w, RING, GRID, vis)[0] is None for w in worlds)
+            sum(annotate_frame(w, view_masks(w, RING, GRID), GRID, vis)[0] is None for w in worlds)
         )
     assert all(b >= a for a, b in zip(rates, rates[1:]))
 
 
 def test_view_visibility_summary():
     w = static_world((3.0, 0.0))
-    vis = view_visibility(w, RING, GRID)
+    vis = view_visibility(w, view_masks(w, RING, GRID), RING)
     assert vis == [True, False, False, False]
-    vis = view_visibility(static_world((0.0, 3.0)), RING, GRID)
+    w = static_world((0.0, 3.0))
+    vis = view_visibility(w, view_masks(w, RING, GRID), RING)
     assert vis == [False, True, False, False]
 
 
@@ -406,6 +410,33 @@ def test_frame_parse_failure_names_line_and_field(tmp_path):
 def test_frame_fields_must_have_their_json_type(tmp_path, field, bad):
     msg = edited_log(tmp_path, 3, lambda f: f.update({field: bad}))
     assert "line 4:" in msg and re.search(rf"'{field}(\[\d+\])*'", msg)
+
+
+def shift_gt_polar(f):
+    f["gt_polar"][0] += 90.0
+
+
+def drop_gt_polar(f):
+    f.update(gt_invalid=True, gt_polar=None)
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("view_visible", lambda f: f.update(view_visible=[True] * 5)),
+        ("view_visible", lambda f: f.update(view_visible=[])),
+        ("expert_traj", lambda f: f.update(expert_traj=f["expert_traj"][:3])),
+        ("gt_token", drop_gt_polar),
+        ("gt_token", shift_gt_polar),
+        ("gt_polar", lambda f: f.update(gt_polar=[1e9, -5.0])),
+        ("confidence", lambda f: f.update(confidence=7.5)),
+        ("confidence", lambda f: f.update(confidence=-0.01)),
+    ],
+)
+def test_frames_must_agree_with_the_header(tmp_path, field, edit):
+    # the stt target is annotated on the first frames, with the 4-view rig
+    msg = edited_log(tmp_path, 3, edit)
+    assert "line 4:" in msg and f"'{field}'" in msg
 
 
 @pytest.mark.parametrize(

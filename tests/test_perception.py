@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,20 @@ from polartrack.perception import (
     ReasonerOutput,
     nearest_detection,
     observe,
+    view_masks,
 )
-from polartrack.polar import PolarGrid, PolarPoint, encode
+from polartrack.polar import PolarGrid, PolarPoint, encode, signed_degrees
 from polartrack.scenarios import ScenarioSpec, make_scenario
-from polartrack.world import Command, Entity, MotionLimits, Obstacle, Pose2D, World, relative_polar
+from polartrack.world import (
+    Command,
+    Entity,
+    MotionLimits,
+    Obstacle,
+    Pose2D,
+    Sighting,
+    World,
+    relative_polar,
+)
 
 GRID = PolarGrid()
 RING = CameraRig.ring(4)
@@ -58,16 +70,84 @@ def test_rig_validation_and_coverage():
     with pytest.raises(ValueError):
         CameraRig(views=(CameraView(0.0, 0.0),))
     front = CameraRig.front(90.0)
-    assert front.covers(44.9) and front.covers(315.1)
-    assert not front.covers(46.0) and not front.covers(314.0)
-    assert CameraRig.ring(4).covers(133.0)
+    assert bearing_masks(front, (44.9, 315.1, 46.0, 314.0)) == [1, 1, 0, 0]
+    assert bearing_masks(CameraRig.ring(4), (133.0,)) != [0]
+
+
+def bearing_masks(rig, bearings, dist=3.0):
+    """``view_masks`` of entities in line of sight at ``dist`` m and the
+    given bearings (degrees ccw from the agent's heading)."""
+    sightings = [Sighting(None, PolarPoint(theta, dist), True) for theta in bearings]
+    return view_masks(SimpleNamespace(sightings=sightings), rig, GRID)
+
+
+def test_view_mask_edges_are_half_the_fov_either_side():
+    front = CameraRig.front(90.0)
+    assert bearing_masks(front, (45.0, 315.0, 0.0)) == [1, 1, 1]
+    assert bearing_masks(front, (45.000001, 314.999999, 180.0)) == [0, 0, 0]
+
+
+def test_view_mask_sets_a_bit_per_overlapping_view():
+    rig = CameraRig(views=(CameraView(0.0, 90.0), CameraView(60.0, 90.0)))
+    assert bearing_masks(rig, (30.0, 100.0, 340.0, 200.0)) == [0b11, 0b10, 0b01, 0]
+    wide_ring = CameraRig.ring(4, fov=100.0)
+    assert bearing_masks(wide_ring, (45.0, 133.0, 120.0)) == [0b0011, 0b0110, 0b0010]
+
+
+def test_a_360_degree_view_sees_every_bearing():
+    rig = CameraRig(views=(CameraView(90.0, 90.0), CameraView(0.0, 360.0)))
+    bearings = (0.0, 90.0, 179.9, 180.0, 180.1, 270.0, 359.9)
+    assert bearing_masks(rig, bearings) == [0b10, 0b11, 0b10, 0b10, 0b10, 0b10, 0b10]
+
+
+def covers(view, theta):
+    return abs(signed_degrees(theta - view.yaw)) <= view.fov / 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    yaws=st.lists(st.floats(-720.0, 720.0), min_size=1, max_size=8),
+    fovs=st.lists(st.floats(1e-9, 360.0), min_size=8, max_size=8),
+    bearings=st.lists(st.floats(0.0, 360.0, exclude_max=True), min_size=1, max_size=8),
+)
+def test_view_mask_bits_follow_the_signed_bearing_rule(yaws, fovs, bearings):
+    # view_masks writes abs(signed_degrees(theta - yaw)) <= fov / 2 out;
+    # bearings on and one ulp either side of each edge are checked too
+    views = [CameraView(yaw, fov) for yaw, fov in zip(yaws, fovs)]
+    for v in views:
+        for edge in (v.yaw + v.fov / 2.0, v.yaw - v.fov / 2.0):
+            theta = PolarPoint(edge, 1.0).theta
+            bearings += [theta, np.nextafter(theta, 0.0), np.nextafter(theta, 360.0)]
+    bearings = [PolarPoint(float(b), 1.0).theta for b in bearings]
+    masks = bearing_masks(CameraRig(views=tuple(views)), bearings)
+    for theta, mask in zip(bearings, masks):
+        assert mask == sum(1 << i for i, v in enumerate(views) if covers(v, theta)), theta
+
+
+def test_view_mask_of_an_occluded_entity_is_zero():
+    app = np.ones(2)
+    wall = Obstacle.rect(1.0, -0.5, 1.4, 0.5)
+    w = static_world([entity(0, "target", (3.0, 0.0), app),
+                      entity(1, "distractor", (0.0, 3.0), app)], [wall])
+    assert [s.los for s in w.sightings] == [False, True]
+    assert view_masks(w, RING, GRID) == [0, 0b0010]
+    assert view_masks(w, CameraRig(views=(CameraView(0.0, 360.0),)), GRID) == [0, 1]
+
+
+def test_view_mask_outside_the_annulus_is_zero():
+    app = np.ones(2)
+    inside = [(GRID.r_min, 0.0), (GRID.r_max, 0.0), (0.0, 2.0)]
+    outside = [(GRID.r_min - 0.01, 0.0), (GRID.r_max + 0.01, 0.0), (0.0, -7.0)]
+    w = static_world([entity(i, "target" if i == 0 else "distractor", pos, app)
+                      for i, pos in enumerate(inside + outside)])
+    assert view_masks(w, RING, GRID) == [0b0001, 0b0001, 0b0010, 0, 0, 0]
 
 
 def test_nothing_observable_yields_invalid():
     app = np.ones(4)
     wall = Obstacle.rect(1.0, -2.0, 1.4, 2.0)
     w = static_world([entity(0, "target", (3.0, 0.0), app)], [wall])
-    out = observe(w, RING, TargetMemory.empty(), GRID, NOISELESS, w.rng)
+    out = observe(w, view_masks(w, RING, GRID), TargetMemory.empty(), GRID, NOISELESS, w.rng)
     assert out.token == GRID.invalid_index
     assert out.candidate is None
     # the no-detection bonus dominates the distribution
@@ -78,7 +158,7 @@ def test_single_target_matches_encode_oracle():
     app = np.array([1.0, 0.0, 0.0, 0.0])
     w = static_world([entity(0, "target", (2.5, 1.0), app)])
     mem = bootstrapped(app)
-    out = observe(w, RING, mem, GRID, NOISELESS, w.rng)
+    out = observe(w, view_masks(w, RING, GRID), mem, GRID, NOISELESS, w.rng)
     expected = encode(GRID, relative_polar(w.agent, (2.5, 1.0)))
     assert out.token == expected
     assert out.candidate == pytest.approx(app)
@@ -88,7 +168,8 @@ def test_single_target_matches_encode_oracle():
 def test_identical_distractor_lowers_confidence():
     app = np.array([1.0, 0.0])
     solo = static_world([entity(0, "target", (2.5, 1.0), app)])
-    out_solo = observe(solo, RING, bootstrapped(app), GRID, NOISELESS, solo.rng)
+    out_solo = observe(solo, view_masks(solo, RING, GRID), bootstrapped(app), GRID, NOISELESS,
+                       solo.rng)
 
     pair = static_world(
         [
@@ -96,7 +177,8 @@ def test_identical_distractor_lowers_confidence():
             entity(1, "distractor", (2.5, -1.0), app),  # mirrored, equidistant
         ]
     )
-    out_pair = observe(pair, RING, bootstrapped(app), GRID, NOISELESS, pair.rng)
+    out_pair = observe(pair, view_masks(pair, RING, GRID), bootstrapped(app), GRID, NOISELESS,
+                       pair.rng)
 
     t_cell = encode(GRID, relative_polar(pair.agent, (2.5, 1.0)))
     d_cell = encode(GRID, relative_polar(pair.agent, (2.5, -1.0)))
@@ -114,7 +196,7 @@ def test_visibility_soundness():
             entity(2, "distractor", (9.0, 0.0), app),  # out of range
         ]
     )
-    out = observe(w, RING, TargetMemory.empty(), GRID, NOISELESS, w.rng)
+    out = observe(w, view_masks(w, RING, GRID), TargetMemory.empty(), GRID, NOISELESS, w.rng)
     observable_cells = {
         encode(GRID, relative_polar(w.agent, (2.0, 0.5))),
         encode(GRID, relative_polar(w.agent, (3.0, -2.0))),
@@ -133,7 +215,7 @@ def test_single_front_view_restriction():
             3.0 * np.sin(np.radians(theta)),
         )
         w = static_world([entity(0, "target", pos, app)])
-        out = observe(w, front, bootstrapped(app), GRID, NOISELESS, w.rng)
+        out = observe(w, view_masks(w, front, GRID), bootstrapped(app), GRID, NOISELESS, w.rng)
         assert out.token == GRID.invalid_index, f"theta={theta}"
 
 
@@ -146,7 +228,7 @@ def test_look_alike_alone_reads_as_target_absent():
     lookalike_app = 0.45 * target_app + np.sqrt(1 - 0.45**2) * np.eye(16)[1]
     w = static_world([entity(1, "target", (9.0, 9.0), target_app),
                       entity(2, "distractor", (2.5, 0.0), lookalike_app)])
-    out = observe(w, RING, bootstrapped(target_app), GRID, NOISELESS, w.rng)
+    out = observe(w, view_masks(w, RING, GRID), bootstrapped(target_app), GRID, NOISELESS, w.rng)
     assert out.token == GRID.invalid_index
     assert out.candidate is None
 
@@ -157,7 +239,7 @@ def test_detectability_dropout():
         angle_noise=0.0, dist_noise=0.0, feature_noise=0.0, base_detectability=0.0
     )
     w = static_world([entity(0, "target", (2.5, 0.0), app)])
-    out = observe(w, RING, TargetMemory.empty(), GRID, params, w.rng)
+    out = observe(w, view_masks(w, RING, GRID), TargetMemory.empty(), GRID, params, w.rng)
     assert out.token == GRID.invalid_index
 
 
@@ -166,8 +248,10 @@ def test_determinism_given_rng_state():
     params = PerceptionParams()
     w1 = static_world([entity(0, "target", (2.5, 1.2), app)])
     w2 = static_world([entity(0, "target", (2.5, 1.2), app)])
-    o1 = observe(w1, RING, bootstrapped(app), GRID, params, np.random.default_rng(42))
-    o2 = observe(w2, RING, bootstrapped(app), GRID, params, np.random.default_rng(42))
+    o1 = observe(w1, view_masks(w1, RING, GRID), bootstrapped(app), GRID, params,
+                 np.random.default_rng(42))
+    o2 = observe(w2, view_masks(w2, RING, GRID), bootstrapped(app), GRID, params,
+                 np.random.default_rng(42))
     assert o1.token == o2.token
     assert o1.logits == o2.logits
     assert np.array_equal(o1.candidate, o2.candidate)
@@ -191,11 +275,13 @@ def test_memory_benefit_over_random_distractor_fields():
         true_cell = encode(GRID, relative_polar(Pose2D(0, 0, 0), tpos))
 
         w = static_world(ents)
-        out = observe(w, RING, bootstrapped(app), GRID, params, np.random.default_rng(1000 + _))
+        out = observe(w, view_masks(w, RING, GRID), bootstrapped(app), GRID, params,
+                      np.random.default_rng(1000 + _))
         hits_mem += out.token == true_cell
 
         w = static_world(ents)
-        out = observe(w, RING, TargetMemory.empty(), GRID, params, np.random.default_rng(1000 + _))
+        out = observe(w, view_masks(w, RING, GRID), TargetMemory.empty(), GRID, params,
+                      np.random.default_rng(1000 + _))
         hits_empty += out.token == true_cell
     assert hits_mem > hits_empty
 
@@ -208,7 +294,7 @@ def test_nearest_detection_returns_closest():
             entity(1, "distractor", (2.0, 1.0), app),
         ]
     )
-    raw = nearest_detection(w, RING, GRID, NOISELESS, w.rng)
+    raw = nearest_detection(w, view_masks(w, RING, GRID), NOISELESS, w.rng)
     expected = relative_polar(w.agent, (2.0, 1.0))
     assert raw.dist == pytest.approx(expected.dist)
     assert raw.theta == pytest.approx(expected.theta)
@@ -217,7 +303,8 @@ def test_nearest_detection_returns_closest():
         [entity(0, "target", (3.5, 0.0), app)],
         [Obstacle.rect(1.0, -1.0, 1.5, 1.0)],
     )
-    assert nearest_detection(blocked, RING, GRID, NOISELESS, blocked.rng) is None
+    masks = view_masks(blocked, RING, GRID)
+    assert nearest_detection(blocked, masks, NOISELESS, blocked.rng) is None
 
 
 def test_perception_params_validation():
@@ -243,8 +330,8 @@ def observe_oracle(world, rig, mem, grid, params, rng):
     cell_owner = {}
     detected_any = False
     for s in world.sightings:
-        if not (grid.r_min <= s.rel.dist <= grid.r_max
-                and any(v.covers(s.rel.theta) for v in rig.views) and s.los):
+        if not (grid.r_min <= s.rel.dist <= grid.r_max and s.los
+                and any(covers(v, s.rel.theta) for v in rig.views)):
             continue
         if params.base_detectability < 1.0 and rng.random() >= params.base_detectability:
             continue
@@ -318,7 +405,7 @@ def test_observe_matches_the_scalar_draw_oracle(
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     mem = TargetMemory.empty()
     for k in range(steps):
-        out = observe(w, rig, mem, GRID, params, rng)
+        out = observe(w, view_masks(w, rig, GRID), mem, GRID, params, rng)
         want = observe_oracle(w, rig, mem, GRID, params, oracle_rng)
         assert output_bytes(out) == output_bytes(want)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state

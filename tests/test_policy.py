@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polartrack import policy
 from polartrack.memory import TargetMemory
-from polartrack.perception import CameraRig, PerceptionParams, observe
+from polartrack.perception import CameraRig, PerceptionParams, observe, view_masks
 from polartrack.polar import PolarGrid, PolarPoint, decode, encode, signed_degrees
 from polartrack.policy import (
     NUM_WAYPOINTS,
@@ -203,7 +203,7 @@ def test_convergence_to_standoff_band():
         rig = CameraRig.ring(4)
         dists = []
         for _ in range(350):
-            out = observe(w, rig, mem, GRID, params, w.rng)
+            out = observe(w, view_masks(w, rig, GRID), mem, GRID, params, w.rng)
             traj, hold = plan(out.token, GRID, hold, POLICY, LIMITS)
             cmd = execute_first(traj, LIMITS)
             ev = w.step(cmd)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from polartrack.gating import SparseLogits, confidence
@@ -76,6 +78,47 @@ def test_line_of_sight_once_per_entity_per_step(monkeypatch):
         log = run_episode(w, runtime(arm), spec, 1)
         # one sighting per entity at construction and after every step
         assert calls == (len(log.frames) + 1) * len(w.entities), (name, arm)
+
+
+class Yaw(float):
+    """A view's yaw that reports every bearing subtracted from it."""
+
+    def __new__(cls, value, index, seen):
+        yaw = super().__new__(cls, value)
+        yaw.index, yaw.seen = index, seen
+        return yaw
+
+    def __rsub__(self, bearing):
+        self.seen(bearing, self.index)
+        return bearing - float(self)
+
+    def __sub__(self, bearing):
+        self.seen(bearing, self.index)
+        return float(self) - bearing
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("arm", ARMS)
+def test_each_bearing_meets_each_view_at_most_once_per_step(arm, record):
+    # every bearing-versus-view comparison subtracts a view's yaw from a
+    # sighting's bearing; each is keyed by (step, entity, view)
+    keys = []
+
+    def seen(bearing, view):
+        (entity,) = [j for j, s in enumerate(w.sightings) if s.rel.theta == bearing]
+        keys.append((w.step_index, entity, view))
+
+    ring = CameraRig.ring(4)
+    rig = CameraRig(views=tuple(replace(v, yaw=Yaw(v.yaw, i, seen))
+                                for i, v in enumerate(ring.views)))
+    spec = ScenarioSpec("dt", max_steps=60)
+    w = make_scenario(spec, 3)
+    log = run_episode(w, replace(runtime(arm), rig=rig), spec, 3, record=record)
+    assert log.outcome == run_episode(make_scenario(spec, 3), runtime(arm), spec, 3).outcome
+    steps = len(log.frames)
+    assert len(keys) == len(set(keys))
+    assert len(keys) <= steps * len(w.entities) * len(rig.views)
+    assert {k[0] for k in keys} == set(range(steps))
 
 
 def test_each_reasoner_output_is_scored_once(monkeypatch):

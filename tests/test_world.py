@@ -316,7 +316,7 @@ def assert_sightings_fresh(w: World):
         assert s.entity is e
         assert s.rel == relative_polar(w.agent, position(e))
         assert s.los == w.line_of_sight(apos, position(e))
-    assert w.target_sighting.entity is w.target
+    assert w.sightings[w.target_index].entity is w.target
 
 
 def test_target_rel_matches_recomputation():
