@@ -63,7 +63,7 @@ def annotate_frame(
 
 
 def view_visibility(world: World, masks: list[int], rig: CameraRig) -> list[bool]:
-    """Per-view flags: bit *i* of the target's entry in the step's ``view_masks``."""
+    """Per-view flags: bit *i* of the target's ``view_masks(.., target_views=True)`` entry."""
     m = masks[world.target_index]
     return [bool(m >> i & 1) for i in range(len(rig.views))]
 
@@ -227,8 +227,8 @@ def read_episode(path) -> EpisodeLog:
 
     def read_frame(d: dict) -> FrameRecord:
         """A frame, checked against itself and the header: step index, shapes,
-        confidence, gt_polar given exactly when gt_invalid is false, gt_token its
-        cell, token range and top-k logits (in range, none repeated, finite)."""
+        confidence, gt_polar given (in the annulus) exactly when gt_invalid is false,
+        gt_token its cell, token range and top-k logits (in range, none repeated, finite)."""
         f = FrameRecord.from_dict(d)
         if f.step != len(frames):
             raise FieldError("step", f"{f.step}, expected {len(frames)}")
@@ -244,6 +244,8 @@ def read_episode(path) -> EpisodeLog:
             cell = grid.invalid_index if f.gt_invalid else encode(grid, PolarPoint(*f.gt_polar))
         except ValueError as e:
             raise FieldError("gt_polar", str(e)) from e
+        if cell == grid.invalid_index and not f.gt_invalid:  # encode's answer outside it
+            raise FieldError("gt_polar", f"{f.gt_polar} outside the header grid's annulus")
         if f.gt_token != cell:
             raise FieldError("gt_token", f"{f.gt_token}, expected {cell}")
         if not 0 <= f.token < vocab_size:

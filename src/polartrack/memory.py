@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,20 +20,17 @@ from .gating import ConfidenceTrace, gate_weight
 from .polar import PolarGrid
 
 
-@dataclass(frozen=True)
 class TargetMemory:
     """The remembered feature vector (``slots``, shape (dim,)) or None
-    before the first valid sighting, plus the confidence history feeding
-    the gate."""
+    before the first valid sighting, its ``norm``, and the confidence
+    history feeding the gate. A value: nothing changes one once built."""
 
-    slots: Optional[np.ndarray]
-    trace: ConfidenceTrace
+    __slots__ = ("slots", "trace", "norm")
 
-    def __post_init__(self):
-        # the vector's norm, which memory_similarity reads per detection;
+    def __init__(self, slots: Optional[np.ndarray], trace: ConfidenceTrace):
+        self.slots, self.trace = slots, trace
         # np.linalg.norm of a 1-D float64 vector is sqrt(v.dot(v)), bit for bit
-        v = self.slots
-        object.__setattr__(self, "norm", None if v is None else math.sqrt(v.dot(v)))
+        self.norm = None if slots is None else math.sqrt(slots.dot(slots))
 
     @classmethod
     def empty(cls) -> "TargetMemory":
@@ -77,31 +73,34 @@ def update_memory(
             return mem
         return TargetMemory(mem.slots, mem.trace.record(0.0))
 
-    if not grid.is_valid_token(token):
+    if not 0 <= token < grid.n_cells:
         raise ValueError(f"token {token} out of range for grid")
     if candidate is None:
         raise ValueError("valid token requires a candidate feature")
     cand = np.asarray(candidate, dtype=np.float64)
     if cand.ndim != 1:
         raise ValueError(f"candidate must be 1-D, got shape {cand.shape}")
-    if not np.isfinite(cand).all():
+    slots, trace = mem.slots, mem.trace
+    if slots is None:
+        new = TargetMemory(cand.copy(), trace.record(conf))
+    else:
+        if cand.shape != slots.shape:
+            raise ValueError(f"candidate dim {cand.shape[0]} != memory dim {slots.shape[0]}")
+        w = gate_weight(trace, conf)  # checks conf, and that trace holds a record
+        # trace.record(conf) without a second range check
+        new = TargetMemory((1.0 - w) * slots + w * cand,
+                           ConfidenceTrace(trace.count + 1, trace.total + conf, conf))
+    # a non-finite candidate entry makes a non-finite new one (even at w = 0), so
+    # a finite norm clears the candidate; an overflowed one takes the exact test
+    if not math.isfinite(new.norm) and not np.isfinite(cand).all():
         raise ValueError("candidate feature must be finite")
-
-    if mem.is_empty:
-        return TargetMemory(cand.copy(), mem.trace.record(conf))
-
-    if cand.shape != mem.slots.shape:
-        raise ValueError(
-            f"candidate dim {cand.shape[0]} != memory dim {mem.slots.shape[0]}"
-        )
-    w = gate_weight(mem.trace, conf)
-    return TargetMemory((1.0 - w) * mem.slots + w * cand, mem.trace.record(conf))
+    return new
 
 
 def memory_similarity(mem: TargetMemory, feature) -> float:
     """Cosine similarity between a feature and the remembered vector.
     Zero-norm inputs score 0."""
-    if mem.is_empty:
+    if mem.slots is None:
         raise ValueError("similarity against empty memory; callers must branch")
     f = np.asarray(feature, dtype=np.float64)
     if f.shape != mem.slots.shape:
@@ -110,4 +109,4 @@ def memory_similarity(mem: TargetMemory, feature) -> float:
     nr = mem.norm
     if nf == 0.0 or nr == 0.0:
         return 0.0
-    return float(f.dot(mem.slots) / (nf * nr))
+    return float(f.dot(mem.slots)) / (nf * nr)  # the same IEEE quotient as numpy's

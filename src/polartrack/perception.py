@@ -5,8 +5,8 @@ appearance similarity against the target memory are turned into sparse
 logits over the cell tokens (``SparseLogits``: the invalid entry plus one
 score per detected cell, every other cell zero). Positions and line of
 sight come from the world's per-step ``sightings``; nothing here
-recomputes them. ``view_masks`` works out once per step which camera views
-see each entity (line of sight, annulus, field of view); a seen one is observable.
+recomputes them. ``view_masks`` works out once per step whether a camera view
+sees each entity (line of sight, annulus, field of view): a seen one is observable.
 Each detected entity puts mass on its (noise-jittered) cell; how much
 depends on how similar it looks to the remembered target, which is what
 lets a bootstrapped memory pull the argmax onto the true target and away
@@ -114,12 +114,15 @@ class ReasonerOutput:
     candidate: Optional[np.ndarray]
 
 
-def view_masks(world: World, rig: CameraRig, grid: PolarGrid) -> list[int]:
-    """One int per ``world.sightings`` entry: bit *i* is set when view *i*
-    sees that entity, so 0 means it is not observable."""
+def view_masks(world: World, rig: CameraRig, grid: PolarGrid,
+               target_views: bool = False) -> list[int]:
+    """One int per ``world.sightings`` entry: 0 when that entity is not observable,
+    else the bit of the first view that sees it; with ``target_views`` the target's
+    has bit *i* set for every view *i* that sees it (a recorded frame's flags)."""
     r_min, r_max, cones = grid.r_min, grid.r_max, rig._cones
+    all_views = world.target_index if target_views else -1
     masks = []
-    for s in world.sightings:
+    for i, s in enumerate(world.sightings):
         mask = 0
         if s.los and r_min <= s.rel.dist <= r_max:
             theta = s.rel.theta
@@ -129,6 +132,8 @@ def view_masks(world: World, rig: CameraRig, grid: PolarGrid) -> list[int]:
                 d = (theta - yaw) % 360.0
                 if d <= half_fov or 360.0 - d <= half_fov:
                     mask |= bit
+                    if i != all_views:
+                        break
         masks.append(mask)
     return masks
 
@@ -168,10 +173,7 @@ def observe(
         cell = encode(grid, PolarPoint(theta, dist))
         if params.feature_noise > 0.0:
             feat = feat + noise[2:] * params.feature_noise
-        if mem.is_empty:
-            sim = params.empty_mem_similarity
-        else:
-            sim = memory_similarity(mem, feat)
+        sim = params.empty_mem_similarity if mem.slots is None else memory_similarity(mem, feat)
         score = params.detect_score + params.sim_temperature * sim
         best = cell_owner.get(cell)
         if best is None or score > best[0]:

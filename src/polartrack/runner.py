@@ -94,7 +94,7 @@ def run_episode(
 
     while not world.terminated:
         try:
-            masks = view_masks(world, rig, grid)
+            masks = view_masks(world, rig, grid, record)
             if record:
                 gt_polar, gt_token = annotate_frame(world, masks, grid, runtime.vis_rules)
                 views = view_visibility(world, masks, rig)

@@ -268,7 +268,7 @@ def make_scenario(spec: ScenarioSpec, seed: int) -> World:
                 )
             )
 
-    elif spec.name == "winding":
+    else:  # winding: ScenarioSpec admits no other name
         amp = 2.2 + _jitter(rng)
         pitch = 2.5 + _jitter(rng)
         xs = 4.2 + pitch * np.arange(5)
@@ -277,9 +277,6 @@ def make_scenario(spec: ScenarioSpec, seed: int) -> World:
         loop = np.vstack([zig, back])
         speed = TARGET_SPEED * rng.uniform(0.9, 1.1)
         entities.append(_make_target(loop, np.full(len(loop), speed), target_app))
-
-    else:  # pragma: no cover - guarded by ScenarioSpec
-        raise ValueError(spec.name)
 
     return World(
         agent=Pose2D(0.0, 0.0, 0.0),

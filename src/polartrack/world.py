@@ -101,8 +101,10 @@ class Entity:
         # advance() walks no farther than the leg's speed: a negative one freezes the entity
         if (self.speeds < 0).any():
             raise ValueError("speeds must be >= 0")
+        self.appearance = np.asarray(appearance, dtype=np.float64)
+        if self.appearance.ndim != 1 or not np.isfinite(self.appearance).all():
+            raise ValueError("appearance must be a finite 1-D vector")
         self.id, self.kind, self.radius, self.leg = id, kind, radius, leg
-        self.appearance = appearance
         self.x, self.y, self.heading = pose.x, pose.y, pose.heading
         self._path = self.path.tolist()
         self._speeds = self.speeds.tolist()
@@ -162,16 +164,7 @@ class Obstacle:
                 raise ValueError("obstacle polygon must be strictly convex")
         object.__setattr__(self, "vertices", v)
         # axis-aligned bounds for cheap rejection in the hot predicates
-        object.__setattr__(
-            self,
-            "bounds",
-            (
-                float(v[:, 0].min()),
-                float(v[:, 1].min()),
-                float(v[:, 0].max()),
-                float(v[:, 1].max()),
-            ),
-        )
+        object.__setattr__(self, "bounds", (*v.min(axis=0).tolist(), *v.max(axis=0).tolist()))
 
     @classmethod
     def rect(cls, x0: float, y0: float, x1: float, y1: float) -> "Obstacle":
@@ -259,6 +252,8 @@ class World:
         targets = [e for e in entities if e.kind == TARGET]
         if len(targets) != 1:
             raise ValueError(f"world needs exactly 1 target, got {len(targets)}")
+        if len({e.appearance.shape for e in entities}) > 1:
+            raise ValueError("entity appearances must all have one shape")
         self.agent = agent
         self.agent_radius = agent_radius
         self.entities = entities

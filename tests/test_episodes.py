@@ -122,11 +122,15 @@ def test_invalid_rate_monotone_in_apparent_size():
 
 def test_view_visibility_summary():
     w = static_world((3.0, 0.0))
-    vis = view_visibility(w, view_masks(w, RING, GRID), RING)
+    vis = view_visibility(w, view_masks(w, RING, GRID, target_views=True), RING)
     assert vis == [True, False, False, False]
     w = static_world((0.0, 3.0))
-    vis = view_visibility(w, view_masks(w, RING, GRID), RING)
+    vis = view_visibility(w, view_masks(w, RING, GRID, target_views=True), RING)
     assert vis == [False, True, False, False]
+    # on the edge two views see the target; both flags are set
+    w = static_world((3.0, 3.0))
+    vis = view_visibility(w, view_masks(w, RING, GRID, target_views=True), RING)
+    assert vis == [True, True, False, False]
 
 
 def test_episode_roundtrip(tmp_path):
@@ -437,6 +441,22 @@ def test_frames_must_agree_with_the_header(tmp_path, field, edit):
     # the stt target is annotated on the first frames, with the 4-view rig
     msg = edited_log(tmp_path, 3, edit)
     assert "line 4:" in msg and f"'{field}'" in msg
+
+
+def test_a_valid_annotation_outside_the_annulus_is_a_field_error(tmp_path):
+    # encode maps such a point to the invalid token, so gt_token agrees with it
+    path = tmp_path / "ep.jsonl"
+    write_episode(run_stt_episode(), path)
+    lines = path.read_text().splitlines()
+    frame = json.loads(lines[3])
+    assert frame["gt_invalid"] is False and GRID.invalid_index == 1800
+    frame.update(gt_polar=[10.0, 9.0], gt_token=1800)
+    lines[3] = json.dumps(frame, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(EpisodeFormatError) as err:
+        read_episode(path)
+    assert isinstance(err.value.__cause__, FieldError)
+    assert err.value.__cause__.path == "gt_polar"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,62 @@ def test_contract_violations():
         update_memory(mem, VALID, 0.5, np.ones(5), TINY)
     with pytest.raises(ValueError):
         update_memory(mem, 7, 0.5, f, TINY)  # token range
+
+
+NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                                     ids=["nan", "inf", "-inf"])
+
+
+@NON_FINITE
+def test_a_non_finite_candidate_is_not_adopted(bad):
+    mem = TargetMemory.empty()
+    for conf in (0.0, 0.5, 1.0):
+        with pytest.raises(ValueError, match="finite"):
+            update_memory(mem, VALID, conf, np.array([1.0, bad, 0.0]), TINY)
+    assert mem.is_empty and mem.trace.count == 0
+
+
+@NON_FINITE
+@pytest.mark.parametrize("first, conf", [
+    (0.8, 0.0),  # w = 0: the candidate would not move the vector at all
+    (0.0, 0.0),  # w = 0 from a zero denominator
+    (0.8, 0.4),  # 0 < w < 1
+    (0.0, 0.5),  # w = 1: the vector would be the candidate
+], ids=["w0", "w0-frozen", "blend", "w1"])
+def test_a_non_finite_candidate_is_not_blended(bad, first, conf):
+    mem = update_memory(TargetMemory.empty(), VALID, first, np.array([1.0, 2.0, 3.0]), TINY)
+    before = mem.slots.tobytes()
+    for i in range(3):
+        cand = np.array([0.5, 0.5, 0.5])
+        cand[i] = bad
+        with pytest.raises(ValueError, match="finite"):
+            update_memory(mem, VALID, conf, cand, TINY)
+    assert mem.slots.tobytes() == before and mem.trace.count == 1
+
+
+def test_a_finite_candidate_whose_square_norm_overflows_is_kept():
+    # its norm is inf, so the exact per-entry test decides, and clears it
+    big = np.array([1e200, -1e200])
+    mem = update_memory(TargetMemory.empty(), VALID, 0.5, big, TINY)
+    assert mem.norm == math.inf and np.array_equal(mem.slots, big)
+    mem = update_memory(mem, VALID, 0.5, big / 2, TINY)
+    assert np.array_equal(mem.slots, np.array([7.5e199, -7.5e199]))
+
+
+@pytest.mark.parametrize("conf", [-0.01, 1.01, math.nan, math.inf])
+def test_a_confidence_outside_the_unit_interval_is_rejected(conf):
+    f = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="outside"):
+        update_memory(TargetMemory.empty(), VALID, conf, f, TINY)
+    mem = update_memory(TargetMemory.empty(), VALID, 0.5, f, TINY)
+    with pytest.raises(ValueError, match="outside"):
+        update_memory(mem, VALID, conf, f, TINY)
+
+
+def test_a_vector_without_a_recorded_confidence_cannot_blend():
+    mem = TargetMemory(np.array([1.0, 0.0]), ConfidenceTrace())
+    with pytest.raises(ValueError, match="recorded confidence"):
+        update_memory(mem, VALID, 0.5, np.array([0.0, 1.0]), TINY)
 
 
 def test_similarity_examples():

@@ -75,10 +75,16 @@ def test_rig_validation_and_coverage():
 
 
 def bearing_masks(rig, bearings, dist=3.0):
-    """``view_masks`` of entities in line of sight at ``dist`` m and the
-    given bearings (degrees ccw from the agent's heading)."""
+    """The target's per-view flags (its ``view_masks`` entry with
+    ``target_views``) in line of sight at ``dist`` m and each of the given
+    bearings (degrees ccw from the agent's heading). Checks on the way
+    that every other entity's entry is the lowest of those bits."""
     sightings = [Sighting(None, PolarPoint(theta, dist), True) for theta in bearings]
-    return view_masks(SimpleNamespace(sightings=sightings), rig, GRID)
+    full = [view_masks(SimpleNamespace(sightings=[s], target_index=0), rig, GRID, True)[0]
+            for s in sightings]
+    first = view_masks(SimpleNamespace(sightings=sightings), rig, GRID)
+    assert first == [m & -m for m in full]
+    return full
 
 
 def test_view_mask_edges_are_half_the_fov_either_side():
@@ -130,8 +136,10 @@ def test_view_mask_of_an_occluded_entity_is_zero():
     w = static_world([entity(0, "target", (3.0, 0.0), app),
                       entity(1, "distractor", (0.0, 3.0), app)], [wall])
     assert [s.los for s in w.sightings] == [False, True]
-    assert view_masks(w, RING, GRID) == [0, 0b0010]
-    assert view_masks(w, CameraRig(views=(CameraView(0.0, 360.0),)), GRID) == [0, 1]
+    for target_views in (False, True):
+        assert view_masks(w, RING, GRID, target_views) == [0, 0b0010]
+        assert view_masks(w, CameraRig(views=(CameraView(0.0, 360.0),)), GRID,
+                          target_views) == [0, 1]
 
 
 def test_view_mask_outside_the_annulus_is_zero():
@@ -140,7 +148,43 @@ def test_view_mask_outside_the_annulus_is_zero():
     outside = [(GRID.r_min - 0.01, 0.0), (GRID.r_max + 0.01, 0.0), (0.0, -7.0)]
     w = static_world([entity(i, "target" if i == 0 else "distractor", pos, app)
                       for i, pos in enumerate(inside + outside)])
-    assert view_masks(w, RING, GRID) == [0b0001, 0b0001, 0b0010, 0, 0, 0]
+    for target_views in (False, True):
+        assert view_masks(w, RING, GRID, target_views) == [0b0001, 0b0001, 0b0010, 0, 0, 0]
+
+
+def observable_oracle(s, rig):
+    """Line of sight, inside the annulus and inside some view, written
+    with ``signed_degrees``."""
+    return (s.los and GRID.r_min <= s.rel.dist <= GRID.r_max
+            and any(covers(v, s.rel.theta) for v in rig.views))
+
+
+@pytest.mark.parametrize("name", ["dt", "obstacle"])
+def test_a_nonzero_mask_means_the_entity_is_observable(name):
+    # every entity of a world driven around obstacles and look-alikes, on the
+    # 4-view ring, on a single front view and on overlapping views with a gap
+    overlapping = CameraRig(views=(CameraView(0.0, 100.0), CameraView(80.0, 100.0),
+                                   CameraView(200.0, 60.0)))
+    rigs = (RING, CameraRig.front(90.0), overlapping)
+    w = make_scenario(ScenarioSpec(name, n_distractors=3), 1)
+    rng = np.random.default_rng(2)
+    seen = unseen = 0
+    for _ in range(150):
+        for rig in rigs:
+            for target_views in (False, True):
+                masks = view_masks(w, rig, GRID, target_views)
+                assert len(masks) == len(w.sightings)
+                for i, (s, m) in enumerate(zip(w.sightings, masks)):
+                    assert (m != 0) == observable_oracle(s, rig), (i, m)
+                    if target_views and i == w.target_index:
+                        assert m == sum(1 << j for j, v in enumerate(rig.views)
+                                        if m and covers(v, s.rel.theta))
+                    else:
+                        assert m & (m - 1) == 0  # at most one bit: the first view's
+                    seen += m != 0
+                    unseen += m == 0
+        w.step(Command(float(rng.uniform(-0.25, 0.25)), float(rng.uniform(-30.0, 30.0))))
+    assert seen > 0 and unseen > 0
 
 
 def test_nothing_observable_yields_invalid():

@@ -28,14 +28,15 @@ def position(e: Entity) -> tuple[float, float]:
     return (e.x, e.y)
 
 
-def make_entity(eid=0, kind="target", pos=(5.0, 0.0), path=None, speed=0.1, radius=0.3):
+def make_entity(eid=0, kind="target", pos=(5.0, 0.0), path=None, speed=0.1, radius=0.3,
+                appearance=(1.0, 0.0)):
     path = np.array(path if path is not None else [pos])
     return Entity(
         id=eid,
         kind=kind,
         pose=Pose2D(pos[0], pos[1], 0.0),
         radius=radius,
-        appearance=np.array([1.0, 0.0]),
+        appearance=np.array(appearance),
         path=path,
         speeds=np.full(len(path), speed),
         leg=0,
@@ -185,6 +186,27 @@ def test_entity_rejects_a_non_finite_path_or_speed():
                         ([(0.0, 0.0), (1.0, 1.0)], math.nan)):
         with pytest.raises(ValueError, match="finite"):
             make_entity(pos=(0.0, 0.0), path=path, speed=speed)
+
+
+@pytest.mark.parametrize("appearance", [
+    [1.0, math.nan], [math.inf, 0.0], [-math.inf], [[1.0, 0.0]], 1.0, [[1.0], [0.0]],
+], ids=["nan", "inf", "-inf", "2-D row", "0-D", "2-D column"])
+def test_entity_rejects_an_appearance_that_is_not_a_finite_vector(appearance):
+    with pytest.raises(ValueError, match="appearance must be a finite 1-D vector"):
+        make_entity(appearance=appearance)
+
+
+def test_entity_keeps_a_finite_vector_appearance_as_float64():
+    e = make_entity(appearance=[1, 2, 3])
+    assert e.appearance.dtype == np.float64 and e.appearance.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_world_rejects_entities_whose_appearance_shapes_differ():
+    target = make_entity(0, appearance=(1.0, 0.0))
+    with pytest.raises(ValueError, match="appearances must all have one shape"):
+        make_world([target, make_entity(1, "distractor", appearance=(1.0, 0.0, 0.0))])
+    # one shape across the entities is fine
+    make_world([target, make_entity(1, "distractor", appearance=(0.0, 1.0))])
 
 
 def test_entity_rejects_a_negative_speed():
