@@ -65,38 +65,48 @@ def frame_tracked(dist: float, theta: float, rules: MetricRules) -> bool:
     return dist <= rules.track_dist and abs(signed_degrees(theta)) <= rules.track_bearing
 
 
+def loss_run(run: int, dist: float, rules: MetricRules) -> int:
+    """Consecutive steps ending beyond ``lost_radius``, counting a step that ends
+    ``dist`` from the target after ``run`` of them; the target is lost above ``lost_patience``."""
+    return run + 1 if dist > rules.lost_radius else 0
+
+
 def score_episode(log, rules: MetricRules) -> EpisodeOutcome:
     """Recompute the outcome from a complete episode log.
 
     Works on any log object exposing ``frames`` (``FrameRecord``s or
     ``StepResult``s: each has ``target_rel``, the post-step ``(theta,
     dist)`` of the target, and ``collided``) and a header with
-    ``max_steps``.
+    ``max_steps``. The log must end where the rules end the episode, on the first
+    frame with a collision, the step cap or a completed loss (``loss_run`` above
+    ``lost_patience``), the first of these naming the reason; else ``ValueError``.
     """
-    frames = log.frames
-    if not frames:
-        raise ValueError("cannot score an empty episode")
-    n = len(frames)
-    collided = bool(frames[-1].collided)
-    if any(f.collided for f in frames[:-1]):
-        raise ValueError("collision before the final frame: log is not terminated")
-
-    tracked = sum(
-        1 for f in frames if frame_tracked(f.target_rel[1], f.target_rel[0], rules)
-    )
-    theta, dist = frames[-1].target_rel
+    max_steps = log.header.max_steps
+    tracked = run = 0
+    reason = None
+    for step, f in enumerate(log.frames):
+        if reason is not None:
+            raise ValueError(f"frame {step} follows the episode's end ({reason}) at frame {step - 1}")
+        theta, dist = f.target_rel
+        tracked += frame_tracked(dist, theta, rules)
+        run = loss_run(run, dist, rules)
+        if f.collided:
+            reason = "collision"
+        elif step + 1 == max_steps:
+            reason = "cap"
+        elif run > rules.lost_patience:
+            reason = "lost"
+    n = len(log.frames)
+    if reason is None:
+        raise ValueError(f"the episode ends after {n} of {max_steps} steps with no collision "
+                         f"and no completed loss ({run} steps beyond lost_radius)")
+    collided = reason == "collision"
     lo, hi = rules.band
     success = (
         not collided
         and lo <= dist <= hi
         and abs(signed_degrees(theta)) <= rules.orient_tol
     )
-    if collided:
-        reason = "collision"
-    elif n < log.header.max_steps:
-        reason = "lost"
-    else:
-        reason = "cap"
     return EpisodeOutcome(
         success=success,
         tracking_rate=tracked / n,

@@ -32,7 +32,7 @@ from .episodes import (  # ARMS is re-exported
 )
 from .gating import confidence
 from .memory import TargetMemory, update_memory
-from .metrics import StepResult, score_episode
+from .metrics import StepResult, loss_run, score_episode
 from .perception import ReasonerOutput, nearest_detection, observe, view_masks
 from .policy import (
     NUM_WAYPOINTS,
@@ -51,7 +51,6 @@ def run_episode(
     runtime: AgentRuntime,
     scenario: Optional[ScenarioSpec] = None,
     seed: int = 0,
-    output_sink: Optional[list] = None,
     record: bool = True,
 ) -> EpisodeLog:
     """Run one episode to termination (collision, prolonged loss, or the
@@ -65,9 +64,6 @@ def run_episode(
     outside the ``full`` arm) is skipped, and the log keeps one
     ``StepResult`` per step instead of a frame. Its outcome is the same;
     it cannot be written.
-
-    ``output_sink``, when given, collects every ReasonerOutput in order;
-    replay checks use it to verify the memory lag independently.
     """
     if world.step_index != 0:
         raise ValueError("run_episode needs a fresh world")
@@ -102,8 +98,6 @@ def run_episode(
 
             if runtime.arm != "no_cot":
                 out = observe(world, masks, mem, grid, params, world.rng)
-                if output_sink is not None:
-                    output_sink.append(out)
                 # the memory and the frame are the confidence's only readers
                 if record or runtime.arm == "full":
                     conf = confidence(out.logits)
@@ -168,14 +162,9 @@ def run_episode(
         else:
             frames.append(StepResult(target_rel, events.collided))
 
-        if events.collided:
+        lost_run = loss_run(lost_run, events.target_rel.dist, runtime.rules)
+        if events.collided or lost_run > runtime.rules.lost_patience:
             break
-        if events.target_rel.dist > runtime.rules.lost_radius:
-            lost_run += 1
-            if lost_run > runtime.rules.lost_patience:
-                break
-        else:
-            lost_run = 0
 
     log = EpisodeLog(header=header, frames=frames)
     log.outcome = score_episode(log, runtime.rules)

@@ -77,10 +77,10 @@ class Entity:
 
     ``path`` is a closed loop of world waypoints; ``speeds[i]`` is the
     speed while walking toward ``path[i]``. ``leg`` indexes the waypoint
-    currently being approached. The position and heading are plain
-    floats that ``advance`` updates in place, walking float copies of
-    ``path`` and ``speeds`` taken at construction; ``pose`` builds the
-    ``Pose2D`` on read.
+    currently being approached. Both are checked as arrays at
+    construction and kept as lists of floats, which ``advance`` walks. The
+    position and heading are plain floats that ``advance`` updates in
+    place; ``pose`` builds the ``Pose2D`` on read.
     """
 
     def __init__(self, id: int, kind: str, pose: Pose2D, radius: float, appearance: np.ndarray,
@@ -89,25 +89,24 @@ class Entity:
             raise ValueError(f"unknown entity kind {kind!r}")
         if radius <= 0:
             raise ValueError("entity radius must be positive")
-        self.path = np.asarray(path, dtype=np.float64)  # (P, 2)
-        self.speeds = np.asarray(speeds, dtype=np.float64)  # (P,)
-        if self.path.ndim != 2 or self.path.shape[1] != 2 or len(self.path) < 1:
+        path = np.asarray(path, dtype=np.float64)  # (P, 2)
+        speeds = np.asarray(speeds, dtype=np.float64)  # (P,)
+        if path.ndim != 2 or path.shape[1] != 2 or len(path) < 1:
             raise ValueError("path must be a (P, 2) array")
-        if self.speeds.shape != (len(self.path),):
+        if speeds.shape != (len(path),):
             raise ValueError("need one speed per path waypoint")
         # finite waypoints and speeds keep every position advance() walks to finite
-        if not (np.isfinite(self.path).all() and np.isfinite(self.speeds).all()):
+        if not (np.isfinite(path).all() and np.isfinite(speeds).all()):
             raise ValueError("path and speeds must be finite")
         # advance() walks no farther than the leg's speed: a negative one freezes the entity
-        if (self.speeds < 0).any():
+        if (speeds < 0).any():
             raise ValueError("speeds must be >= 0")
+        self.path, self.speeds = path.tolist(), speeds.tolist()
         self.appearance = np.asarray(appearance, dtype=np.float64)
         if self.appearance.ndim != 1 or not np.isfinite(self.appearance).all():
             raise ValueError("appearance must be a finite 1-D vector")
         self.id, self.kind, self.radius, self.leg = id, kind, radius, leg
         self.x, self.y, self.heading = pose.x, pose.y, pose.heading
-        self._path = self.path.tolist()
-        self._speeds = self.speeds.tolist()
 
     @property
     def pose(self) -> Pose2D:
@@ -118,7 +117,7 @@ class Entity:
         waypoint mid-step carries the leftover distance onto the next leg
         (capped at that leg's speed, so a step never moves farther than
         the fastest leg involved)."""
-        path, speeds, leg = self._path, self._speeds, self.leg
+        path, speeds, leg = self.path, self.speeds, self.leg
         x, y = self.x, self.y
         remaining = speeds[leg]
         for _ in range(len(path) + 1):
@@ -309,10 +308,11 @@ class World:
         if self.terminated:
             raise RuntimeError(f"step on terminated world (step {self.step_index})")
         eps = 1e-9
-        if abs(cmd.v) > self.limits.max_speed + eps:
-            raise ValueError(f"speed {cmd.v} exceeds limit {self.limits.max_speed}")
-        if abs(cmd.dtheta) > self.limits.max_turn + eps:
-            raise ValueError(f"turn {cmd.dtheta} exceeds limit {self.limits.max_turn}")
+        # written so that NaN fails: every comparison with it is false
+        if not abs(cmd.v) <= self.limits.max_speed + eps:
+            raise ValueError(f"speed v={cmd.v} is outside the limit {self.limits.max_speed}")
+        if not abs(cmd.dtheta) <= self.limits.max_turn + eps:
+            raise ValueError(f"turn dtheta={cmd.dtheta} is outside the limit {self.limits.max_turn}")
 
         # rotate, then translate along the new heading
         heading = wrap_degrees(self.agent.heading + cmd.dtheta)

@@ -20,9 +20,9 @@ from polartrack.episodes import (
     view_visibility,
     write_episode,
 )
-from polartrack.metrics import MetricRules
+from polartrack.metrics import EpisodeOutcome, MetricRules, frame_tracked
 from polartrack.perception import CameraRig, CameraView, PerceptionParams, view_masks
-from polartrack.polar import PolarGrid, encode
+from polartrack.polar import PolarGrid, encode, signed_degrees
 from polartrack.records import FieldError
 from polartrack.runner import AgentRuntime, run_episode
 from polartrack.scenarios import ScenarioSpec, make_scenario
@@ -508,6 +508,56 @@ def test_footer_that_disagrees_with_the_frames_is_rejected(tmp_path):
         tmp_path, -1, lambda f: f["outcome"].update(tracking_rate=0.123, success=False)
     )
     assert "line 502:" in msg and "disagrees" in msg
+
+
+def length_based_outcome(frames, rules, max_steps):
+    """The outcome that reads the ending off the length alone ("lost"
+    whenever the log is shorter than ``max_steps``), which the doctored
+    logs below carry as their footer."""
+    n = len(frames)
+    theta, dist = frames[-1].target_rel
+    return EpisodeOutcome(
+        success=(rules.band[0] <= dist <= rules.band[1]
+                 and abs(signed_degrees(theta)) <= rules.orient_tol),
+        tracking_rate=sum(frame_tracked(f.target_rel[1], f.target_rel[0], rules)
+                          for f in frames) / n,
+        collided=False,
+        episode_length=n,
+        reason="lost" if n < max_steps else "cap",
+    )
+
+
+def doctored_log_error(tmp_path, log, frames, max_steps) -> str:
+    """Write ``log`` with ``frames`` under ``max_steps`` and a footer
+    rescored by length, and return the error of reading it back."""
+    header = replace(log.header, max_steps=max_steps)
+    outcome = length_based_outcome(frames, header.rules, max_steps)
+    path = tmp_path / "doctored.jsonl"
+    write_episode(EpisodeLog(header=header, frames=frames, outcome=outcome), path)
+    with pytest.raises(EpisodeFormatError) as err:
+        read_episode(path)
+    return str(err.value)
+
+
+def test_a_log_must_end_where_the_rules_end_it(tmp_path):
+    spec = ScenarioSpec("stt", max_steps=120)
+    log = run_episode(make_scenario(spec, 1), AgentRuntime(), spec, 1)
+    assert log.outcome.reason == "cap" and not any(f.collided for f in log.frames)
+    # cut to its first 60 frames: it would read as a successful "lost"
+    # episode that stops 2.8 m from the target
+    assert length_based_outcome(log.frames[:60], log.header.rules, 120).success
+    msg = doctored_log_error(tmp_path, log, log.frames[:60], 120)
+    assert "ends after 60 of 120 steps with no collision and no completed loss" in msg
+    # 120 frames under a cap of 100
+    msg = doctored_log_error(tmp_path, log, log.frames, 100)
+    assert "frame 100 follows the episode's end (cap) at frame 99" in msg
+    # 440 steps go on after a 60-step loss, which ended the episode at frame 50
+    spec = ScenarioSpec("stt")
+    log = run_episode(make_scenario(spec, 1), AgentRuntime(), spec, 1)
+    frames = [replace(f, target_rel=(f.target_rel[0], 7.0)) if f.step < 60 else f
+              for f in log.frames]
+    msg = doctored_log_error(tmp_path, log, frames, 500)
+    assert "frame 51 follows the episode's end (lost) at frame 50" in msg
 
 
 @settings(max_examples=20, deadline=None)

@@ -79,10 +79,57 @@ def test_orientation_gate():
 
 
 def test_early_end_without_collision_is_lost():
-    frames = [StubFrame(2.0) for _ in range(99)] + [StubFrame(7.0)]
+    # a complete loss run: 51 frames beyond the 6 m lost radius
+    frames = [StubFrame(2.0) for _ in range(99)] + [StubFrame(7.0) for _ in range(51)]
     o = score_episode(StubLog(frames), RULES)
     assert o.reason == "lost"
     assert not o.collided
+
+
+def far(n):
+    return [StubFrame(RULES.lost_radius + 1.0) for _ in range(n)]
+
+
+def test_a_loss_of_patience_plus_one_far_frames_before_the_cap_is_lost():
+    frames = [StubFrame(2.0) for _ in range(10)] + far(RULES.lost_patience + 1)
+    o = score_episode(StubLog(frames, max_steps=len(frames) + 1), RULES)
+    assert o.reason == "lost" and o.episode_length == 61
+    # one far frame fewer is no loss: the episode cannot end there
+    with pytest.raises(ValueError, match="no collision and no completed loss"):
+        score_episode(StubLog(frames[:-1], max_steps=len(frames) + 1), RULES)
+    # a frame at the lost radius itself is not beyond it
+    frames[-1] = StubFrame(RULES.lost_radius)
+    with pytest.raises(ValueError, match="no collision and no completed loss"):
+        score_episode(StubLog(frames, max_steps=len(frames) + 1), RULES)
+
+
+def test_a_loss_completed_on_the_last_step_is_the_cap():
+    frames = [StubFrame(2.0) for _ in range(10)] + far(RULES.lost_patience + 1)
+    o = score_episode(StubLog(frames, max_steps=len(frames)), RULES)
+    assert o.reason == "cap" and not o.collided
+
+
+def test_a_collision_on_the_step_that_completes_a_loss_is_a_collision():
+    frames = far(RULES.lost_patience) + [StubFrame(RULES.lost_radius + 1.0, collided=True)]
+    o = score_episode(StubLog(frames), RULES)
+    assert o.reason == "collision" and o.collided
+    # and on the last step too
+    o = score_episode(StubLog(frames, max_steps=len(frames)), RULES)
+    assert o.reason == "collision" and o.collided
+
+
+def test_a_log_must_end_where_the_rules_end_it():
+    # cut short: it stops 2.8 m from the target, with no loss and no collision
+    with pytest.raises(ValueError, match="ends after 60 of 120 steps with no collision"):
+        score_episode(StubLog([StubFrame(2.8) for _ in range(60)], max_steps=120), RULES)
+    # padded: 440 steps go on after a 60-step loss, which ended it at frame 50
+    frames = far(60) + [StubFrame(2.0) for _ in range(440)]
+    with pytest.raises(ValueError, match=r"frame 51 follows the episode's end \(lost\) at frame 50"):
+        score_episode(StubLog(frames), RULES)
+    # past the cap
+    frames = [StubFrame(2.0) for _ in range(120)]
+    with pytest.raises(ValueError, match=r"frame 100 follows the episode's end \(cap\)"):
+        score_episode(StubLog(frames, max_steps=100), RULES)
 
 
 def test_score_rejects_untermination():

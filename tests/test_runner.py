@@ -8,6 +8,7 @@ from polartrack.metrics import MetricRules, StepResult
 from polartrack.perception import CameraRig, PerceptionParams
 from polartrack.polar import PolarGrid
 from polartrack.policy import plan
+from polartrack import runner
 from polartrack.runner import ARMS, AgentRuntime, run_episode
 from polartrack.scenarios import SCENARIO_NAMES, ScenarioSpec, make_scenario
 from polartrack.world import Pose2D, World
@@ -164,10 +165,19 @@ def test_memory_frozen_through_occlusion_window():
     assert len(digests) == 1
 
 
-def test_lag_correctness_via_independent_replay():
-    spec = ScenarioSpec("dt")
+def test_lag_correctness_via_independent_replay(monkeypatch):
+    # collect every ReasonerOutput in order: the runner looks observe up
+    # when it calls it
     sink = []
-    log = run_episode(make_scenario(spec, 3), runtime(), spec, 3, output_sink=sink)
+    observe = runner.observe
+
+    def recording_observe(*args):
+        sink.append(observe(*args))
+        return sink[-1]
+
+    monkeypatch.setattr(runner, "observe", recording_observe)
+    spec = ScenarioSpec("dt")
+    log = run_episode(make_scenario(spec, 3), runtime(), spec, 3)
     assert len(sink) == len(log.frames)
 
     # replay: the memory logged at step T is the fold of outputs < T

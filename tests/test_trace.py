@@ -10,6 +10,7 @@ import pytest
 
 from polartrack import bench, cli, episodes
 from polartrack.config import RunConfig, ScenarioRun
+from polartrack.metrics import MetricRules
 from polartrack.runner import ARMS
 from polartrack.scenarios import ScenarioSpec
 
@@ -93,3 +94,29 @@ def test_traced_dataset_matches_untraced(instrument, tmp_path):
     # eval losses replays every frame through plan, execute_first and
     # advance_hold
     assert counts["policy.replay_plan"] == 3 * frames
+
+
+def test_the_episode_timer_counts_each_episodes_steps(instrument, tmp_path):
+    # a lost radius of 3.2 m with a patience of 8 ends some of these
+    # score-only episodes early and lets the rest reach the cap
+    cfg = RunConfig(
+        master_seed=4,
+        arms=list(ARMS),
+        rules=MetricRules(lost_radius=3.2, lost_patience=8),
+        scenarios=[ScenarioRun(n, max_steps=40, episodes=1) for n in ("stt", "obstacle")],
+    )
+    timer = instrument.EpisodeTimer()
+    timer.install()
+    try:
+        _, results = bench.run_bench(cfg, jobs=1)
+        timed = timer.collect(results)
+        (path,) = episodes.generate_dataset([ScenarioSpec("stt", max_steps=30)], n_episodes=1,
+                                            seed=5, out_dir=tmp_path)
+        dataset_timed = timer.take()
+    finally:
+        timer.uninstall()
+    lengths = [r.outcome.episode_length for r in results]
+    assert {r.outcome.reason for r in results} == {"cap", "lost"}
+    assert [steps for _, steps, _, _ in timed] == lengths
+    assert [steps for _, steps, _, _ in dataset_timed] == [
+        episodes.read_episode(path).outcome.episode_length]

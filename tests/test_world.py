@@ -119,6 +119,20 @@ def test_speed_and_turn_limits_enforced():
         w.step(Command(v=0.0, dtheta=31.0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["v", "dtheta"])
+def test_a_non_finite_command_is_rejected_by_its_field(field, value):
+    w = make_world(limits=MotionLimits(0.25, 30.0))
+    cmd = Command(**{"v": 0.1, "dtheta": 5.0, field: value})
+    with pytest.raises(ValueError, match=rf"{field}={value!r} is outside the limit"):
+        w.step(cmd)
+    # the world stays at its step
+    assert w.step_index == 0
+    assert w.agent == Pose2D(0.0, 0.0, 0.0)
+    w.step(Command(0.1, 5.0))
+    assert w.step_index == 1
+
+
 def test_step_on_terminated_world_raises():
     w = make_world(max_steps=2)
     w.step(Command(0.0, 0.0))
@@ -131,7 +145,7 @@ def test_step_on_terminated_world_raises():
 def test_entities_never_teleport():
     spec = ScenarioSpec("dt")
     w = make_scenario(spec, 5)
-    max_speed = {e.id: float(e.speeds.max()) for e in w.entities}
+    max_speed = {e.id: max(e.speeds) for e in w.entities}
     prev = {e.id: position(e) for e in w.entities}
     for _ in range(300):
         w.step(Command(0.0, 0.0))
@@ -234,12 +248,13 @@ def test_waypoint_wraparound():
 
 def advance_oracle(e):
     """``Entity.advance`` as it read the ndarray ``path`` and ``speeds``."""
+    path, speeds = np.asarray(e.path), np.asarray(e.speeds)
     x, y = e.x, e.y
-    remaining = float(e.speeds[e.leg])
-    for _ in range(len(e.path) + 1):
+    remaining = float(speeds[e.leg])
+    for _ in range(len(path) + 1):
         if remaining <= 0.0:
             break
-        tx, ty = e.path[e.leg]
+        tx, ty = path[e.leg]
         d = math.hypot(tx - x, ty - y)
         if d > remaining:
             x += (tx - x) / d * remaining
@@ -248,9 +263,9 @@ def advance_oracle(e):
         else:
             x, y = float(tx), float(ty)
             remaining -= d
-            e.leg = (e.leg + 1) % len(e.path)
-            remaining = min(remaining, float(e.speeds[e.leg]))
-    nx, ny = e.path[e.leg]
+            e.leg = (e.leg + 1) % len(path)
+            remaining = min(remaining, float(speeds[e.leg]))
+    nx, ny = path[e.leg]
     heading = e.heading
     if math.hypot(nx - x, ny - y) > 1e-12:
         heading = math.degrees(math.atan2(ny - y, nx - x))
