@@ -2,7 +2,7 @@
 
 Episode seeds depend only on (master seed, scenario index, episode
 index), never on the arm, so arms run on identical worlds and can be
-compared pairwise. Workers are independent; results are merged in
+compared pairwise. Workers are independent; results come back in
 (scenario, arm, episode) order regardless of scheduling, so reports are
 byte-stable for a fixed config. A crashing episode is isolated: its seed
 is reported and the rest of the suite continues.
@@ -10,6 +10,7 @@ is reported and the rest of the suite continues.
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import sys
@@ -20,6 +21,7 @@ from typing import Optional
 from .config import RunConfig
 from .episodes import derive_seed, write_episode
 from .metrics import EpisodeOutcome, SuiteReport, aggregate
+from .records import FieldError
 from .runner import run_episode
 from .scenarios import make_scenario
 
@@ -54,9 +56,11 @@ def _run_one(args) -> EpisodeResult:
 def run_bench(
     cfg: RunConfig, jobs: Optional[int] = None, out_dir=None
 ) -> tuple[SuiteReport, list[EpisodeResult]]:
-    """Run the whole suite; returns the report and the raw per-episode
-    results (including any failures)."""
+    """Run the whole suite on ``jobs`` >= 1 workers (default ``cfg.jobs``). Returns the
+    report and every episode's result, failures included, in (scenario, arm, episode) order."""
     jobs = jobs if jobs is not None else cfg.jobs
+    if jobs < 1:
+        raise FieldError("jobs", f"must be >= 1, got {jobs}")
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
 
@@ -76,33 +80,17 @@ def run_bench(
     else:
         results = [_run_one(t) for t in tasks]
 
-    # deterministic merge order, independent of scheduling
-    results.sort(key=lambda r: (r.scenario_index, cfg.arms.index(r.arm), r.episode_index))
-
-    failures = [r for r in results if r.error is not None]
-    for r in failures:
-        scen = cfg.scenarios[r.scenario_index].name
-        print(
-            f"episode failed: scenario={scen} arm={r.arm} seed={r.seed}: {r.error}",
-            file=sys.stderr,
-        )
-
     rows = []
-    for scen_idx, run in enumerate(cfg.scenarios):
-        for arm in cfg.arms:
-            block = [
-                r
-                for r in results
-                if r.scenario_index == scen_idx and r.arm == arm and r.outcome is not None
-            ]
-            if not block:
-                continue
-            rows.append(
-                aggregate(
-                    run.name,
-                    arm,
-                    [r.outcome for r in block],
-                    [r.seed for r in block],
-                )
-            )
+    # pool.map and the loop keep task order, so each (scenario, arm) block is contiguous
+    for (scen_idx, arm), block in itertools.groupby(results, lambda r: (r.scenario_index, r.arm)):
+        name = cfg.scenarios[scen_idx].name
+        done = []
+        for r in block:
+            if r.error is None:
+                done.append(r)
+            else:
+                print(f"episode failed: scenario={name} arm={arm} seed={r.seed}: {r.error}",
+                      file=sys.stderr)
+        if done:
+            rows.append(aggregate(name, arm, [r.outcome for r in done], [r.seed for r in done]))
     return SuiteReport(rows=rows), results

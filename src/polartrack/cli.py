@@ -139,15 +139,22 @@ def cmd_dataset_gen(args) -> int:
 def _replay_acted_trajectories(log):
     """Rebuild the trajectories the policy produced by replaying the
     logged token sequence through the planner, including the dead
-    reckoning applied after each executed command. Exact for episodes
-    run with token reasoning; the token-less arm plans from raw readings
-    the log does not carry, so its replay is an approximation."""
+    reckoning applied after each executed command."""
     h = log.header
     hold = None
     for f in log.frames:
         traj, hold = plan(f.token, h.grid, hold, h.policy, h.limits)
         hold = advance_hold(hold, execute_first(traj, h.limits))
         yield f, traj
+
+
+def _lists_every_logit(pairs, header) -> bool:
+    """Whether logged top-k ``pairs`` hold every non-zero logit: cells score
+    >= 0, one per entity at most, so with the invalid token listed none is
+    left out when the pairs end on a value <= 0 or outnumber the entities."""
+    entities = math.inf if header.scenario is None else 1 + header.scenario.n_distractors
+    return (any(i == header.grid.invalid_index for i, _ in pairs)
+            and (pairs[-1][1] <= 0.0 or len(pairs) > entities))
 
 
 def _episode_paths(args) -> list[Path]:
@@ -175,6 +182,11 @@ def cmd_eval_losses(args) -> int:
                 raise ConfigError(
                     f"{path}: frames carry no logits; generate the dataset "
                     "with top-k logit logging to evaluate the reasoning loss"
+                )
+            if not _lists_every_logit(f.logits_topk, log.header):
+                raise ConfigError(
+                    f"{path}: frame {f.step}: its top-{len(f.logits_topk)} logits may leave "
+                    "out a non-zero one; log more of them to evaluate the reasoning loss"
                 )
             ep_reason += reason_loss(SparseLogits.from_pairs(k, f.logits_topk), f.gt_token)
             n += 1

@@ -221,6 +221,10 @@ def read_episode(path) -> EpisodeLog:
         )
     # the header states every setting the episode ran with
     header = build(0, lambda d: EpisodeHeader.from_dict(d, complete=True), head)
+    # run_episode writes the cap of the world that make_scenario built from the spec
+    if header.scenario is not None and header.max_steps != header.scenario.max_steps:
+        raise EpisodeFormatError(f"{path}: line 1: 'max_steps': {header.max_steps}, "
+                                 f"expected scenario.max_steps {header.scenario.max_steps}")
     grid, views = header.grid, header.rig.views
     vocab_size = grid.vocab_size
     frames: list[FrameRecord] = []
@@ -270,6 +274,10 @@ def read_episode(path) -> EpisodeLog:
         if kind == "frame":
             frames.append(build(i, read_frame, d))
         elif kind == "footer":
+            extra = next((k for k in d if k != "outcome"), None)
+            if extra is not None:
+                raise EpisodeFormatError(f"{path}: line {i + 1}: '{extra}': unknown key, "
+                                         "expected one of ['type', 'outcome']")
             outcome = build(i, lambda d: EpisodeOutcome.from_dict(d["outcome"], "outcome"), d)
             footer = i + 1
         else:

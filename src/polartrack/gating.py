@@ -137,12 +137,11 @@ def confidence(logits) -> float:
 
 @dataclass(frozen=True, slots=True)
 class ConfidenceTrace:
-    """Running record of per-step confidences: count, sum and the most
-    recent value. Value-semantic; ``record`` returns a new trace."""
+    """Running record of per-step confidences: their count and sum.
+    Value-semantic; ``record`` returns a new trace."""
 
     count: int = 0
     total: float = 0.0
-    last: float = 0.0
 
     @property
     def mean(self) -> float:
@@ -151,7 +150,7 @@ class ConfidenceTrace:
     def record(self, c: float) -> "ConfidenceTrace":
         if not (0.0 <= c <= 1.0):
             raise ValueError(f"confidence {c} outside [0, 1]")
-        return ConfidenceTrace(count=self.count + 1, total=self.total + c, last=c)
+        return ConfidenceTrace(count=self.count + 1, total=self.total + c)
 
 
 def gate_weight(trace: ConfidenceTrace, c_prev: float) -> float:

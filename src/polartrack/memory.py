@@ -89,7 +89,7 @@ def update_memory(
         w = gate_weight(trace, conf)  # checks conf, and that trace holds a record
         # trace.record(conf) without a second range check
         new = TargetMemory((1.0 - w) * slots + w * cand,
-                           ConfidenceTrace(trace.count + 1, trace.total + conf, conf))
+                           ConfidenceTrace(trace.count + 1, trace.total + conf))
     # a non-finite candidate entry makes a non-finite new one (even at w = 0), so
     # a finite norm clears the candidate; an overflowed one takes the exact test
     if not math.isfinite(new.norm) and not np.isfinite(cand).all():

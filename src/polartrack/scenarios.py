@@ -94,11 +94,10 @@ def _unit_feature(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _make_target(path: np.ndarray, speeds: np.ndarray, appearance: np.ndarray) -> Entity:
-    heading = float(np.degrees(np.arctan2(*(path[1] - path[0])[::-1])))
     return Entity(
         id=0,
         kind=TARGET,
-        pose=Pose2D(float(path[0][0]), float(path[0][1]), heading),
+        position=(float(path[0][0]), float(path[0][1])),
         radius=ENTITY_RADIUS,
         appearance=appearance,
         path=path,
@@ -122,11 +121,10 @@ def _make_distractor(
     spawn_r = rng.uniform(6.5, 9.0)
     spawn_a = np.radians(rng.uniform(*spawn_sector))
     spawn = np.array([spawn_r * np.cos(spawn_a), spawn_r * np.sin(spawn_a)])
-    heading = float(np.degrees(np.arctan2(*(path[start_leg] - spawn)[::-1])))
     return Entity(
         id=eid,
         kind=DISTRACTOR,
-        pose=Pose2D(float(spawn[0]), float(spawn[1]), heading),
+        position=(float(spawn[0]), float(spawn[1])),
         radius=ENTITY_RADIUS,
         appearance=appearance,
         path=path,

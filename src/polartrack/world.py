@@ -79,12 +79,12 @@ class Entity:
     speed while walking toward ``path[i]``. ``leg`` indexes the waypoint
     currently being approached. Both are checked as arrays at
     construction and kept as lists of floats, which ``advance`` walks. The
-    position and heading are plain floats that ``advance`` updates in
-    place; ``pose`` builds the ``Pose2D`` on read.
+    position is two plain floats, ``x`` and ``y``, that start at
+    ``position`` and that ``advance`` updates in place.
     """
 
-    def __init__(self, id: int, kind: str, pose: Pose2D, radius: float, appearance: np.ndarray,
-                 path: np.ndarray, speeds: np.ndarray, leg: int = 1):
+    def __init__(self, id: int, kind: str, position: tuple[float, float], radius: float,
+                 appearance: np.ndarray, path: np.ndarray, speeds: np.ndarray, leg: int = 1):
         if kind not in (TARGET, DISTRACTOR):
             raise ValueError(f"unknown entity kind {kind!r}")
         if radius <= 0:
@@ -95,9 +95,10 @@ class Entity:
             raise ValueError("path must be a (P, 2) array")
         if speeds.shape != (len(path),):
             raise ValueError("need one speed per path waypoint")
-        # finite waypoints and speeds keep every position advance() walks to finite
-        if not (np.isfinite(path).all() and np.isfinite(speeds).all()):
-            raise ValueError("path and speeds must be finite")
+        # a finite start, waypoints and speeds keep every position advance() walks to finite
+        if not (np.isfinite(position).all() and np.isfinite(path).all()
+                and np.isfinite(speeds).all()):
+            raise ValueError("start position, path and speeds must be finite")
         # advance() walks no farther than the leg's speed: a negative one freezes the entity
         if (speeds < 0).any():
             raise ValueError("speeds must be >= 0")
@@ -106,11 +107,7 @@ class Entity:
         if self.appearance.ndim != 1 or not np.isfinite(self.appearance).all():
             raise ValueError("appearance must be a finite 1-D vector")
         self.id, self.kind, self.radius, self.leg = id, kind, radius, leg
-        self.x, self.y, self.heading = pose.x, pose.y, pose.heading
-
-    @property
-    def pose(self) -> Pose2D:
-        return Pose2D(self.x, self.y, self.heading)
+        self.x, self.y = position
 
     def advance(self):
         """Walk one step along the loop, wrapping at the end. Crossing a
@@ -134,10 +131,6 @@ class Entity:
                 remaining -= d
                 leg = (leg + 1) % len(path)
                 remaining = min(remaining, speeds[leg])
-        # face the waypoint being approached
-        nx, ny = path[leg]
-        if math.hypot(nx - x, ny - y) > 1e-12:
-            self.heading = math.degrees(math.atan2(ny - y, nx - x))
         self.x, self.y, self.leg = x, y, leg
 
 

@@ -7,8 +7,10 @@ import multiprocessing
 import pytest
 from test_golden import STOP_SETTINGS
 
+from polartrack import bench
 from polartrack.bench import run_bench
 from polartrack.config import config_from_dict
+from polartrack.records import FieldError
 from polartrack.scenarios import SCENARIO_NAMES
 
 
@@ -81,3 +83,36 @@ def test_run_bench_hands_every_worker_a_chunk(pools):
         processes, chunksize = pools[-1]
         assert (processes, chunksize) == want, (len(results), jobs)
         assert math.ceil(len(results) / chunksize) >= processes
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_bench_rejects_fewer_than_one_job(monkeypatch, jobs):
+    ran = []
+    monkeypatch.setattr(bench, "_run_one", ran.append)
+    with pytest.raises(FieldError, match=f"'jobs': must be >= 1, got {jobs}"):
+        run_bench(suite(["stt"], ["full"], 1), jobs=jobs)
+    assert not ran
+
+
+def test_a_failing_arm_leaves_the_other_rows_in_config_order(monkeypatch, capsys):
+    real = bench.run_episode
+
+    def failing_for_no_tim(world, runtime, **kw):
+        if runtime.arm == "no_tim":
+            raise RuntimeError("boom")
+        return real(world, runtime, **kw)
+
+    monkeypatch.setattr(bench, "run_episode", failing_for_no_tim)
+    cfg = suite(["stt", "dt"], ["no_cot", "no_tim", "full"], 2)
+    report, results = run_bench(cfg, jobs=1)
+    assert [(row.scenario, row.arm, row.episodes) for row in report.rows] == [
+        ("stt", "no_cot", 2), ("stt", "full", 2), ("dt", "no_cot", 2), ("dt", "full", 2)]
+    # every result comes back, in task order, with an error on each failed one
+    assert [(r.scenario_index, r.arm, r.episode_index) for r in results] == [
+        (s, arm, e) for s in range(2) for arm in cfg.arms for e in range(2)]
+    for r in results:
+        if r.arm == "no_tim":
+            assert r.error == "boom" and r.outcome is None
+        else:
+            assert r.error is None and r.outcome is not None
+    assert capsys.readouterr().err.count("episode failed: ") == 4

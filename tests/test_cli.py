@@ -1,12 +1,14 @@
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from polartrack.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from polartrack.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _lists_every_logit, main
 from polartrack.config import RunConfig, load_config, save_config
 from polartrack.episodes import read_episode, write_episode
+from polartrack.polar import PolarGrid
 from polartrack.runner import AgentRuntime, run_episode
 from polartrack.scenarios import SCENARIO_NAMES, ScenarioSpec, make_scenario
 
@@ -426,6 +428,36 @@ def test_eval_losses_needs_logged_logits(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "losses", str(tmp_path / "b")]) == EXIT_CONFIG
     assert "frames carry no logits" in capsys.readouterr().err
+
+
+def test_eval_losses_refuses_a_top_k_that_may_drop_a_logit(tmp_path, capsys):
+    # each of dt's 4 entities can score a cell: a top-1 log loses logits
+    # and would read reason=7.3897 instead of 7.7945
+    for k in (1, 8):
+        argv = ["episode", "run", "--scenario", "dt", "--seed", "3", "--log-topk", str(k)]
+        assert main(argv + ["--out", str(tmp_path / f"top{k}.jsonl")]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", "losses", str(tmp_path / "top1.jsonl")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "top1.jsonl: frame 0: its top-1 logits may leave out a non-zero one" in err
+    assert main(["eval", "losses", str(tmp_path / "top8.jsonl")]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "top8.jsonl: frames=500 traj=209.4546 reason=7.7945 total=211.0135\n"
+        "overall: frames=500 traj=209.4546 reason=7.7945 total=211.0135\n")
+
+
+@pytest.mark.parametrize("pairs, scenario, complete", [
+    ([[1800, 2.0], [5, 1.0], [0, 0.0]], None, True),  # ends on a zero
+    ([[5, 1.0], [1800, -0.5]], None, True),  # ends below zero
+    ([[1800, 2.0], [5, 1.0]], None, False),  # no entity count to go by
+    ([[1800, 2.0], [5, 1.0]], ScenarioSpec("stt"), True),  # 2 pairs, 1 entity
+    ([[1800, 2.0], [5, 1.0]], ScenarioSpec("dt"), False),  # 2 pairs, 4 entities
+    ([[5, 1.0], [7, 0.5]], ScenarioSpec("stt"), False),  # the invalid token is not listed
+])
+def test_the_top_k_rule_of_eval_losses(pairs, scenario, complete):
+    header = SimpleNamespace(grid=PolarGrid(), scenario=scenario)
+    assert PolarGrid().invalid_index == 1800
+    assert _lists_every_logit(pairs, header) is complete
 
 
 def test_replay_verify_rejects_an_empty_directory_and_a_cut_log(tmp_path, capsys):

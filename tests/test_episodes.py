@@ -37,7 +37,7 @@ def static_world(target_pos, obstacles=()):
     target = Entity(
         id=0,
         kind="target",
-        pose=Pose2D(target_pos[0], target_pos[1], 0.0),
+        position=target_pos,
         radius=0.3,
         appearance=np.array([1.0, 0.0]),
         path=np.array([target_pos]),
@@ -501,6 +501,8 @@ def test_generate_dataset_rejects_worlds_its_topk_cannot_cover(tmp_path):
 def test_footer_parse_failure_names_line_and_field(tmp_path):
     msg = edited_log(tmp_path, -1, lambda f: f["outcome"].update(success="yes"))
     assert "line 502:" in msg and "'outcome.success'" in msg
+    msg = edited_log(tmp_path, -1, lambda f: f.update(extra=1))
+    assert "line 502:" in msg and "'extra': unknown key" in msg
 
 
 def test_footer_that_disagrees_with_the_frames_is_rejected(tmp_path):
@@ -508,6 +510,27 @@ def test_footer_that_disagrees_with_the_frames_is_rejected(tmp_path):
         tmp_path, -1, lambda f: f["outcome"].update(tracking_rate=0.123, success=False)
     )
     assert "line 502:" in msg and "disagrees" in msg
+
+
+def test_max_steps_must_be_the_scenarios_cap(tmp_path):
+    # a 300-step obstacle/no_cot log that ends "lost" at step 275 scores
+    # "lost" under a cap of 295 too, so only the header check refuses it
+    spec = ScenarioSpec("obstacle", max_steps=300)
+    log = run_episode(make_scenario(spec, 16), AgentRuntime(arm="no_cot"), spec, 16)
+    assert (log.outcome.reason, log.outcome.episode_length) == ("lost", 275)
+    path = tmp_path / "ep.jsonl"
+    write_episode(log, path)
+    header, rest = path.read_text().split("\n", 1)
+    assert '"max_steps":300,"expert"' in header
+    path.write_text(header.replace('"max_steps":300,"expert"', '"max_steps":295,"expert"')
+                    + "\n" + rest)
+    with pytest.raises(EpisodeFormatError, match="line 1: 'max_steps': 295, expected "
+                                                 "scenario.max_steps 300"):
+        read_episode(path)
+    # a hand-built world (scenario null) has no cap to agree with
+    header = replace(log.header, scenario=None, max_steps=295)
+    write_episode(EpisodeLog(header, log.frames, log.outcome), path)
+    assert read_episode(path).header.max_steps == 295
 
 
 def length_based_outcome(frames, rules, max_steps):
@@ -530,7 +553,8 @@ def length_based_outcome(frames, rules, max_steps):
 def doctored_log_error(tmp_path, log, frames, max_steps) -> str:
     """Write ``log`` with ``frames`` under ``max_steps`` and a footer
     rescored by length, and return the error of reading it back."""
-    header = replace(log.header, max_steps=max_steps)
+    header = replace(log.header, max_steps=max_steps,
+                     scenario=replace(log.header.scenario, max_steps=max_steps))
     outcome = length_based_outcome(frames, header.rules, max_steps)
     path = tmp_path / "doctored.jsonl"
     write_episode(EpisodeLog(header=header, frames=frames, outcome=outcome), path)

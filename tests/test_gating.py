@@ -118,12 +118,11 @@ def test_gate_weight_requires_history():
 def test_record_value_semantics():
     empty = ConfidenceTrace()
     t1 = empty.record(0.8)
-    assert (t1.count, t1.total, t1.last) == (1, 0.8, 0.8)
+    assert (t1.count, t1.total) == (1, 0.8)
     assert (empty.count, empty.total) == (0, 0.0)  # original untouched
 
     t2 = t1.record(0.4)
     assert t2.mean == pytest.approx(0.6)
-    assert t2.last == 0.4
 
     # a forced zero after an invalid step drags the mean down
     t3 = t2.record(0.0)

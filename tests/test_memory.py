@@ -69,7 +69,7 @@ def test_invalid_freezes_slots_and_records_zero():
     out = update_memory(mem, INVALID, 0.9, None, TINY)
     assert out.slots.tobytes() == before
     assert out.trace.count == mem.trace.count + 1
-    assert out.trace.last == 0.0
+    assert out.trace.total == mem.trace.total
 
 
 def test_freeze_exactness_over_a_long_run():

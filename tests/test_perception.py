@@ -38,7 +38,7 @@ def entity(eid, kind, pos, appearance):
     return Entity(
         id=eid,
         kind=kind,
-        pose=Pose2D(pos[0], pos[1], 0.0),
+        position=pos,
         radius=0.3,
         appearance=np.asarray(appearance, dtype=float),
         path=np.array([pos]),

@@ -175,7 +175,7 @@ def closed_loop_world(target_pos):
     target = Entity(
         id=0,
         kind="target",
-        pose=Pose2D(target_pos[0], target_pos[1], 0.0),
+        position=target_pos,
         radius=0.3,
         appearance=np.array([1.0, 0.0]),
         path=np.array([target_pos]),

@@ -307,7 +307,7 @@ def test_a_score_only_run_has_the_recorded_outcome(name):
 
 
 def test_a_score_only_step_builds_only_the_agents_pose(monkeypatch):
-    # entities keep their position and heading as plain floats, so the
+    # entities keep their position as plain floats, so the
     # agent's pose is the one Pose2D a step builds
     spec = ScenarioSpec("dt", max_steps=120)
     built = 0

@@ -20,7 +20,7 @@ FROZEN = {
     PolarPoint: st.builds(PolarPoint, finite, st.floats(0.0, 1e6)),
     Pose2D: st.builds(Pose2D, finite, finite, finite),
     Command: st.builds(Command, finite, finite),
-    ConfidenceTrace: st.builds(ConfidenceTrace, st.integers(0, 10**6), finite, finite),
+    ConfidenceTrace: st.builds(ConfidenceTrace, st.integers(0, 10**6), finite),
 }
 MUTABLE = {
     StepEvents: st.builds(StepEvents, st.booleans(), st.none() | st.text(max_size=8),

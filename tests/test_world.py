@@ -34,7 +34,7 @@ def make_entity(eid=0, kind="target", pos=(5.0, 0.0), path=None, speed=0.1, radi
     return Entity(
         id=eid,
         kind=kind,
-        pose=Pose2D(pos[0], pos[1], 0.0),
+        position=pos,
         radius=radius,
         appearance=np.array(appearance),
         path=path,
@@ -150,7 +150,7 @@ def test_entities_never_teleport():
     for _ in range(300):
         w.step(Command(0.0, 0.0))
         for e in w.entities:
-            d = math.hypot(e.pose.x - prev[e.id][0], e.pose.y - prev[e.id][1])
+            d = math.hypot(e.x - prev[e.id][0], e.y - prev[e.id][1])
             assert d <= max_speed[e.id] + 1e-9
             prev[e.id] = position(e)
 
@@ -165,10 +165,10 @@ def test_no_entity_crosses_the_contact_distance_in_one_step(monkeypatch):
 
     def checked(self, cmd):
         nonlocal worst
-        before = [(e.pose.x - self.agent.x, e.pose.y - self.agent.y) for e in self.entities]
+        before = [(e.x - self.agent.x, e.y - self.agent.y) for e in self.entities]
         events = step(self, cmd)
         for e, (bx, by) in zip(self.entities, before):
-            ax, ay = e.pose.x - self.agent.x, e.pose.y - self.agent.y
+            ax, ay = e.x - self.agent.x, e.y - self.agent.y
             dx, dy = ax - bx, ay - by
             moved = math.hypot(dx, dy)
             # relative move as a share of the contact distance
@@ -200,6 +200,13 @@ def test_entity_rejects_a_non_finite_path_or_speed():
                         ([(0.0, 0.0), (1.0, 1.0)], math.nan)):
         with pytest.raises(ValueError, match="finite"):
             make_entity(pos=(0.0, 0.0), path=path, speed=speed)
+
+
+@pytest.mark.parametrize("pos", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)],
+                         ids=["nan", "inf", "-inf"])
+def test_entity_rejects_a_non_finite_start_position(pos):
+    with pytest.raises(ValueError, match="finite"):
+        make_entity(pos=pos, path=[(0.0, 0.0), (1.0, 0.0)])
 
 
 @pytest.mark.parametrize("appearance", [
@@ -239,7 +246,7 @@ def test_waypoint_wraparound():
     xs = []
     for _ in range(20):
         w.step(Command(0.0, 0.0))
-        xs.append(e.pose.x)
+        xs.append(e.x)
     # shuttles back and forth inside [0, 1]
     assert max(xs) <= 1.0 + 1e-9
     assert min(xs) >= -1e-9
@@ -265,11 +272,7 @@ def advance_oracle(e):
             remaining -= d
             e.leg = (e.leg + 1) % len(path)
             remaining = min(remaining, float(speeds[e.leg]))
-    nx, ny = path[e.leg]
-    heading = e.heading
-    if math.hypot(nx - x, ny - y) > 1e-12:
-        heading = math.degrees(math.atan2(ny - y, nx - x))
-    e.x, e.y, e.heading = x, y, heading
+    e.x, e.y = x, y
 
 
 def test_advance_matches_the_ndarray_path_oracle():
@@ -282,7 +285,7 @@ def test_advance_matches_the_ndarray_path_oracle():
         speeds = rng.choice([0.0, 0.05, 0.3, 2.5, 9.0], size=n)
         leg = int(rng.integers(0, n))
         a, b = (
-            Entity(id=0, kind="target", pose=Pose2D(path[0, 0], path[0, 1], 0.0), radius=0.3,
+            Entity(id=0, kind="target", position=(path[0, 0], path[0, 1]), radius=0.3,
                    appearance=np.ones(2), path=path, speeds=speeds, leg=leg)
             for _ in range(2)
         )
@@ -290,8 +293,8 @@ def test_advance_matches_the_ndarray_path_oracle():
             a.advance()
             advance_oracle(b)
             assert a.leg == b.leg
-            got = np.array([a.pose.x, a.pose.y, a.pose.heading])
-            want = np.array([b.pose.x, b.pose.y, b.pose.heading])
+            got = np.array([a.x, a.y])
+            want = np.array([b.x, b.y])
             assert got.tobytes() == want.tobytes()
 
 
@@ -390,7 +393,7 @@ def test_scenario_determinism():
         w2 = make_scenario(spec, 7)
         assert len(w1.entities) == len(w2.entities)
         for a, b in zip(w1.entities, w2.entities):
-            assert a.pose == b.pose
+            assert (a.x, a.y) == (b.x, b.y)
             assert np.array_equal(a.path, b.path)
             assert np.array_equal(a.appearance, b.appearance)
             assert np.array_equal(a.speeds, b.speeds)
@@ -475,7 +478,7 @@ def test_world_replay_is_bit_exact(name, seed, cmds, split):
     # equal bit for bit, and so does a pickled copy taken mid-way
     def state(w, events):
         # repr tells -0.0 from 0.0 and shows every bit of a float
-        return repr((events, w.agent, [(e.pose, e.leg) for e in w.entities],
+        return repr((events, w.agent, [(e.x, e.y, e.leg) for e in w.entities],
                      [(s.rel, s.los) for s in w.sightings]))
 
     a, b = (make_scenario(ScenarioSpec(name), seed) for _ in range(2))
