@@ -30,7 +30,6 @@ from .scenarios import make_scenario
 class EpisodeResult:
     scenario_index: int
     arm: str
-    episode_index: int
     seed: int
     outcome: Optional[EpisodeOutcome]
     error: Optional[str] = None
@@ -48,9 +47,9 @@ def _run_one(args) -> EpisodeResult:
         if out_dir is not None:
             path = Path(out_dir) / f"{run.name}_{arm}_{ep_idx:04d}.jsonl"
             write_episode(log, path)
-        return EpisodeResult(scen_idx, arm, ep_idx, seed, log.outcome)
+        return EpisodeResult(scen_idx, arm, seed, log.outcome)
     except Exception as e:  # isolate the episode, keep the suite going
-        return EpisodeResult(scen_idx, arm, ep_idx, seed, None, error=str(e))
+        return EpisodeResult(scen_idx, arm, seed, None, error=str(e))
 
 
 def run_bench(

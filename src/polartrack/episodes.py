@@ -143,8 +143,9 @@ class EpisodeLog:
 
     def to_jsonl(self) -> str:
         """The log as JSONL. A log whose frame count differs from its
-        outcome's episode length, or that holds anything but frames,
-        raises ``ValueError``: ``read_episode`` would reject its file."""
+        outcome's episode length, that holds anything but frames, or whose
+        header fails ``read_episode``'s field check (``FieldError`` naming
+        the field) raises ``ValueError``: ``read_episode`` would reject its file."""
         n = len(self.frames)
         if self.outcome is not None and n != self.outcome.episode_length:
             raise ValueError(
@@ -152,8 +153,10 @@ class EpisodeLog:
             )
         if not all(isinstance(f, FrameRecord) for f in self.frames):
             raise ValueError("a score-only log (run_episode(record=False)) has no frames to write")
+        head = self.header.to_dict()
+        EpisodeHeader.from_dict(head, complete=True)  # read_episode's field check
         encode = json.JSONEncoder(separators=(",", ":")).encode
-        lines = [encode({"type": "header", "version": SCHEMA_VERSION, **self.header.to_dict()})]
+        lines = [encode({"type": "header", "version": SCHEMA_VERSION, **head})]
         # Frames of one cell share their expert_traj list (see run_episode):
         # each distinct list is encoded once and spliced into its frames'
         # lines. Every frame stays alive in self.frames, so ids are unique.

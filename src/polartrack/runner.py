@@ -76,9 +76,11 @@ def run_episode(
     out: Optional[ReasonerOutput] = None  # stays None in the no_cot arm
     pending: Optional[tuple[ReasonerOutput, float]] = None
     frames: list = []
-    # a valid gt_token always plans the same cell trajectory, so its frames
-    # share one list of rows (built on the token's first visit)
+    # a valid token plans its cell's trajectory and centroid whatever the hold
+    # point, so on its first visit its expert rows, and its command with the
+    # next hold point, are built once and read back on every later visit
     expert_rows: dict[int, list] = {}
+    token_acts: dict[int, tuple] = {}
     lost_run = 0
     header = EpisodeHeader(
         **AgentRuntime.values_of(runtime),
@@ -109,6 +111,7 @@ def run_episode(
                     pending = out, conf
                 traj, hold = plan(out.token, grid, hold, policy, limits)
                 acted_token = out.token
+                act = token_acts.get(out.token)
             else:
                 # no tokens, no invalid semantics: steer at the latest raw
                 # reading, or the dead-reckoned previous one when nothing
@@ -123,10 +126,17 @@ def run_episode(
                 if record:
                     acted_token = grid.invalid_index if raw is None else encode(grid, raw)
                     conf = 0.0
+                act = None
 
-            cmd = execute_first(traj, limits)
-            events = world.step(cmd)
-            hold = advance_hold(hold, cmd)
+            if act is None:
+                cmd = execute_first(traj, limits)
+                events = world.step(cmd)
+                hold = advance_hold(hold, cmd)
+                if out is not None and out.token != grid.invalid_index:
+                    token_acts[out.token] = cmd, hold
+            else:
+                cmd, hold = act
+                events = world.step(cmd)
         except Exception as e:
             raise RuntimeError(f"episode failed at step {world.step_index}: {e}") from e
 

@@ -10,6 +10,7 @@ from test_golden import STOP_SETTINGS
 from polartrack import bench
 from polartrack.bench import run_bench
 from polartrack.config import config_from_dict
+from polartrack.episodes import derive_seed
 from polartrack.records import FieldError
 from polartrack.scenarios import SCENARIO_NAMES
 
@@ -107,9 +108,11 @@ def test_a_failing_arm_leaves_the_other_rows_in_config_order(monkeypatch, capsys
     report, results = run_bench(cfg, jobs=1)
     assert [(row.scenario, row.arm, row.episodes) for row in report.rows] == [
         ("stt", "no_cot", 2), ("stt", "full", 2), ("dt", "no_cot", 2), ("dt", "full", 2)]
-    # every result comes back, in task order, with an error on each failed one
-    assert [(r.scenario_index, r.arm, r.episode_index) for r in results] == [
-        (s, arm, e) for s in range(2) for arm in cfg.arms for e in range(2)]
+    # every result comes back, in task order, with an error on each failed one;
+    # episode e of scenario s runs on derive_seed(master_seed, s, e)
+    assert [(r.scenario_index, r.arm, r.seed) for r in results] == [
+        (s, arm, derive_seed(cfg.master_seed, s, e))
+        for s in range(2) for arm in cfg.arms for e in range(2)]
     for r in results:
         if r.arm == "no_tim":
             assert r.error == "boom" and r.outcome is None

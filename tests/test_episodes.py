@@ -167,6 +167,26 @@ def test_a_log_without_its_frames_cannot_be_written(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("spec, settings, field, expected", [
+    (ScenarioSpec("dt", n_distractors=True, max_steps=20), {}, "scenario.n_distractors",
+     "an integer, got True"),
+    (ScenarioSpec("stt", max_steps=20.0), {}, "scenario.max_steps", "an integer, got 20.0"),
+    (ScenarioSpec("stt", max_steps=20), {"count_invalid_in_mean": "false"},
+     "count_invalid_in_mean", "true or false, got 'false'"),
+])
+def test_a_header_its_reader_would_reject_is_not_written(tmp_path, spec, settings, field,
+                                                         expected):
+    # the spec and the runtime take these values and the episode runs, but
+    # read_episode would reject the header's field, so the log is not written
+    world = make_scenario(spec, 0)
+    assert len(world.entities) == 1 + spec.n_distractors
+    log = run_episode(world, AgentRuntime(**settings), spec, 0)
+    assert log.outcome.episode_length == 20
+    with pytest.raises(ValueError, match=re.escape(f"'{field}': expected {expected}")):
+        write_episode(log, tmp_path / "ep.jsonl")
+    assert not list(tmp_path.iterdir())
+
+
 def test_truncated_file_names_line(tmp_path):
     log = run_stt_episode()
     path = tmp_path / "ep.jsonl"

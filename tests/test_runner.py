@@ -7,7 +7,7 @@ from polartrack.memory import TargetMemory, update_memory
 from polartrack.metrics import MetricRules, StepResult
 from polartrack.perception import CameraRig, PerceptionParams
 from polartrack.polar import PolarGrid
-from polartrack.policy import plan
+from polartrack.policy import INVALID_MODES, PolicySettings, advance_hold, execute_first, plan
 from polartrack import runner
 from polartrack.runner import ARMS, AgentRuntime, run_episode
 from polartrack.scenarios import SCENARIO_NAMES, ScenarioSpec, make_scenario
@@ -354,3 +354,75 @@ def test_a_score_only_run_skips_what_only_the_frame_reads(monkeypatch):
         calls[key] = 0
         log = run_episode(make_scenario(spec, 4), runtime(arm), spec, 4)
         assert calls[key] == len(log.frames), arm
+
+
+@pytest.mark.parametrize("mode", INVALID_MODES)
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_acted_poses_match_an_uncached_replay(name, mode):
+    # the runner reads a valid token's command and next hold point from its
+    # episode's table; every logged token replayed through plan, execute_first,
+    # step and advance_hold, with nothing kept between steps but the hold
+    # point, moves the agent bit for bit alike. A single front view loses
+    # the target in every scenario, so runs mix valid and invalid tokens.
+    spec = ScenarioSpec(name)
+    invalid = 0
+    for arm in ("full", "no_tim"):
+        for seed in (0, 1):
+            rt = replace(runtime(arm, policy=PolicySettings(invalid_mode=mode)),
+                         rig=CameraRig.ring(1))
+            log = run_episode(make_scenario(spec, seed), rt, spec, seed)
+            world, hold = make_scenario(spec, seed), None
+            for f in log.frames:
+                traj, hold = plan(f.token, GRID, hold, rt.policy, rt.limits)
+                cmd = execute_first(traj, rt.limits)
+                world.step(cmd)
+                hold = advance_hold(hold, cmd)
+                a = world.agent
+                assert f.agent == (a.x, a.y, a.heading), (arm, seed, f.step)
+            invalid += sum(f.token == GRID.invalid_index for f in log.frames)
+    assert invalid > 0
+
+
+@pytest.mark.parametrize("record", [True, False])
+def test_a_valid_tokens_command_is_worked_out_once_per_episode(monkeypatch, record):
+    # the token arms work out a command and its next hold point once per
+    # distinct valid token and on every invalid-token step; no_cot every step
+    calls = {"execute_first": 0, "advance_hold": 0}
+
+    def counting(name):
+        real = getattr(runner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    tokens = []
+    observe = runner.observe
+
+    def recording_observe(*args):
+        out = observe(*args)
+        tokens.append(out.token)
+        return out
+
+    for name in calls:
+        monkeypatch.setattr(runner, name, counting(name))
+    monkeypatch.setattr(runner, "observe", recording_observe)
+    spec = ScenarioSpec("obstacle", max_steps=300)
+    for arm in ARMS:
+        for seed in (0, 1):
+            tokens.clear()
+            calls.update(execute_first=0, advance_hold=0)
+            log = run_episode(make_scenario(spec, seed), runtime(arm), spec, seed,
+                              record=record)
+            steps = log.outcome.episode_length
+            if arm == "no_cot":
+                assert not tokens
+                want = steps
+            else:
+                assert len(tokens) == steps
+                invalid = tokens.count(GRID.invalid_index)
+                want = len(set(tokens) - {GRID.invalid_index}) + invalid
+                assert 0 < invalid and want < steps, (arm, seed)
+            assert calls == {"execute_first": want, "advance_hold": want}, (arm, seed)
