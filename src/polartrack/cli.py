@@ -15,6 +15,12 @@ Exit codes: 0 ok, 1 configuration error, 2 runtime error or a log that
 fails ``replay verify``. Every command takes its seed from ``--seed``,
 else the POLARTRACK_SEED variable, else the config's ``master_seed``,
 else 0; POLARTRACK_JOBS stands in for an absent ``--jobs`` the same way.
+
+``perfbench/instrument.py`` traces ``eval losses`` by rebinding
+``main``, ``read_episode``, ``plan``, ``execute_first``,
+``advance_hold``, ``traj_loss`` and ``reason_loss`` here;
+``tests/test_trace.py`` pins one ``read_episode`` per log and one call
+each of ``plan``, ``execute_first`` and ``advance_hold`` per frame.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .metrics import EpisodeOutcome, MetricRules, score_episode
 from .perception import CameraRig, CameraView, PerceptionParams
 from .polar import PolarGrid, PolarPoint, encode
 from .policy import NUM_WAYPOINTS, PolicySettings
-from .records import FieldError, Record, check_non_negative
+from .records import FieldError, Record, check, check_non_negative
 from .scenarios import ScenarioSpec, make_scenario
 from .world import MotionLimits, World
 
@@ -113,7 +113,7 @@ class AgentRuntime(AgentSettings):
     def __post_init__(self):
         if self.arm not in ARMS:
             raise FieldError("arm", f"unknown arm {self.arm!r}, expected one of {ARMS}")
-        if self.log_topk < 0:
+        if check(int, self.log_topk, "log_topk") < 0:
             raise FieldError("log_topk", f"must be >= 0, got {self.log_topk}")
 
 
@@ -230,12 +230,15 @@ def read_episode(path) -> EpisodeLog:
                                  f"expected scenario.max_steps {header.scenario.max_steps}")
     grid, views = header.grid, header.rig.views
     vocab_size = grid.vocab_size
+    # run_episode logs SparseLogits.topk(log_topk) of each reasoner output
+    topk = 0 if header.arm == "no_cot" else min(header.log_topk, vocab_size)
     frames: list[FrameRecord] = []
 
     def read_frame(d: dict) -> FrameRecord:
         """A frame, checked against itself and the header: step index, shapes,
         confidence, gt_polar given (in the annulus) exactly when gt_invalid is false,
-        gt_token its cell, token range and top-k logits (in range, none repeated, finite)."""
+        gt_token its cell, token range and top-k logits (in range, none repeated, finite,
+        then as many and in the order that the header's run logs them)."""
         f = FrameRecord.from_dict(d)
         if f.step != len(frames):
             raise FieldError("step", f"{f.step}, expected {len(frames)}")
@@ -257,8 +260,9 @@ def read_episode(path) -> EpisodeLog:
             raise FieldError("gt_token", f"{f.gt_token}, expected {cell}")
         if not 0 <= f.token < vocab_size:
             raise FieldError("token", f"{f.token} outside the header grid's [0, {vocab_size - 1}]")
+        pairs = f.logits_topk or ()
         seen = set()
-        for j, (index, logit) in enumerate(f.logits_topk or ()):
+        for j, (index, logit) in enumerate(pairs):
             if not 0 <= index < vocab_size or index in seen or not math.isfinite(logit):
                 raise FieldError(
                     f"logits_topk[{j}]",
@@ -266,6 +270,12 @@ def read_episode(path) -> EpisodeLog:
                     f"finite logit, got {[index, logit]}",
                 )
             seen.add(index)
+        if len(pairs) != topk or (f.logits_topk is None) != (topk == 0):
+            got = "null" if f.logits_topk is None else f"{len(pairs)} pairs"
+            raise FieldError("logits_topk", f"{got} for log_topk {header.log_topk} in the "
+                             f"{header.arm} arm, expected {f'{topk} pairs' if topk else 'null'}")
+        if any((-v, i) > (-w, j) for (i, v), (j, w) in zip(pairs, pairs[1:])):
+            raise FieldError("logits_topk", "not ordered by logit descending, then index")
         return f
 
     outcome: Optional[EpisodeOutcome] = None

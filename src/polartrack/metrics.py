@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -65,10 +65,17 @@ def frame_tracked(dist: float, theta: float, rules: MetricRules) -> bool:
     return dist <= rules.track_dist and abs(signed_degrees(theta)) <= rules.track_bearing
 
 
-def loss_run(run: int, dist: float, rules: MetricRules) -> int:
-    """Consecutive steps ending beyond ``lost_radius``, counting a step that ends
-    ``dist`` from the target after ``run`` of them; the target is lost above ``lost_patience``."""
-    return run + 1 if dist > rules.lost_radius else 0
+def episode_end(run: int, dist: float, collided: bool, at_cap: bool,
+                rules: MetricRules) -> tuple[int, Optional[str]]:
+    """The ending rule, applied to a step that ends ``dist`` from the target after
+    ``run`` consecutive steps beyond ``lost_radius``: the new run and why the episode
+    ends there (a collision, the step cap, then a run above ``lost_patience``), or None."""
+    run = run + 1 if dist > rules.lost_radius else 0
+    if collided:
+        return run, "collision"
+    if at_cap:
+        return run, "cap"
+    return run, "lost" if run > rules.lost_patience else None
 
 
 def score_episode(log, rules: MetricRules) -> EpisodeOutcome:
@@ -77,9 +84,8 @@ def score_episode(log, rules: MetricRules) -> EpisodeOutcome:
     Works on any log object exposing ``frames`` (``FrameRecord``s or
     ``StepResult``s: each has ``target_rel``, the post-step ``(theta,
     dist)`` of the target, and ``collided``) and a header with
-    ``max_steps``. The log must end where the rules end the episode, on the first
-    frame with a collision, the step cap or a completed loss (``loss_run`` above
-    ``lost_patience``), the first of these naming the reason; else ``ValueError``.
+    ``max_steps``. The log must end on its first frame that ``episode_end``
+    ends, which names the reason; else ``ValueError``.
     """
     max_steps = log.header.max_steps
     tracked = run = 0
@@ -89,13 +95,7 @@ def score_episode(log, rules: MetricRules) -> EpisodeOutcome:
             raise ValueError(f"frame {step} follows the episode's end ({reason}) at frame {step - 1}")
         theta, dist = f.target_rel
         tracked += frame_tracked(dist, theta, rules)
-        run = loss_run(run, dist, rules)
-        if f.collided:
-            reason = "collision"
-        elif step + 1 == max_steps:
-            reason = "cap"
-        elif run > rules.lost_patience:
-            reason = "lost"
+        run, reason = episode_end(run, dist, f.collided, step + 1 == max_steps, rules)
     n = len(log.frames)
     if reason is None:
         raise ValueError(f"the episode ends after {n} of {max_steps} steps with no collision "

@@ -101,8 +101,7 @@ def _cell_plan(
     as 0 compares equal to 0.0 yet plans zeros of another sign (a limit
     of -0.0 still shares the entry of 0.0)."""
     p = decode(grid, token)
-    limits = MotionLimits(max_speed, max_turn)
-    traj = _segment_plan(p.dist - standoff, signed_degrees(p.theta), limits)
+    traj = plan_from_polar(p, standoff, MotionLimits(max_speed, max_turn))
     traj.flags.writeable = False
     return traj, p
 

@@ -13,6 +13,15 @@ Three arms share this loop:
 * ``no_tim``  token reasoning, memory stays empty (kind-blind scores)
 * ``no_cot``  no tokens at all: the raw noisy position of the nearest
               detected entity, held stale when nothing is detected
+
+``perfbench/instrument.py`` traces the loop by rebinding the names it
+calls here: ``run_episode``, ``annotate_frame``, ``view_visibility``,
+``plan``, ``observe``, ``confidence``, ``update_memory``,
+``nearest_detection``, ``plan_from_polar``, ``execute_first``,
+``advance_hold`` and ``score_episode``. It counts a ``plan`` call right
+after ``view_visibility`` as the expert's, any other as the agent's, and
+``tests/test_trace.py`` pins how often each role, ``nearest_detection``
+and ``World.step`` are called per step.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from .episodes import (  # ARMS is re-exported
 )
 from .gating import confidence
 from .memory import TargetMemory, update_memory
-from .metrics import StepResult, loss_run, score_episode
+from .metrics import StepResult, episode_end, score_episode
 from .perception import ReasonerOutput, nearest_detection, observe, view_masks
 from .policy import (
     NUM_WAYPOINTS,
@@ -81,7 +90,7 @@ def run_episode(
     # next hold point, are built once and read back on every later visit
     expert_rows: dict[int, list] = {}
     token_acts: dict[int, tuple] = {}
-    lost_run = 0
+    lost_run, reason = 0, None
     header = EpisodeHeader(
         **AgentRuntime.values_of(runtime),
         scenario=scenario,
@@ -90,7 +99,7 @@ def run_episode(
         expert="noiseless oracle pursuit",
     )
 
-    while not world.terminated:
+    while reason is None:
         try:
             masks = view_masks(world, rig, grid, record)
             if record:
@@ -130,13 +139,11 @@ def run_episode(
 
             if act is None:
                 cmd = execute_first(traj, limits)
-                events = world.step(cmd)
-                hold = advance_hold(hold, cmd)
+                act = cmd, advance_hold(hold, cmd)
                 if out is not None and out.token != grid.invalid_index:
-                    token_acts[out.token] = cmd, hold
-            else:
-                cmd, hold = act
-                events = world.step(cmd)
+                    token_acts[out.token] = act
+            cmd, hold = act
+            events = world.step(cmd)
         except Exception as e:
             raise RuntimeError(f"episode failed at step {world.step_index}: {e}") from e
 
@@ -172,9 +179,8 @@ def run_episode(
         else:
             frames.append(StepResult(target_rel, events.collided))
 
-        lost_run = loss_run(lost_run, events.target_rel.dist, runtime.rules)
-        if events.collided or lost_run > runtime.rules.lost_patience:
-            break
+        lost_run, reason = episode_end(lost_run, events.target_rel.dist, events.collided,
+                                       world.terminated, runtime.rules)
 
     log = EpisodeLog(header=header, frames=frames)
     log.outcome = score_episode(log, runtime.rules)

@@ -246,6 +246,10 @@ class World:
             raise ValueError(f"world needs exactly 1 target, got {len(targets)}")
         if len({e.appearance.shape for e in entities}) > 1:
             raise ValueError("entity appearances must all have one shape")
+        # the ending rule ends the episode on the step that reaches the cap
+        if isinstance(max_steps, bool) or not (
+                isinstance(max_steps, (int, float)) and max_steps >= 1 and max_steps % 1 == 0):
+            raise FieldError("max_steps", f"must be a whole number >= 1, got {max_steps!r}")
         self.agent = agent
         self.agent_radius = agent_radius
         self.entities = entities

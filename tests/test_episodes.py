@@ -498,6 +498,36 @@ def test_logits_topk_pairs_are_checked(tmp_path, bad):
     assert "line 4:" in msg and re.search(r"'logits_topk(\[\d+\])*'", msg)
 
 
+def two_more_pairs(f):
+    taken = {i for i, _ in f["logits_topk"]}
+    f["logits_topk"] += [[i, 0.0] for i in range(1000, 1010) if i not in taken][:2]
+
+
+@pytest.mark.parametrize("line, edit", [
+    (3, two_more_pairs),
+    (3, lambda f: f.update(logits_topk=None)),
+    (3, lambda f: f["logits_topk"].reverse()),
+    (0, lambda h: h.update(log_topk=0)),
+    (0, lambda h: h.update(arm="no_cot")),
+], ids=["6-pairs", "null", "reversed", "header-log_topk-0", "header-no_cot"])
+def test_logits_topk_must_be_what_the_header_logs(tmp_path, line, edit):
+    # a top-4 log lists min(4, vocab_size) pairs per frame, ranked as
+    # SparseLogits.topk ranks them; a header edit fails on the first frame
+    spec = ScenarioSpec("dt", max_steps=40)
+    path = tmp_path / "ep.jsonl"
+    write_episode(run_episode(make_scenario(spec, 3), AgentRuntime(log_topk=4), spec, 3), path)
+    lines = path.read_text().splitlines()
+    assert all(len(json.loads(text)["logits_topk"]) == 4 for text in lines[1:-1])
+    record = json.loads(lines[line])
+    edit(record)
+    lines[line] = json.dumps(record, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(EpisodeFormatError) as err:
+        read_episode(path)
+    assert f"line {max(line, 1) + 1}:" in str(err.value)
+    assert err.value.__cause__.path == "logits_topk"
+
+
 @pytest.mark.parametrize("edit", [{"gt_invalid": True}, {"gt_polar": None}])
 def test_gt_invalid_must_say_whether_gt_polar_is_null(tmp_path, edit):
     msg = edited_log(tmp_path, 3, lambda f: f.update(edit))

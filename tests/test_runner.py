@@ -8,6 +8,7 @@ from polartrack.metrics import MetricRules, StepResult
 from polartrack.perception import CameraRig, PerceptionParams
 from polartrack.polar import PolarGrid
 from polartrack.policy import INVALID_MODES, PolicySettings, advance_hold, execute_first, plan
+from polartrack.records import FieldError
 from polartrack import runner
 from polartrack.runner import ARMS, AgentRuntime, run_episode
 from polartrack.scenarios import SCENARIO_NAMES, ScenarioSpec, make_scenario
@@ -28,6 +29,15 @@ def test_unknown_arm_is_rejected():
         assert runtime(arm).arm == arm
     with pytest.raises(ValueError, match="half"):
         runtime("half")
+
+
+@pytest.mark.parametrize("log_topk", [-1, 8.0, 2.5, True])
+def test_a_log_topk_that_is_not_a_count_is_rejected(log_topk):
+    # 8.0 and 2.5 used to fail in step 0's frame building with a bare
+    # TypeError; True ran and failed only when the log was written
+    with pytest.raises(FieldError) as err:
+        runtime(log_topk=log_topk)
+    assert err.value.path == "log_topk"
 
 
 def test_stt_noiseless_succeeds_end_to_end():
@@ -241,10 +251,12 @@ def test_collision_terminates_episode():
 def test_lost_termination_respects_patience():
     rules = MetricRules()
     spec = ScenarioSpec("obstacle")
-    log = run_episode(make_scenario(spec, 2), runtime(), spec, 2)
-    if log.outcome.reason == "lost":
-        tail = [f.target_rel[1] for f in log.frames[-(rules.lost_patience + 1) :]]
-        assert all(d > rules.lost_radius for d in tail)
+    # obstacle seeds 25 and 26 of 0-39 end lost under these settings
+    log = run_episode(make_scenario(spec, 25), runtime(), spec, 25)
+    assert log.outcome.reason == "lost"
+    tail = [f.target_rel[1] for f in log.frames[-(rules.lost_patience + 1) :]]
+    assert all(d > rules.lost_radius for d in tail)
+    assert log.frames[-(rules.lost_patience + 2)].target_rel[1] <= rules.lost_radius
     # and a healthy run never strings together that many far frames
     log = run_episode(make_scenario(ScenarioSpec("stt"), 0), runtime(), ScenarioSpec("stt"), 0)
     run = 0

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polartrack.config import RunConfig
+from polartrack.records import FieldError
 from polartrack.runner import ARMS, run_episode
 from polartrack.scenarios import SCENARIO_NAMES, ScenarioSpec, make_scenario
 from polartrack.world import (
@@ -140,6 +141,15 @@ def test_step_on_terminated_world_raises():
     assert w.terminated
     with pytest.raises(RuntimeError):
         w.step(Command(0.0, 0.0))
+
+
+@pytest.mark.parametrize("max_steps", [0, -3, 2.5, True, math.inf, math.nan, "5"])
+def test_a_cap_that_is_not_a_whole_number_of_steps_is_rejected(max_steps):
+    # 0, -3 and 2.5 built a world whose run failed only when it was scored,
+    # and True ran one step
+    with pytest.raises(FieldError) as err:
+        make_world(max_steps=max_steps)
+    assert err.value.path == "max_steps"
 
 
 def test_entities_never_teleport():
