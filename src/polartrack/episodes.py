@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from decimal import Decimal
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -143,9 +145,11 @@ class EpisodeLog:
 
     def to_jsonl(self) -> str:
         """The log as JSONL. A log whose frame count differs from its
-        outcome's episode length, that holds anything but frames, or whose
+        outcome's episode length, that holds anything but frames, whose
         header fails ``read_episode``'s field check (``FieldError`` naming
-        the field) raises ``ValueError``: ``read_episode`` would reject its file."""
+        the field) or that holds a non-finite float (``FieldError`` naming
+        the frame and field) raises ``ValueError``: ``read_episode`` would
+        reject its file."""
         n = len(self.frames)
         if self.outcome is not None and n != self.outcome.episode_length:
             raise ValueError(
@@ -155,29 +159,111 @@ class EpisodeLog:
             raise ValueError("a score-only log (run_episode(record=False)) has no frames to write")
         head = self.header.to_dict()
         EpisodeHeader.from_dict(head, complete=True)  # read_episode's field check
-        encode = json.JSONEncoder(separators=(",", ":")).encode
-        lines = [encode({"type": "header", "version": SCHEMA_VERSION, **head})]
-        # Frames of one cell share their expert_traj list (see run_episode):
-        # each distinct list is encoded once and spliced into its frames'
-        # lines. Every frame stays alive in self.frames, so ids are unique.
-        traj_text: dict[int, str] = {}
-        for f in self.frames:
-            d = {"type": "frame", **f.to_dict()}
-            traj = d["expert_traj"]
-            text = traj_text.get(id(traj))
-            if text is None:
-                text = traj_text[id(traj)] = encode(traj)
-            # the first match is the key itself: only non-string fields precede it
-            d["expert_traj"] = 0
-            lines.append(encode(d).replace('"expert_traj":0,', f'"expert_traj":{text},', 1))
+        lines = [_encode({"type": "header", "version": SCHEMA_VERSION, **head}),
+                 *_frame_lines(self.frames)]
         if self.outcome is not None:
-            lines.append(encode({"type": "footer", "outcome": self.outcome.to_dict()}))
+            lines.append(_encode({"type": "footer", "outcome": self.outcome.to_dict()}))
         lines.append("")  # the trailing newline, without copying the text
         return "\n".join(lines)
 
 
+# the log's JSON: compact, and a non-finite float is a ValueError, not NaN
+_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+# a frame's line: FrameRecord's fields in declaration order, each filled in
+# by name with its JSON text
+_FRAME_LINE = '{"type":"frame",%s}' % ",".join(
+    f'"{f.name}":%({f.name})s' for f in fields(FrameRecord))
+
+
+def _key(floats: tuple):
+    """``floats`` as a memo key. 0.0 == -0.0 and both hash alike, but JSON
+    writes them apart, so a key with a zero in it holds the zeros' signs."""
+    return floats if all(floats) else (floats, _zero_signs(floats))
+
+
+def _zero_signs(floats) -> tuple:
+    return tuple([math.copysign(1.0, x) for x in floats if not x])
+
+
+def _frame_lines(frames: list[FrameRecord]):
+    """Each frame's JSON line, the text ``_encode({"type": "frame",
+    **frame.to_dict()})`` gives. A non-finite float is a ``FieldError``
+    naming its frame and field.
+
+    The floats new in each frame are written by ``float.__repr__``, the
+    encoder's own float text. Every other value's text is made once per
+    log and looked up after that: ``expert_traj`` by identity, as frames
+    of one cell share their list (see run_episode) and every frame keeps
+    its list alive, so ids stay unique; the rest by value. A frame's
+    ``gt_polar`` is the previous frame's ``target_rel``, so both share one
+    memo."""
+    polar_texts, traj_texts, slot_texts, conf_texts, view_texts, topk_texts, digest_texts = (
+        {}, {}, {}, {}, {}, {}, {})
+
+    def new_text(texts: dict, key, value, i: int, name: str) -> str:
+        """``value``'s text, kept in ``texts`` under ``key``."""
+        try:
+            text = texts[key] = _encode(value)
+        except ValueError:  # the encoder's only error on a value of the field's type
+            raise FieldError(f"frames[{i}].{name}", f"non-finite float in {value!r}") from None
+        return text
+
+    for i, f in enumerate(frames):
+        agent = ",".join(map(float.__repr__, f.agent))
+        target = ",".join(map(float.__repr__, f.target))
+        rel = tuple(f.target_rel)
+        rel_text = ",".join(map(float.__repr__, rel))
+        # float.__repr__ writes nan and inf, which no JSON reader parses
+        if "n" in agent or "n" in target or "n" in rel_text:
+            name = next(n for n in ("agent", "target", "target_rel")
+                        if not all(map(math.isfinite, getattr(f, n))))
+            raise FieldError(f"frames[{i}].{name}", f"non-finite float in {getattr(f, name)!r}")
+        rel_text = polar_texts[_key(rel)] = f"[{rel_text}]"
+        polar, slot, conf, topk = f.gt_polar, f.mem_slot0, f.confidence, f.logits_topk
+        if polar is not None:
+            key = _key(tuple(polar))
+            polar = polar_texts.get(key) or new_text(polar_texts, key, polar, i, "gt_polar")
+        if slot is not None:
+            key = _key(tuple(slot))
+            slot = slot_texts.get(key) or new_text(slot_texts, key, slot, i, "mem_slot0")
+        if topk is not None:
+            key = tuple(topk), _zero_signs([logit for _, logit in topk])
+            topk = topk_texts.get(key) or new_text(topk_texts, key, topk, i, "logits_topk")
+        key = _key((conf,))
+        conf = conf_texts.get(key) or new_text(conf_texts, key, conf, i, "confidence")
+        traj, views, digest = f.expert_traj, f.view_visible, f.mem_digest
+        traj = traj_texts.get(id(traj)) or new_text(traj_texts, id(traj), traj, i,
+                                                    "expert_traj")
+        key = tuple(views)
+        views = view_texts.get(key) or new_text(view_texts, key, views, i, "view_visible")
+        digest = digest_texts.get(digest) or new_text(digest_texts, digest, digest, i,
+                                                      "mem_digest")
+        yield _FRAME_LINE % {
+            "step": f.step,
+            "agent": f"[{agent}]",
+            "target": f"[{target}]",
+            "target_rel": rel_text,
+            "view_visible": views,
+            "gt_invalid": "true" if f.gt_invalid else "false",
+            "gt_polar": "null" if polar is None else polar,
+            "gt_token": f.gt_token,
+            "token": f.token,
+            "confidence": conf,
+            "expert_traj": traj,
+            "mem_digest": digest,
+            "mem_slot0": "null" if slot is None else slot,
+            "collided": "true" if f.collided else "false",
+            "logits_topk": "null" if topk is None else topk,
+        }
+
+
 class EpisodeFormatError(ValueError):
     """Raised on malformed, truncated or inconsistent episode files."""
+
+
+# NaN, Infinity and -Infinity are not JSON: the log's reader reads them as
+# Decimals, which no field's type takes, so the field check names the field
+_decode = json.JSONDecoder(parse_constant=Decimal).decode
 
 
 def write_episode(log: EpisodeLog, path) -> None:
@@ -196,11 +282,13 @@ def read_episode(path) -> EpisodeLog:
 
     def parse(i: int) -> dict:
         try:
-            d = json.loads(lines[i])
+            d = _decode(lines[i])
         except json.JSONDecodeError as e:
             raise EpisodeFormatError(
                 f"{path}: malformed JSON at line {i + 1} (last good line {i})"
             ) from e
+        except ValueError as e:  # an integer literal too long to convert
+            raise EpisodeFormatError(f"{path}: line {i + 1}: {e}") from e
         if not isinstance(d, dict):
             raise EpisodeFormatError(f"{path}: line {i + 1} is not a JSON object")
         return d
@@ -236,9 +324,10 @@ def read_episode(path) -> EpisodeLog:
 
     def read_frame(d: dict) -> FrameRecord:
         """A frame, checked against itself and the header: step index, shapes,
-        confidence, gt_polar given (in the annulus) exactly when gt_invalid is false,
-        gt_token its cell, token range and top-k logits (in range, none repeated, finite,
-        then as many and in the order that the header's run logs them)."""
+        finite numbers, confidence, gt_polar given (in the annulus) exactly when
+        gt_invalid is false, gt_token its cell, token range and top-k logits (in range,
+        none repeated, finite, then as many and in the order that the header's run
+        logs them)."""
         f = FrameRecord.from_dict(d)
         if f.step != len(frames):
             raise FieldError("step", f"{f.step}, expected {len(frames)}")
@@ -248,6 +337,13 @@ def read_episode(path) -> EpisodeLog:
             raise FieldError("expert_traj", f"{len(f.expert_traj)} rows, not {NUM_WAYPOINTS}")
         if not 0.0 <= f.confidence <= 1.0:
             raise FieldError("confidence", f"{f.confidence!r} outside [0, 1]")
+        # JSON has no infinity, but a literal such as 1e999 reads as one
+        if not all(map(math.isfinite, chain(f.agent, f.target, f.target_rel, f.gt_polar or (),
+                                            f.mem_slot0 or (), *f.expert_traj))):
+            flat = ("agent", "target", "target_rel", "gt_polar", "mem_slot0")
+            name = next((n for n in flat if not all(map(math.isfinite, getattr(f, n) or ()))),
+                        "expert_traj")
+            raise FieldError(name, f"{getattr(f, name)} holds a number past float range")
         if f.gt_invalid != (f.gt_polar is None):
             raise FieldError("gt_invalid", "must be true exactly when gt_polar is null")
         try:

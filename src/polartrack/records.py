@@ -85,7 +85,10 @@ def _reader(tp, complete: bool = False):
         if isinstance(v, tp) and (tp is bool or not isinstance(v, bool)):
             return v
         if tp is float and isinstance(v, int) and not isinstance(v, bool):
-            return float(v)
+            try:
+                return float(v)
+            except OverflowError:
+                raise FieldError("", f"{v} is past a float's range") from None
         raise FieldError("", f"expected {name}, got {v!r}")
 
     return read_value

@@ -90,6 +90,9 @@ def run_episode(
     # next hold point, are built once and read back on every later visit
     expert_rows: dict[int, list] = {}
     token_acts: dict[int, tuple] = {}
+    # the memory vector stays unchanged on most steps, so its logged digest
+    # and first coordinates are worked out once per distinct vector
+    mem_logged: dict[Optional[bytes], tuple] = {}
     lost_run, reason = 0, None
     header = EpisodeHeader(
         **AgentRuntime.values_of(runtime),
@@ -157,6 +160,11 @@ def run_episode(
                 rows = [tuple(r) for r in expert_traj.tolist()]
                 if gt_polar is not None:
                     expert_rows[gt_token] = rows
+            vector = None if mem.is_empty else mem.slots.tobytes()
+            logged = mem_logged.get(vector)
+            if logged is None:
+                logged = mem_logged[vector] = (
+                    mem.digest(), None if mem.is_empty else mem.slots[:3].tolist())
             frames.append(
                 FrameRecord(
                     step=len(frames),
@@ -170,8 +178,8 @@ def run_episode(
                     token=acted_token,
                     confidence=conf,
                     expert_traj=rows,
-                    mem_digest=mem.digest(),
-                    mem_slot0=None if mem.is_empty else mem.slots[:3].tolist(),
+                    mem_digest=logged[0],
+                    mem_slot0=logged[1],
                     collided=events.collided,
                     logits_topk=topk,
                 )

@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 from dataclasses import replace
@@ -11,6 +12,7 @@ from polartrack.episodes import (
     SCHEMA_VERSION,
     EpisodeFormatError,
     EpisodeLog,
+    FrameRecord,
     VisibilityRules,
     annotate_frame,
     derive_seed,
@@ -690,6 +692,125 @@ def test_a_string_field_spelling_the_trajectory_key_is_written_as_is():
     assert text == dumps_per_record(hand_built)
     assert [json.loads(line).get("mem_digest") for line in text.splitlines()] == [
         None, tricky, tricky]
+
+
+# floats whose text is easy to get wrong: both zeros, subnormals, 17 digits
+# and the largest float, beside any finite one
+NUMBERS = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.1 + 0.2, 1 / 3,
+                           1e16, 1.7976931348623157e308]) | st.floats(allow_nan=False,
+                                                                      allow_infinity=False)
+
+
+def flip_zeros(value):
+    """``value`` with the sign of each zero float flipped: equal to it, and
+    hashed alike, but written apart."""
+    if isinstance(value, float):
+        return -value if value == 0.0 else value
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(flip_zeros, value))
+    return value
+
+
+@functools.cache
+def stt_header():
+    spec = ScenarioSpec("stt", max_steps=5)
+    return run_episode(make_scenario(spec, 0), AgentRuntime(), spec, 0).header
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_the_frame_writer_writes_what_json_dumps_writes(data):
+    def pool(values):
+        """A few values and their zero-flipped twins, which every frame draws
+        from, so values repeat across frames and memo keys collide."""
+        drawn = data.draw(st.lists(values, min_size=1, max_size=3))
+        return st.sampled_from(drawn + [flip_zeros(v) for v in drawn])
+
+    polars = pool(st.tuples(NUMBERS, NUMBERS))
+    trajs = data.draw(st.lists(st.lists(st.tuples(NUMBERS, NUMBERS, NUMBERS), max_size=8),
+                               min_size=1, max_size=3))
+    frame = st.builds(
+        FrameRecord,
+        step=st.integers(),
+        agent=st.tuples(NUMBERS, NUMBERS, NUMBERS),
+        target=st.tuples(NUMBERS, NUMBERS),
+        target_rel=polars,
+        view_visible=pool(st.lists(st.booleans(), max_size=4)),
+        gt_invalid=st.booleans(),
+        gt_polar=st.none() | polars,
+        gt_token=st.integers(),
+        token=st.integers(),
+        confidence=pool(NUMBERS),
+        # the shared list itself, or a copy of it
+        expert_traj=st.sampled_from(trajs).flatmap(lambda t: st.sampled_from([t, list(t)])),
+        mem_digest=pool(st.text() | st.sampled_from(['"expert_traj":0,', "\\\"\n\u2028"])),
+        mem_slot0=st.none() | pool(st.lists(NUMBERS, max_size=3)),
+        collided=st.booleans(),
+        logits_topk=st.none() | pool(st.lists(st.tuples(st.integers(), NUMBERS), max_size=8)),
+    )
+    log = EpisodeLog(stt_header(), data.draw(st.lists(frame, min_size=1, max_size=12)))
+    assert log.to_jsonl() == dumps_per_record(log)
+
+
+@pytest.mark.parametrize("field", ["agent", "target", "target_rel", "gt_polar", "confidence",
+                                   "expert_traj", "mem_slot0", "logits_topk"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_the_writer_refuses_a_non_finite_float_and_names_its_field(field, bad):
+    log = run_stt_episode(log_topk=3)
+    f = log.frames[9]  # the memory and the annotation are set by frame 9
+    value = getattr(f, field)
+    if field == "confidence":
+        value = bad
+    elif field == "logits_topk":
+        value = [(value[0][0], bad), *value[1:]]
+    elif field == "expert_traj":
+        value = [(bad, *value[0][1:]), *value[1:]]
+    else:
+        value = [bad, *value[1:]]
+    log.frames[9] = replace(f, **{field: value})
+    with pytest.raises(FieldError, match=rf"^'frames\[9\]\.{field}': non-finite"):
+        log.to_jsonl()
+
+
+@pytest.mark.parametrize("field", ["agent", "target", "target_rel", "gt_polar", "confidence",
+                                   "expert_traj", "mem_slot0", "logits_topk"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999",
+                                   pytest.param("1" + "0" * 400, id="1e400-as-integer")])
+def test_a_number_json_cannot_hold_is_rejected_on_read(tmp_path, field, token):
+    path = tmp_path / "ep.jsonl"
+    write_episode(run_stt_episode(log_topk=3), path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[10])  # the memory and the annotation are set by frame 9
+    marker = 123456.75
+    value = record[field]
+    if field == "confidence":
+        record[field] = marker
+    else:
+        row = value[0] if field in ("expert_traj", "logits_topk") else value
+        row[-1] = marker
+    lines[10] = json.dumps(record, separators=(",", ":")).replace(str(marker), token)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(EpisodeFormatError, match=rf"line 11: '{field}(\[\d+\])*'"):
+        read_episode(path)
+
+
+def test_a_non_json_number_in_the_header_is_rejected_on_read(tmp_path):
+    path = tmp_path / "ep.jsonl"
+    write_episode(run_stt_episode(), path)
+    text = path.read_text().replace('"min_apparent_size":0.075', '"min_apparent_size":NaN', 1)
+    path.write_text(text)
+    with pytest.raises(EpisodeFormatError, match=r"line 1: 'vis_rules.min_apparent_size'"):
+        read_episode(path)
+
+
+def test_an_integer_literal_too_long_to_read_is_rejected(tmp_path):
+    path = tmp_path / "ep.jsonl"
+    write_episode(run_stt_episode(), path)
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].replace('"step":2', '"step":' + "1" * 5000, 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(EpisodeFormatError, match="line 4: Exceeds the limit"):
+        read_episode(path)
 
 
 def test_non_object_line_and_record_after_footer_are_rejected(tmp_path):
