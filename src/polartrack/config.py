@@ -17,9 +17,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated, Literal
 
 from .episodes import ARMS, AgentRuntime, AgentSettings
-from .records import FieldError
+from .records import FieldError, Range
 from .scenarios import WORLD_LIMITS, ScenarioSpec
 
 
@@ -32,12 +33,9 @@ class ScenarioRun(ScenarioSpec):
     """One ``scenarios`` entry: a spec and how many episodes of it to run.
     ``spec`` is the plain spec, which the episode headers carry."""
 
-    episodes: int = 1
+    episodes: Annotated[int, Range(1)] = 1
 
     def __post_init__(self):
-        super().__post_init__()
-        if self.episodes < 1:
-            raise FieldError("episodes", f"must be >= 1, got {self.episodes}")
         object.__setattr__(self, "spec", ScenarioSpec(**ScenarioSpec.values_of(self)))
 
 
@@ -46,10 +44,10 @@ class RunConfig(AgentSettings):
     """A run config file: the agent's settings, shared by every arm, plus
     the suite to run them on."""
 
-    master_seed: int = 0
-    jobs: int = 1
-    arms: list[str] = field(default_factory=lambda: list(ARMS))
-    scenarios: list[ScenarioRun] = field(
+    master_seed: Annotated[int, Range(0)] = 0
+    jobs: Annotated[int, Range(1)] = 1
+    arms: Annotated[list[Literal[ARMS]], Range(1)] = field(default_factory=lambda: list(ARMS))
+    scenarios: Annotated[list[ScenarioRun], Range(1)] = field(
         default_factory=lambda: [
             ScenarioRun("stt", episodes=20),
             ScenarioRun("dt", episodes=20),
@@ -61,21 +59,11 @@ class RunConfig(AgentSettings):
             self.limits.check_within(WORLD_LIMITS, "the scenario worlds'")
         except FieldError as e:
             raise e.within("limits") from None
-        if self.master_seed < 0:
-            raise FieldError("master_seed", f"must be >= 0, got {self.master_seed}")
-        if self.jobs < 1:
-            raise FieldError("jobs", "must be >= 1")
-        if not self.arms:
-            raise FieldError("arms", "needs at least one arm")
+        # a repeated arm would run, and report, every episode twice
         for i, arm in enumerate(self.arms):
-            if arm not in ARMS:
-                raise FieldError(f"arms[{i}]", f"unknown arm {arm!r}, expected {ARMS}")
-            # a repeated arm would run, and report, every episode twice
             if arm in self.arms[:i]:
                 raise FieldError(f"arms[{i}]", f"{arm!r} repeats arms[{self.arms.index(arm)}]; "
                                  "arms must be unique")
-        if not self.scenarios:
-            raise FieldError("scenarios", "needs at least one entry")
         # logs are named after the scenario, so a repeated name overwrites
         names = [s.name for s in self.scenarios]
         for i, name in enumerate(names):

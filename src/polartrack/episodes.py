@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 from decimal import Decimal
 from itertools import chain
 from pathlib import Path
-from typing import Optional
+from typing import Annotated, Literal, Optional
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .metrics import EpisodeOutcome, MetricRules, score_episode
 from .perception import CameraRig, CameraView, PerceptionParams
 from .polar import PolarGrid, PolarPoint, encode
 from .policy import NUM_WAYPOINTS, PolicySettings
-from .records import FieldError, Record, check, check_non_negative
+from .records import FieldError, Range, Record, check
 from .scenarios import ScenarioSpec, make_scenario
 from .world import MotionLimits, World
 
@@ -47,10 +47,7 @@ class VisibilityRules(Record):
     cutoff at 4 m for the default 0.3 m entity radius, calibrated so the
     obstacle split annotates 10-30% of frames invalid."""
 
-    min_apparent_size: float = 0.075
-
-    def __post_init__(self):
-        check_non_negative(self, "min_apparent_size")
+    min_apparent_size: Annotated[float, Range(0.0)] = 0.075
 
 
 def annotate_frame(
@@ -109,14 +106,11 @@ class AgentRuntime(AgentSettings):
     shared settings, the ablation arm (``ARMS``) and how many of the
     largest logits each frame logs (0: none)."""
 
-    arm: str = "full"
-    log_topk: int = 0
+    arm: Literal[ARMS] = "full"
+    log_topk: Annotated[int, Range(0)] = 0
 
     def __post_init__(self):
-        if self.arm not in ARMS:
-            raise FieldError("arm", f"unknown arm {self.arm!r}, expected one of {ARMS}")
-        if check(int, self.log_topk, "log_topk") < 0:
-            raise FieldError("log_topk", f"must be >= 0, got {self.log_topk}")
+        check(int, self.log_topk, "log_topk")
 
 
 @dataclass(kw_only=True)

@@ -13,32 +13,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Annotated, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .gating import SparseLogits
 from .policy import NUM_WAYPOINTS
 from .polar import signed_degrees
-from .records import FieldError, Record, check_non_negative
+from .records import FieldError, Range, Record
 
 
 @dataclass(frozen=True)
 class MetricRules(Record):
-    orient_tol: float = 30.0  # deg, final-step "correctly oriented"
-    track_dist: float = 3.0  # m, per-step tracked flag
-    track_bearing: float = 60.0  # deg, per-step tracked flag
-    lost_radius: float = 6.0  # m, early termination when exceeded...
-    lost_patience: int = 50  # ...for this many consecutive steps
+    orient_tol: Annotated[float, Range(0.0)] = 30.0  # deg, final-step "correctly oriented"
+    track_dist: Annotated[float, Range(0.0)] = 3.0  # m, per-step tracked flag
+    track_bearing: Annotated[float, Range(0.0)] = 60.0  # deg, per-step tracked flag
+    lost_radius: Annotated[float, Range(0.0)] = 6.0  # m, early termination when exceeded...
+    lost_patience: Annotated[int, Range(0)] = 50  # ...for this many consecutive steps
     band: tuple[float, float] = (1.0, 3.0)
 
     def __post_init__(self):
-        for name in ("orient_tol", "track_dist", "track_bearing", "lost_radius"):
-            check_non_negative(self, name)
-        if self.lost_patience < 0:
-            raise FieldError("lost_patience", f"must be >= 0, got {self.lost_patience}")
-        lo, hi = self.band
-        if not (math.isfinite(hi) and 0.0 <= lo <= hi):
+        if not 0.0 <= self.band[0] <= self.band[1] < math.inf:
             raise FieldError("band", f"need finite 0 <= band[0] <= band[1], got {self.band}")
 
 

@@ -16,38 +16,29 @@ large bonus when nothing is detected at all.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields, replace
-from typing import Iterator, Optional
+from dataclasses import dataclass, replace
+from typing import Annotated, Iterator, Optional
 
 import numpy as np
 
 from .gating import SparseLogits
 from .memory import TargetMemory, memory_similarity
 from .polar import PolarGrid, PolarPoint, encode
-from .records import FieldError, Record, check_non_negative
+from .records import Range, Record
 from .world import Sighting, World
 
 
 @dataclass(frozen=True)
 class CameraView(Record):
-    yaw: float  # degrees ccw from agent heading
-    fov: float  # degrees
-
-    def __post_init__(self):
-        if not math.isfinite(self.yaw):
-            raise FieldError("yaw", f"must be finite, got {self.yaw!r}")
-        if not (0.0 < self.fov <= 360.0):
-            raise FieldError("fov", f"{self.fov!r} outside (0, 360]")
+    yaw: Annotated[float, Range()]  # degrees ccw from agent heading
+    fov: Annotated[float, Range(0.0, 360.0, lo_open=True)]  # degrees
 
 
 @dataclass(frozen=True)
 class CameraRig(Record):
-    views: tuple[CameraView, ...]
+    views: Annotated[tuple[CameraView, ...], Range(1, 8)]
 
     def __post_init__(self):
-        if not (1 <= len(self.views) <= 8):
-            raise FieldError("views", f"a rig needs 1..8 views, got {len(self.views)}")
         # what ``view_masks`` reads per entity per step: (yaw, fov / 2, bit) per view
         object.__setattr__(self, "_cones", tuple(
             (v.yaw, v.fov / 2.0, 1 << i) for i, v in enumerate(self.views)))
@@ -77,27 +68,15 @@ class PerceptionParams(Record):
     one scores every entity identically and chases whatever bins first.
     """
 
-    angle_noise: float = 1.5  # deg stddev
-    dist_noise: float = 0.10  # m stddev
-    sim_temperature: float = 4.0
-    base_detectability: float = 1.0
-    invalid_bias: float = 10.9
-    detect_score: float = 8.0
-    feature_noise: float = 0.05
-    no_detection_bonus: float = 9.5
-    empty_mem_similarity: float = 0.85  # kind-blind stand-in before bootstrap
-
-    def __post_init__(self):
-        for f in fields(self):
-            if f.name.endswith("_noise"):  # the three noise stddevs
-                check_non_negative(self, f.name)
-            elif not math.isfinite(v := getattr(self, f.name)):
-                raise FieldError(f.name, f"must be finite, got {v!r}")
-        if self.sim_temperature <= 0:
-            raise FieldError("sim_temperature", f"must be > 0, got {self.sim_temperature!r}")
-        if not (0.0 <= self.base_detectability <= 1.0):
-            raise FieldError("base_detectability",
-                             f"must be in [0, 1], got {self.base_detectability!r}")
+    angle_noise: Annotated[float, Range(0.0)] = 1.5  # deg stddev
+    dist_noise: Annotated[float, Range(0.0)] = 0.10  # m stddev
+    sim_temperature: Annotated[float, Range(0.0, lo_open=True)] = 4.0
+    base_detectability: Annotated[float, Range(0.0, 1.0)] = 1.0
+    invalid_bias: Annotated[float, Range()] = 10.9
+    detect_score: Annotated[float, Range()] = 8.0
+    feature_noise: Annotated[float, Range(0.0)] = 0.05
+    no_detection_bonus: Annotated[float, Range()] = 9.5
+    empty_mem_similarity: Annotated[float, Range()] = 0.85  # kind-blind stand-in before bootstrap
 
     def noiseless(self) -> "PerceptionParams":
         return replace(self, angle_noise=0.0, dist_noise=0.0, feature_noise=0.0)

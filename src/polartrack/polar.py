@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
-from .records import FieldError, Record
+from .records import FieldError, Range, Record
 
 
 def wrap_degrees(angle: float) -> float:
@@ -43,19 +44,14 @@ class PolarGrid(Record):
     so the closed annulus is fully covered.
     """
 
-    r_min: float = 0.6
-    r_max: float = 5.0
-    n_angle: int = 60
-    n_dist: int = 30
+    r_min: Annotated[float, Range(0.0, lo_open=True)] = 0.6
+    r_max: Annotated[float, Range(0.0, lo_open=True)] = 5.0
+    n_angle: Annotated[int, Range(1)] = 60
+    n_dist: Annotated[int, Range(1)] = 30
 
     def __post_init__(self):
-        if not (math.isfinite(self.r_max) and self.r_max > 0.0):
-            raise FieldError("r_max", f"must be finite and > 0, got {self.r_max!r}")
-        if not (0.0 < self.r_min < self.r_max):
-            raise FieldError("r_min", f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
-        for name in ("n_angle", "n_dist"):
-            if getattr(self, name) < 1:
-                raise FieldError(name, f"must be >= 1, got {getattr(self, name)}")
+        if not self.r_min < self.r_max:
+            raise FieldError("r_min", f"need r_min < r_max, got [{self.r_min}, {self.r_max}]")
         # constants read per entity per step, computed once; they are not
         # fields, so the JSON, equality and hashing do not see them
         n_cells = self.n_angle * self.n_dist

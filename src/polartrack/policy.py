@@ -21,12 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Annotated, Literal, Optional
 
 import numpy as np
 
 from .polar import PolarGrid, PolarPoint, decode, signed_degrees
-from .records import FieldError, Record
+from .records import Range, Record
 from .world import Command, MotionLimits
 
 NUM_WAYPOINTS = 8
@@ -39,17 +39,10 @@ INVALID_MODES = (HOLD, STOP)
 
 @dataclass(frozen=True)
 class PolicySettings(Record):
-    """The planner settings of a run: the follow distance, and what an
-    invalid token does (``INVALID_MODES``)."""
+    """The planner settings of a run: the follow distance, and what an invalid token does."""
 
-    standoff: float = 2.0
-    invalid_mode: str = HOLD
-
-    def __post_init__(self):
-        if not 1.0 <= self.standoff <= 3.0:
-            raise FieldError("standoff", f"{self.standoff} outside the [1, 3] follow band")
-        if self.invalid_mode not in INVALID_MODES:
-            raise FieldError("invalid_mode", f"{self.invalid_mode!r} not in {INVALID_MODES}")
+    standoff: Annotated[float, Range(1.0, 3.0)] = 2.0  # within the follow band
+    invalid_mode: Literal[INVALID_MODES] = HOLD
 
 
 def advance_hold(hold: Optional[PolarPoint], cmd: Command) -> Optional[PolarPoint]:

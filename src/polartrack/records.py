@@ -8,14 +8,19 @@ converts), and every error names the dotted path of the offending field,
 e.g. ``'rig.views[0].fov'``.
 
 A log states every setting it ran with, so it is read ``complete``:
-every field of every record in it is required, defaults or not. A
-record's own checks raise ``FieldError``s naming their field, so a value
-out of range is reported by its dotted path just like one of the wrong
-type.
+every field of every record in it is required, defaults or not.
+
+A field states its domain once, in its annotation: a ``Range`` of
+numbers or item counts (``n_angle: Annotated[int, Range(1)]``) or a
+``Literal`` of strings. ``Record`` checks every declaration in one place
+on construction, ``from_dict`` included, so a value out of its domain
+is a ``FieldError`` named like one of the wrong JSON type. A record's
+own ``__post_init__`` keeps only rules that join fields and state
+derived from them.
 
 Episode logs are read and written a frame at a time, so the reader of
-each annotation and the fields of each record class are worked out once
-and cached.
+each annotation is worked out once and cached, and the fields of each
+record class once, when the class is made.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
 import types
 import typing
 
@@ -71,6 +77,8 @@ def _reader(tp, complete: bool = False):
     optional fields. Errors are ``FieldError``s whose path is relative to
     the value read."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Literal:
+        return _reader(type(args[0]), complete)
     if origin in (typing.Union, types.UnionType):
         (inner,) = [a for a in args if a is not type(None)]
         read = _reader(inner, complete)
@@ -171,27 +179,61 @@ def check(tp, value, path: str = "", complete: bool = False):
         raise e.within(path) from None
 
 
-def check_non_negative(record, name: str) -> None:
-    """Raise a ``FieldError`` unless the field ``name`` of ``record`` is
-    finite and >= 0 (-0.0 included)."""
-    v = getattr(record, name)
-    if not (math.isfinite(v) and v >= 0.0):
-        raise FieldError(name, f"must be finite and >= 0, got {v!r}")
+@dataclasses.dataclass(frozen=True)
+class Range:
+    """The domain of a number, or of a sequence's item count: finite, at
+    least ``lo`` (above it if ``lo_open``) and at most ``hi``."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = False
+
+    def __contains__(self, v) -> bool:
+        # an int past a float's range is not finite, and a string is outside
+        try:
+            above = self.lo < v if self.lo_open else self.lo <= v
+            return above and v <= self.hi and abs(v) <= sys.float_info.max
+        except TypeError:
+            return False
+
+    def __str__(self):
+        lo = "(" if self.lo_open or self.lo == -math.inf else "["
+        return f"{lo}{self.lo}, {self.hi}{']' if self.hi < math.inf else ')'}"
+
+
+def _declares(tp) -> bool:
+    """Whether the annotation ``tp`` declares a domain anywhere in it."""
+    return typing.get_origin(tp) in (typing.Annotated, typing.Literal) or any(
+        map(_declares, typing.get_args(tp)))
+
+
+def _check_domain(tp, v, path: str) -> None:
+    """Raise a ``FieldError`` naming ``path`` unless ``v`` is in the domain
+    the annotation ``tp`` declares. ``None`` passes in an optional field,
+    and a record has checked itself."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Annotated:
+        (rng,) = tp.__metadata__
+        _check_domain(args[0], v, path)
+        if typing.get_origin(args[0]) in (list, tuple):
+            if len(v) not in rng:
+                raise FieldError(path, f"must hold a count of items in {rng}, got {len(v)}")
+        elif v not in rng:
+            raise FieldError(path, f"must be a finite number in {rng}, got {v!r}")
+    elif origin is typing.Literal and v not in args:
+        raise FieldError(path, f"{v!r} is not one of {args}")
+    elif origin in (typing.Union, types.UnionType) and v is not None:
+        (inner,) = [a for a in args if a is not type(None)]
+        _check_domain(inner, v, path)
+    elif origin is list or origin is tuple and args[-1] is Ellipsis:
+        for i, x in enumerate(v):
+            _check_domain(args[0], x, f"{path}[{i}]")
 
 
 def _holds_record(tp) -> bool:
     return (isinstance(tp, type) and issubclass(tp, Record)) or any(
         map(_holds_record, typing.get_args(tp))
     )
-
-
-@functools.cache
-def _fields(cls) -> tuple:
-    """The field names of a record class, and those of its fields whose
-    values may hold records."""
-    hints = typing.get_type_hints(cls)
-    names = tuple(f.name for f in dataclasses.fields(cls))
-    return names, [n for n in names if _holds_record(hints[n])]
 
 
 def _written(v):
@@ -205,14 +247,38 @@ def _written(v):
 
 class Record:
     """Base of the dataclasses whose fields are plain JSON values,
-    optionals, sequences or other records."""
+    optionals, sequences or other records. Construction checks each
+    declared domain, then each own ``__post_init__`` of the class and
+    its bases, base first; a class with neither runs no check. The
+    annotations are read when the class is made, so must name only
+    what is defined above it."""
+
+    _rules = ()  # the own __post_init__ of the class and its bases
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls).get("__post_init__")
+        cls._rules = rules = cls._rules + ((own,) if own else ())
+        hints = typing.get_type_hints(cls, include_extras=True)
+        # the field names, and those of the fields whose values may hold records
+        cls._names = tuple(hints)
+        cls._nested = [name for name, tp in hints.items() if _holds_record(tp)]
+        domains = [(name, tp) for name, tp in hints.items() if _declares(tp)]
+        if domains or rules:
+
+            def __post_init__(self):
+                for name, tp in domains:
+                    _check_domain(tp, getattr(self, name), name)
+                for rule in rules:
+                    rule(self)
+
+            cls.__post_init__ = __post_init__
 
     def to_dict(self) -> dict:
         """The fields in declaration order, nested records as dicts;
         other values are shared with the record, not copied."""
-        names, nested = _fields(type(self))
-        d = {name: getattr(self, name) for name in names}
-        for name in nested:
+        d = {name: getattr(self, name) for name in self._names}
+        for name in self._nested:
             d[name] = _written(d[name])
         return d
 
@@ -224,4 +290,4 @@ class Record:
     def values_of(cls, obj) -> dict:
         """The values ``obj`` holds for this record's fields, by name;
         ``obj`` may be a record of any class that has those fields."""
-        return {name: getattr(obj, name) for name in _fields(cls)[0]}
+        return {name: getattr(obj, name) for name in cls._names}

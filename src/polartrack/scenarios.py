@@ -21,11 +21,11 @@ Everything is drawn from one ``default_rng(seed)`` in a fixed order, so a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Annotated, Literal, Optional
 
 import numpy as np
 
-from .records import FieldError, Record, check_non_negative
+from .records import FieldError, Range, Record
 from .world import (
     DISTRACTOR,
     TARGET,
@@ -62,30 +62,21 @@ class ScenarioSpec(Record):
     left None take the family default on construction, so a spec writes
     the values its world is built with."""
 
-    name: str
-    n_distractors: Optional[int] = None
-    sigma_app: Optional[float] = None
-    feature_dim: int = 16
-    max_steps: int = 500
+    name: Literal[SCENARIO_NAMES]
+    n_distractors: Optional[Annotated[int, Range(0)]] = None
+    sigma_app: Optional[Annotated[float, Range(0.0)]] = None
+    # an empty feature scores every similarity 0; an empty episode cannot be scored
+    feature_dim: Annotated[int, Range(1)] = 16
+    max_steps: Annotated[int, Range(1)] = 500
 
     def __post_init__(self):
-        if self.name not in SCENARIO_NAMES:
-            raise FieldError("name", f"unknown scenario {self.name!r}, "
-                             f"expected one of {SCENARIO_NAMES}")
         if self.n_distractors is None:
             object.__setattr__(self, "n_distractors", FAMILY_DISTRACTORS[self.name])
         if self.sigma_app is None:
             object.__setattr__(self, "sigma_app", FAMILY_SIGMA_APP[self.name])
-        if self.n_distractors < 0:
-            raise FieldError("n_distractors", f"must be >= 0, got {self.n_distractors}")
         if self.n_distractors and self.name in ("stt", "winding"):
             raise FieldError("n_distractors",
                              f"{self.name} takes no distractors, got {self.n_distractors}")
-        check_non_negative(self, "sigma_app")
-        # an empty episode cannot be scored; an empty feature scores every similarity 0
-        for name in ("feature_dim", "max_steps"):
-            if getattr(self, name) < 1:
-                raise FieldError(name, f"must be >= 1, got {getattr(self, name)}")
 
 
 def _unit_feature(rng: np.random.Generator, dim: int) -> np.ndarray:

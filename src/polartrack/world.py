@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Annotated, NamedTuple, Optional
 
 import numpy as np
 
 from .polar import PolarPoint, wrap_degrees
-from .records import FieldError, Record, check_non_negative
+from .records import FieldError, Range, Record
 
 TARGET = "target"
 DISTRACTOR = "distractor"
@@ -40,13 +40,9 @@ class Pose2D:
 
 @dataclass(frozen=True)
 class MotionLimits(Record):
-    max_speed: float = 0.25  # m/step
-    max_turn: float = 30.0  # deg/step
-
-    def __post_init__(self):
-        # zero is legal: an agent that may not move or turn
-        check_non_negative(self, "max_speed")
-        check_non_negative(self, "max_turn")
+    # zero is legal: an agent that may not move or turn
+    max_speed: Annotated[float, Range(0.0)] = 0.25  # m/step
+    max_turn: Annotated[float, Range(0.0)] = 30.0  # deg/step
 
     def check_within(self, bound: "MotionLimits", whose: str) -> None:
         """Raise a ``FieldError`` naming the first limit set above

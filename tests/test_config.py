@@ -104,6 +104,8 @@ OUT_OF_RANGE = [
     ({"grid": {"r_max": math.inf}}, "grid.r_max"),
     ({"grid": {"r_min": -1}}, "grid.r_min"),
     ({"grid": {"n_angle": 0}}, "grid.n_angle"),
+    # an integer past a float's range failed in PolarGrid's 360 / n_angle with OverflowError
+    ({"grid": {"n_dist": 10**400}}, "grid.n_dist"),
     ({"rig": {"views": [{"yaw": 0, "fov": 0}]}}, "rig.views[0].fov"),
     ({"rig": {"views": []}}, "rig.views"),
     ({"perception": {"angle_noise": -1}}, "perception.angle_noise"),
@@ -173,7 +175,10 @@ def test_limits_above_the_worlds_exit_as_config_error(tmp_path, capsys):
     ({"scenarios": [{"name": "dt", "max_steps": 0}]}, "scenarios[0].max_steps"),
     ({"scenarios": [{"name": "dt", "feature_dim": -2}]}, "scenarios[0].feature_dim"),
     ({"master_seed": -1}, "master_seed"),
-], ids=["max_steps", "feature_dim", "master_seed"])
+    # an OverflowError in PolarGrid's derived constants, which exited 2
+    ({"grid": {"n_angle": 10**400}}, "grid.n_angle"),
+    ({"grid": {"n_dist": 10**400}}, "grid.n_dist"),
+], ids=["max_steps", "feature_dim", "master_seed", "n_angle_past_floats", "n_dist_past_floats"])
 def test_settings_that_failed_at_run_time_exit_as_config_errors(tmp_path, capsys, d, field):
     from polartrack.cli import EXIT_CONFIG, main
 

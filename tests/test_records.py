@@ -22,7 +22,7 @@ from polartrack.metrics import ArmResult, EpisodeOutcome, MetricRules, SuiteRepo
 from polartrack.perception import CameraRig, CameraView, PerceptionParams
 from polartrack.polar import PolarGrid
 from polartrack.policy import INVALID_MODES, PolicySettings
-from polartrack.records import FieldError, Record, check
+from polartrack.records import FieldError, Range, Record, check
 from polartrack.scenarios import SCENARIO_NAMES, WORLD_LIMITS, ScenarioSpec
 from polartrack.world import MotionLimits
 
@@ -196,3 +196,123 @@ def test_errors_name_the_faulty_item():
     ):
         with pytest.raises(FieldError, match=re.escape(f"'{path}'")):
             check(tp, value, "x")
+
+
+# a record of each class that has required fields, every field in its domain
+BASES = {
+    CameraView: CameraView(0.0, 90.0),
+    CameraRig: CameraRig.ring(4),
+    ScenarioSpec: ScenarioSpec("dt"),
+    ScenarioRun: ScenarioRun("dt"),
+    EpisodeHeader: EpisodeHeader(scenario=None, seed=0, max_steps=10, expert=""),
+}
+# fields that a hand-written rule also reads, so a value in the field's
+# declared domain may still be rejected: r_min < r_max, no distractors in
+# stt or winding, and a log_topk that is an int
+JOINED = {(PolarGrid, "r_min"), (PolarGrid, "r_max"), (ScenarioSpec, "name"),
+          (ScenarioRun, "name"), (AgentRuntime, "log_topk"), (EpisodeHeader, "log_topk")}
+
+
+def in_range(rng: Range, v) -> bool:
+    return math.isfinite(v) and (rng.lo < v if rng.lo_open else rng.lo <= v) and v <= rng.hi
+
+
+def not_optional(tp):
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+    return tp
+
+
+def edge_cases(tp, value):
+    """(value, whether it is in the domain) pairs at the edges of the
+    domain that the field annotation ``tp`` declares; ``value`` is the
+    field's value in a valid record."""
+    if not_optional(tp) is not tp:
+        tp = not_optional(tp)
+        yield None, True
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Literal:
+        yield from ((c, True) for c in args)
+        yield "elsewhere", False
+    elif origin is typing.Annotated:
+        (rng,), inner = tp.__metadata__, args[0]
+        kind = typing.get_origin(inner)
+        if kind in (list, tuple):  # the range bounds the item count
+            counts = {rng.lo - 1, rng.lo, rng.hi, rng.hi + 1} - {math.inf}
+            yield from ((kind(value[:1] * n), in_range(rng, n)) for n in counts if n >= 0)
+            yield from ((kind([v]), ok) for v, ok in edge_cases(typing.get_args(inner)[0], None))
+            return
+        for bound in {rng.lo, rng.hi} - {-math.inf, math.inf}:
+            for v in (bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)):
+                yield v, in_range(rng, v)
+        yield from ((v, False) for v in (math.nan, math.inf, -math.inf))
+        if inner is int:  # an int past a float's range is not finite either
+            yield 10**400, False
+
+
+def declares(tp) -> bool:
+    return typing.get_origin(tp) in (typing.Annotated, typing.Literal) or any(
+        map(declares, typing.get_args(tp)))
+
+
+def as_json(v):
+    if isinstance(v, Record):
+        return v.to_dict()
+    return [as_json(x) for x in v] if isinstance(v, (list, tuple)) else v
+
+
+DECLARED = [(cls, name, tp) for cls in RECORDS
+            for name, tp in typing.get_type_hints(cls, include_extras=True).items()
+            if declares(tp)]
+# the declared fields that are counts
+INTS = [(cls, name) for cls, name, tp in DECLARED
+        if typing.get_origin(not_optional(tp)) is typing.Annotated
+        and typing.get_args(not_optional(tp))[0] is int]
+
+
+@pytest.mark.parametrize("cls, name, tp", DECLARED, ids=[f"{c.__name__}.{n}" for c, n, _ in DECLARED])
+def test_a_declared_domain_is_checked_at_its_edges(cls, name, tp):
+    base = BASES.get(cls) or cls()
+    names_field = re.compile(rf"{name}($|\[)")
+    for v, inside in edge_cases(tp, getattr(base, name)):
+        try:
+            dataclasses.replace(base, **{name: v})
+        except FieldError as e:
+            assert not inside and names_field.match(e.path) or inside and (cls, name) in JOINED, (
+                name, v, str(e))
+        else:
+            assert inside, (name, v)
+        if not inside:
+            # the same value read from JSON is rejected too, by its type or its domain
+            with pytest.raises(FieldError) as err:
+                cls.from_dict({**as_json(base), name: as_json(v)})
+            assert names_field.match(err.value.path), (name, v, str(err.value))
+
+
+@pytest.mark.parametrize("cls, name", INTS, ids=[f"{c.__name__}.{n}" for c, n in INTS])
+def test_a_declared_count_takes_no_bool_or_whole_float_from_json(cls, name):
+    base = BASES.get(cls) or cls()
+    for v in (True, 1.0):
+        with pytest.raises(FieldError) as err:
+            cls.from_dict({**as_json(base), name: v})
+        assert err.value.path == name
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: MetricRules(lost_patience=math.nan), "lost_patience"),
+    (lambda: ScenarioSpec("dt", max_steps=math.nan), "max_steps"),
+    (lambda: PolarGrid(n_angle=math.nan), "n_angle"),
+    (lambda: RunConfig(jobs=math.nan), "jobs"),
+], ids=["lost_patience", "max_steps", "n_angle", "jobs"])
+def test_a_nan_count_is_rejected(build, field):
+    # each was accepted; a NaN lost_patience switched the lost ending off,
+    # because a run of steps is never > nan
+    with pytest.raises(FieldError) as err:
+        build()
+    assert err.value.path == field
+
+
+def test_a_record_that_declares_nothing_runs_no_check():
+    # FrameRecord is built once per recorded step
+    for cls in (FrameRecord, EpisodeOutcome, ArmResult, SuiteReport, AgentSettings):
+        assert not hasattr(cls, "__post_init__"), cls.__name__
