@@ -13,6 +13,7 @@ so re-writing a parsed log reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -62,9 +63,17 @@ def annotate_frame(
 
 
 def view_visibility(world: World, masks: list[int], rig: CameraRig) -> list[bool]:
-    """Per-view flags: bit *i* of the target's ``view_masks(.., target_views=True)`` entry."""
-    m = masks[world.target_index]
-    return [bool(m >> i & 1) for i in range(len(rig.views))]
+    """Per-view flags: bit *i* of the target's ``view_masks(.., target_views=True)``
+    entry. Every call with the same mask and view count returns the same
+    list, which callers must not change."""
+    return _view_flags(masks[world.target_index], len(rig.views))
+
+
+# a rig has at most 8 views, and view_masks sets a bit only for a view
+# of the rig, so at most 2^8 masks x 8 view counts
+@functools.lru_cache(maxsize=2**8 * 8)
+def _view_flags(mask: int, n_views: int) -> list[bool]:
+    return [bool(mask >> i & 1) for i in range(n_views)]
 
 
 @dataclass
@@ -73,7 +82,7 @@ class FrameRecord(Record):
     agent: tuple[float, float, float]  # x, y, heading after the step's motion
     target: tuple[float, float]  # x, y after the step's motion
     target_rel: tuple[float, float]  # post-step ground truth: deg ccw from heading, m
-    view_visible: list[bool]  # at observation time, one flag per view
+    view_visible: list[bool]  # at observation time, one flag per view, shared per mask
     gt_invalid: bool
     gt_polar: Optional[tuple[float, float]]  # observation-time annotation
     gt_token: int
@@ -121,8 +130,8 @@ class EpisodeHeader(AgentRuntime):
     come from."""
 
     scenario: Optional[ScenarioSpec]
-    seed: int
-    max_steps: int
+    seed: Annotated[int, Range(0)]
+    max_steps: Annotated[int, Range(1)]
     expert: str
 
 
@@ -172,11 +181,8 @@ _FRAME_LINE = '{"type":"frame",%s}' % ",".join(
 def _key(floats: tuple):
     """``floats`` as a memo key. 0.0 == -0.0 and both hash alike, but JSON
     writes them apart, so a key with a zero in it holds the zeros' signs."""
-    return floats if all(floats) else (floats, _zero_signs(floats))
-
-
-def _zero_signs(floats) -> tuple:
-    return tuple([math.copysign(1.0, x) for x in floats if not x])
+    return floats if all(floats) else (
+        floats, tuple([math.copysign(1.0, x) for x in floats if not x]))
 
 
 def _frame_lines(frames: list[FrameRecord]):
@@ -186,13 +192,14 @@ def _frame_lines(frames: list[FrameRecord]):
 
     The floats new in each frame are written by ``float.__repr__``, the
     encoder's own float text. Every other value's text is made once per
-    log and looked up after that: ``expert_traj`` by identity, as frames
-    of one cell share their list (see run_episode) and every frame keeps
-    its list alive, so ids stay unique; the rest by value. A frame's
-    ``gt_polar`` is the previous frame's ``target_rel``, so both share one
-    memo."""
-    polar_texts, traj_texts, slot_texts, conf_texts, view_texts, topk_texts, digest_texts = (
-        {}, {}, {}, {}, {}, {}, {})
+    log and looked up after that. ``expert_traj``, ``view_visible``,
+    ``mem_slot0`` and ``logits_topk`` are keyed by identity: run_episode
+    shares each list among the frames with its value, and every frame
+    keeps its lists alive, so ids stay unique. A log read back from a
+    file shares none, so each of its lists is encoded anew. The rest are
+    keyed by value; a frame's ``gt_polar`` is the previous frame's
+    ``target_rel``, so both share one memo."""
+    polar_texts, list_texts, conf_texts, digest_texts = {}, {}, {}, {}
 
     def new_text(texts: dict, key, value, i: int, name: str) -> str:
         """``value``'s text, kept in ``texts`` under ``key``."""
@@ -213,25 +220,23 @@ def _frame_lines(frames: list[FrameRecord]):
                         if not all(map(math.isfinite, getattr(f, n))))
             raise FieldError(f"frames[{i}].{name}", f"non-finite float in {getattr(f, name)!r}")
         rel_text = polar_texts[_key(rel)] = f"[{rel_text}]"
-        polar, slot, conf, topk = f.gt_polar, f.mem_slot0, f.confidence, f.logits_topk
+        polar, conf, digest = f.gt_polar, f.confidence, f.mem_digest
         if polar is not None:
             key = _key(tuple(polar))
             polar = polar_texts.get(key) or new_text(polar_texts, key, polar, i, "gt_polar")
-        if slot is not None:
-            key = _key(tuple(slot))
-            slot = slot_texts.get(key) or new_text(slot_texts, key, slot, i, "mem_slot0")
-        if topk is not None:
-            key = tuple(topk), _zero_signs([logit for _, logit in topk])
-            topk = topk_texts.get(key) or new_text(topk_texts, key, topk, i, "logits_topk")
         key = _key((conf,))
         conf = conf_texts.get(key) or new_text(conf_texts, key, conf, i, "confidence")
-        traj, views, digest = f.expert_traj, f.view_visible, f.mem_digest
-        traj = traj_texts.get(id(traj)) or new_text(traj_texts, id(traj), traj, i,
-                                                    "expert_traj")
-        key = tuple(views)
-        views = view_texts.get(key) or new_text(view_texts, key, views, i, "view_visible")
         digest = digest_texts.get(digest) or new_text(digest_texts, digest, digest, i,
                                                       "mem_digest")
+        # None is one object too, and its text is null
+        views, traj, slot, topk = f.view_visible, f.expert_traj, f.mem_slot0, f.logits_topk
+        views = list_texts.get(id(views)) or new_text(list_texts, id(views), views, i,
+                                                      "view_visible")
+        traj = list_texts.get(id(traj)) or new_text(list_texts, id(traj), traj, i,
+                                                    "expert_traj")
+        slot = list_texts.get(id(slot)) or new_text(list_texts, id(slot), slot, i, "mem_slot0")
+        topk = list_texts.get(id(topk)) or new_text(list_texts, id(topk), topk, i,
+                                                    "logits_topk")
         yield _FRAME_LINE % {
             "step": f.step,
             "agent": f"[{agent}]",
@@ -245,9 +250,9 @@ def _frame_lines(frames: list[FrameRecord]):
             "confidence": conf,
             "expert_traj": traj,
             "mem_digest": digest,
-            "mem_slot0": "null" if slot is None else slot,
+            "mem_slot0": slot,
             "collided": "true" if f.collided else "false",
-            "logits_topk": "null" if topk is None else topk,
+            "logits_topk": topk,
         }
 
 

@@ -93,6 +93,12 @@ def run_episode(
     # the memory vector stays unchanged on most steps, so its logged digest
     # and first coordinates are worked out once per distinct vector
     mem_logged: dict[Optional[bytes], tuple] = {}
+    # most dataset steps repeat an earlier step's logits, so the logged top-k
+    # is built once per distinct (invalid, *cells) value. Equal keys give equal
+    # bytes: cell logits are max(0.0, .), never -0.0, and the invalid entry
+    # takes one value with scored cells and one without, so no 0.0/-0.0 pair
+    # shares a key. A NaN key is never stored, as topk raises on it.
+    topks: dict[tuple, list] = {}
     lost_run, reason = 0, None
     header = EpisodeHeader(
         **AgentRuntime.values_of(runtime),
@@ -154,7 +160,11 @@ def run_episode(
         if record:
             topk = None
             if out is not None and runtime.log_topk > 0:
-                topk = list(map(tuple, out.logits.topk(runtime.log_topk)))
+                logits = out.logits
+                key = (logits.invalid, *logits.cells.items())
+                topk = topks.get(key)
+                if topk is None:
+                    topk = topks[key] = list(map(tuple, logits.topk(runtime.log_topk)))
             rows = expert_rows.get(gt_token)
             if rows is None:
                 rows = [tuple(r) for r in expert_traj.tolist()]

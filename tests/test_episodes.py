@@ -367,6 +367,9 @@ def test_header_parse_failure_names_line_and_field(tmp_path):
     assert "line 1:" in msg and "'policy.invalid_mode'" in msg
     msg = edited_log(tmp_path, 0, lambda h: h.update(scenario={"name": 5}))
     assert "line 1:" in msg and "'scenario.name'" in msg
+    # replay seeds numpy's generator with it, which takes no negative seed
+    msg = edited_log(tmp_path, 0, lambda h: h.update(seed=-1))
+    assert "line 1:" in msg and "'seed'" in msg
 
 
 def key_paths(value, path=""):
@@ -726,27 +729,30 @@ def test_the_frame_writer_writes_what_json_dumps_writes(data):
         drawn = data.draw(st.lists(values, min_size=1, max_size=3))
         return st.sampled_from(drawn + [flip_zeros(v) for v in drawn])
 
+    def shared(lists):
+        """A list from a pool of lists itself, which frames then share as
+        run_episode shares it, or a copy of it."""
+        return pool(lists).flatmap(lambda v: st.sampled_from([v, list(v)]))
+
     polars = pool(st.tuples(NUMBERS, NUMBERS))
-    trajs = data.draw(st.lists(st.lists(st.tuples(NUMBERS, NUMBERS, NUMBERS), max_size=8),
-                               min_size=1, max_size=3))
     frame = st.builds(
         FrameRecord,
         step=st.integers(),
         agent=st.tuples(NUMBERS, NUMBERS, NUMBERS),
         target=st.tuples(NUMBERS, NUMBERS),
         target_rel=polars,
-        view_visible=pool(st.lists(st.booleans(), max_size=4)),
+        view_visible=shared(st.lists(st.booleans(), max_size=4)),
         gt_invalid=st.booleans(),
         gt_polar=st.none() | polars,
         gt_token=st.integers(),
         token=st.integers(),
         confidence=pool(NUMBERS),
-        # the shared list itself, or a copy of it
-        expert_traj=st.sampled_from(trajs).flatmap(lambda t: st.sampled_from([t, list(t)])),
+        expert_traj=shared(st.lists(st.tuples(NUMBERS, NUMBERS, NUMBERS), max_size=8)),
         mem_digest=pool(st.text() | st.sampled_from(['"expert_traj":0,', "\\\"\n\u2028"])),
-        mem_slot0=st.none() | pool(st.lists(NUMBERS, max_size=3)),
+        mem_slot0=st.none() | shared(st.lists(NUMBERS, max_size=3)),
         collided=st.booleans(),
-        logits_topk=st.none() | pool(st.lists(st.tuples(st.integers(), NUMBERS), max_size=8)),
+        logits_topk=st.none() | shared(st.lists(st.tuples(st.integers(), NUMBERS),
+                                                max_size=8)),
     )
     log = EpisodeLog(stt_header(), data.draw(st.lists(frame, min_size=1, max_size=12)))
     assert log.to_jsonl() == dumps_per_record(log)

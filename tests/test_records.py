@@ -71,8 +71,8 @@ RUNTIME = dict(SETTINGS, arm=st.sampled_from(ARMS), log_topk=st.integers(0, 2000
 RECORDS[AgentSettings] = st.builds(AgentSettings, **SETTINGS)
 RECORDS[AgentRuntime] = st.builds(AgentRuntime, **RUNTIME)
 RECORDS[EpisodeHeader] = st.builds(
-    EpisodeHeader, scenario=st.none() | RECORDS[ScenarioSpec], seed=st.integers(),
-    max_steps=st.integers(), expert=st.text(), **RUNTIME,
+    EpisodeHeader, scenario=st.none() | RECORDS[ScenarioSpec], seed=st.integers(0),
+    max_steps=st.integers(1), expert=st.text(), **RUNTIME,
 )
 RECORDS[ScenarioRun] = st.builds(
     lambda spec, n: ScenarioRun(**ScenarioSpec.values_of(spec), episodes=n),

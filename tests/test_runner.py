@@ -9,7 +9,7 @@ from polartrack.perception import CameraRig, PerceptionParams
 from polartrack.polar import PolarGrid
 from polartrack.policy import INVALID_MODES, PolicySettings, advance_hold, execute_first, plan
 from polartrack.records import FieldError
-from polartrack import runner
+from polartrack import episodes, runner
 from polartrack.runner import ARMS, AgentRuntime, run_episode
 from polartrack.scenarios import SCENARIO_NAMES, ScenarioSpec, make_scenario
 from polartrack.world import Pose2D, World
@@ -278,6 +278,35 @@ def test_logits_topk_logging():
     assert vals == sorted(vals, reverse=True)
     # the acted token's logit is among them
     assert any(i == f.token for i, _ in f.logits_topk)
+
+
+def test_a_logged_top_k_is_its_own_steps_top_k(monkeypatch, tmp_path):
+    # the runner builds a top-k once per distinct logits value and shares it
+    # among the frames with that value; each frame must still log the top-k
+    # of the logits its own step observed
+    fresh = []
+    observe = runner.observe
+
+    def recording_observe(*args):
+        out = observe(*args)
+        fresh.append(list(map(tuple, out.logits.topk(8))))
+        return out
+
+    monkeypatch.setattr(runner, "observe", recording_observe)
+    logs = []
+    spec = ScenarioSpec("dt", max_steps=300)
+    for seed in (0, 1, 2):
+        logs.append(run_episode(make_scenario(spec, seed), runtime(log_topk=8), spec, seed))
+    monkeypatch.setattr(episodes, "write_episode", lambda log, path: logs.append(log))
+    episodes.generate_dataset([ScenarioSpec("obstacle", max_steps=300)], 1, 3, tmp_path)
+    assert len(logs) == 4
+    shared = 0
+    for log in logs:
+        n = len(log.frames)
+        assert [f.logits_topk for f in log.frames] == fresh[:n]
+        del fresh[:n]
+        shared += len(log.frames) - len({id(f.logits_topk) for f in log.frames})
+    assert not fresh and shared > 0
 
 
 @pytest.mark.parametrize("name", ["stt", "obstacle"])
