@@ -11,7 +11,6 @@ is reported and the rest of the suite continues.
 from __future__ import annotations
 
 import itertools
-import math
 import multiprocessing
 import sys
 from dataclasses import dataclass
@@ -52,6 +51,51 @@ def _run_one(args) -> EpisodeResult:
         return EpisodeResult(scen_idx, arm, seed, None, error=str(e))
 
 
+def _worker(conn, tasks) -> None:
+    # _run_one is looked up per task, so a patch made before the fork holds here too
+    for i in iter(conn.recv, None):
+        conn.send(_run_one(tasks[i]))
+
+
+def _run_in_workers(tasks: list, jobs: int) -> list[EpisodeResult]:
+    """Run ``tasks`` on ``jobs`` worker processes, handing each one task index at a time,
+    and join every worker before returning or raising. A worker that dies mid-task raises."""
+    from multiprocessing.connection import wait  # deferred: a run on one job never loads it
+    results, todo = [None] * len(tasks), iter(range(len(tasks)))
+    workers, held = [], {}  # held: a worker's pipe -> (worker, the task index it runs)
+    try:
+        for i in itertools.islice(todo, jobs):
+            conn, child = multiprocessing.Pipe()
+            workers.append(multiprocessing.Process(target=_worker, args=(child, tasks), daemon=True))
+            workers[-1].start()
+            child.close()  # the worker holds the only other end, so its exit reads as EOF
+            conn.send(i)
+            held[conn] = (workers[-1], i)
+        while held:
+            for conn in wait(list(held)):
+                worker, i = held.pop(conn)
+                try:
+                    results[i] = conn.recv()
+                except EOFError:
+                    worker.join()
+                    cfg, scen_idx, arm, ep_idx, _ = tasks[i]
+                    raise RuntimeError(f"worker died (exit code {worker.exitcode}) running scenario="
+                                       f"{cfg.scenarios[scen_idx].name} arm={arm} seed="
+                                       f"{derive_seed(cfg.master_seed, scen_idx, ep_idx)}") from None
+                i = next(todo, None)
+                conn.send(i)
+                if i is not None:
+                    held[conn] = (worker, i)
+    except BaseException:
+        for worker in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker in workers:
+            worker.join()
+    return results
+
+
 def run_bench(
     cfg: RunConfig, jobs: Optional[int] = None, out_dir=None
 ) -> tuple[SuiteReport, list[EpisodeResult]]:
@@ -71,16 +115,10 @@ def run_bench(
     ]
 
     jobs = min(jobs, len(tasks))
-    if jobs > 1:
-        # chunks of up to 4, but small enough that every worker gets one
-        chunksize = min(4, math.ceil(len(tasks) / jobs))
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_run_one, tasks, chunksize=chunksize)
-    else:
-        results = [_run_one(t) for t in tasks]
+    results = _run_in_workers(tasks, jobs) if jobs > 1 else [_run_one(t) for t in tasks]
 
     rows = []
-    # pool.map and the loop keep task order, so each (scenario, arm) block is contiguous
+    # results are in task order, so each (scenario, arm) block is contiguous
     for (scen_idx, arm), block in itertools.groupby(results, lambda r: (r.scenario_index, r.arm)):
         name = cfg.scenarios[scen_idx].name
         done = []

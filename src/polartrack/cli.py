@@ -101,6 +101,7 @@ def cmd_episode_run(args) -> int:
         f"collided={o.collided} el={o.episode_length} reason={o.reason}"
     )
     if args.out is not None:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         write_episode(log, args.out)
         print(f"wrote {args.out}")
     return EXIT_OK

@@ -1,8 +1,9 @@
 """A bench run that keeps no logs scores the same episodes as one that
 writes them: run_bench without ``out_dir`` runs score-only episodes."""
 
-import math
 import multiprocessing
+import os
+import signal
 
 import pytest
 from test_golden import STOP_SETTINGS
@@ -34,26 +35,16 @@ def test_a_bench_run_reports_the_same_with_and_without_logs(tmp_path, settings, 
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """``(processes, chunksize)`` of every pool ``run_bench`` starts;
-    the stand-in pool maps in-process."""
+def started(monkeypatch):
+    """Every worker process ``run_bench`` starts, in start order."""
     started = []
 
-    class RecordingPool:
-        def __init__(self, processes):
-            self.processes = processes
+    class RecordingProcess(multiprocessing.Process):
+        def start(self):
+            started.append(self)
+            super().start()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            started.append((self.processes, chunksize))
-            return [fn(t) for t in tasks]
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Process", RecordingProcess)
     return started
 
 
@@ -62,28 +53,64 @@ def suite(scenarios, arms, episodes):
         {"name": n, "episodes": episodes, "max_steps": 20} for n in scenarios]})
 
 
-def test_run_bench_starts_no_more_workers_than_tasks(pools):
+def test_run_bench_starts_no_more_workers_than_tasks(started):
     def report(episodes, jobs):
         return run_bench(suite(["stt"], ["full"], episodes), jobs=jobs)[0].to_dict()
 
-    assert report(2, 8) == report(2, 1)
-    assert [processes for processes, _ in pools] == [2]
+    assert report(3, 8) == report(3, 1)
+    assert len(started) == 3
     report(1, 8)  # one task runs in-process
-    assert len(pools) == 1
+    report(2, 1)  # and so does every task with one job
+    assert len(started) == 3
+    assert not multiprocessing.active_children()
 
 
-def test_run_bench_hands_every_worker_a_chunk(pools):
-    # at most 4 tasks a chunk, but never so many that a worker gets none
-    for scenarios, arms, episodes, jobs, want in (
-        (["stt"], ["full"], 3, 2, (2, 2)),
-        (["stt"], ["full"], 4, 2, (2, 2)),
-        (["stt"], ["full", "no_tim"], 3, 3, (3, 2)),
-        (SCENARIO_NAMES, ["full", "no_tim", "no_cot"], 2, 2, (2, 4)),  # 24 tasks
+def test_every_started_worker_runs_a_task(monkeypatch, started):
+    real = bench._run_one
+
+    def stamped(args):
+        result = real(args)
+        result.pid = os.getpid()
+        return result
+
+    monkeypatch.setattr(bench, "_run_one", stamped)
+    for scenarios, arms, episodes, jobs in (
+        (["stt"], ["full"], 3, 2),
+        (["stt"], ["full", "no_tim"], 3, 3),
+        (["stt"], ["full"], 2, 3),
+        (SCENARIO_NAMES, ["full", "no_tim", "no_cot"], 2, 2),  # 24 tasks
     ):
+        n = len(started)
         results = run_bench(suite(scenarios, arms, episodes), jobs=jobs)[1]
-        processes, chunksize = pools[-1]
-        assert (processes, chunksize) == want, (len(results), jobs)
-        assert math.ceil(len(results) / chunksize) >= processes
+        workers = started[n:]
+        assert len(workers) == min(jobs, len(results))
+        assert {r.pid for r in results} == {w.pid for w in workers}, (len(results), jobs)
+
+
+def test_a_worker_that_dies_raises_instead_of_hanging(monkeypatch):
+    real = bench._run_one
+
+    def dying(args):
+        if args[3] == 1:  # episode index 1
+            os._exit(3)
+        return real(args)
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("run_bench still waits 60 s after a worker died")
+
+    monkeypatch.setattr(bench, "_run_one", dying)
+    cfg = suite(["dt"], ["full"], 3)
+    seed = derive_seed(cfg.master_seed, 0, 1)
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(60)  # a hang fails the test instead of stalling the suite
+    try:
+        with pytest.raises(RuntimeError, match=rf"exit code 3\) running scenario=dt arm=full "
+                                               rf"seed={seed}$"):
+            run_bench(cfg, jobs=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -95,7 +122,8 @@ def test_run_bench_rejects_fewer_than_one_job(monkeypatch, jobs):
     assert not ran
 
 
-def test_a_failing_arm_leaves_the_other_rows_in_config_order(monkeypatch, capsys):
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_a_failing_arm_leaves_the_other_rows_in_config_order(monkeypatch, capsys, jobs):
     real = bench.run_episode
 
     def failing_for_no_tim(world, runtime, **kw):
@@ -105,7 +133,7 @@ def test_a_failing_arm_leaves_the_other_rows_in_config_order(monkeypatch, capsys
 
     monkeypatch.setattr(bench, "run_episode", failing_for_no_tim)
     cfg = suite(["stt", "dt"], ["no_cot", "no_tim", "full"], 2)
-    report, results = run_bench(cfg, jobs=1)
+    report, results = run_bench(cfg, jobs=jobs)
     assert [(row.scenario, row.arm, row.episodes) for row in report.rows] == [
         ("stt", "no_cot", 2), ("stt", "full", 2), ("dt", "no_cot", 2), ("dt", "full", 2)]
     # every result comes back, in task order, with an error on each failed one;

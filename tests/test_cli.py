@@ -149,14 +149,14 @@ def test_episode_run_takes_the_configs_scenario_entry(tmp_path, capsys):
     assert main(["episode", "run", "--scenario", "stt", "--config", str(cfgp)]) == EXIT_OK
     assert "el=40 reason=cap" in capsys.readouterr().out
     # the log's header carries that spec, and a scenario the config does
-    # not list runs at its defaults
+    # not list runs at its defaults; --out's directory is made if missing
     for name, steps in (("stt", 40), ("dt", 500)):
-        ep = tmp_path / f"{name}.jsonl"
+        ep = tmp_path / "logs" / f"{name}.jsonl"
         argv = ["episode", "run", "--scenario", name, "--config", str(cfgp), "--out", str(ep)]
         assert main(argv) == EXIT_OK
         assert read_episode(ep).header.scenario == ScenarioSpec(name, max_steps=steps)
     capsys.readouterr()
-    assert main(["replay", "verify", str(tmp_path / "stt.jsonl")]) == EXIT_OK
+    assert main(["replay", "verify", str(tmp_path / "logs" / "stt.jsonl")]) == EXIT_OK
 
 
 def test_replay_dump_missing_file(tmp_path, capsys):
