@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import pickle
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,17 +76,19 @@ def _run_in_workers(tasks: list, jobs: int) -> list[EpisodeResult]:
             for conn in wait(list(held)):
                 worker, i = held.pop(conn)
                 try:
-                    results[i] = conn.recv()
+                    result = conn.recv_bytes()
                 except EOFError:
                     worker.join()
                     cfg, scen_idx, arm, ep_idx, _ = tasks[i]
                     raise RuntimeError(f"worker died (exit code {worker.exitcode}) running scenario="
                                        f"{cfg.scenarios[scen_idx].name} arm={arm} seed="
                                        f"{derive_seed(cfg.master_seed, scen_idx, ep_idx)}") from None
-                i = next(todo, None)
-                conn.send(i)
-                if i is not None:
-                    held[conn] = (worker, i)
+                # hand out the next index first, so the worker runs while its result is unpickled
+                nxt = next(todo, None)
+                conn.send(nxt)
+                if nxt is not None:
+                    held[conn] = (worker, nxt)
+                results[i] = pickle.loads(result)
     except BaseException:
         for worker in workers:
             worker.terminate()

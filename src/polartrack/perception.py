@@ -17,15 +17,15 @@ large bonus when nothing is detected at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Annotated, Iterator, Optional
+from typing import Annotated, Optional
 
 import numpy as np
 
 from .gating import SparseLogits
 from .memory import TargetMemory, memory_similarity
-from .polar import PolarGrid, PolarPoint, encode
+from .polar import PolarGrid, PolarPoint, cell_of, wrap_degrees
 from .records import Range, Record
-from .world import Sighting, World
+from .world import World
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,19 @@ def view_masks(world: World, rig: CameraRig, grid: PolarGrid,
     return masks
 
 
-def _detected(world: World, masks: list[int], params: PerceptionParams,
-              rng: np.random.Generator) -> Iterator[Sighting]:
-    """Observable sightings that pass the detectability draw, lazily, in entity order."""
+def _detects(params: PerceptionParams, rng: np.random.Generator) -> bool:
+    """Whether an observable entity registers this step: with probability
+    ``base_detectability``, one draw when that is below 1."""
     p = params.base_detectability
-    return (s for s, m in zip(world.sightings, masks) if m and (p >= 1.0 or rng.random() < p))
+    return p >= 1.0 or rng.random() < p
+
+
+def _ahead_of(grid: PolarGrid, cell: int, other: int) -> bool:
+    """The tie rule of equal scores: the more dead-ahead cell wins, then the
+    nearer ring, then the lower index."""
+    a, r = divmod(cell, grid.n_dist)
+    b, q = divmod(other, grid.n_dist)
+    return (min(a, grid.n_angle - a), r, cell) < (min(b, grid.n_angle - b), q, other)
 
 
 def observe(
@@ -138,25 +146,32 @@ def observe(
     Deterministic given the generator state; draws happen in entity-list
     order so replays are bit-exact.
     """
-    cell_owner: dict[int, tuple[float, np.ndarray]] = {}
-    for s in _detected(world, masks, params, rng):
+    feature_noise = params.feature_noise > 0.0
+    cell_owner: dict[int, float] = {}  # each cell's best score, in first-detection order
+    # the argmax as the detections arrive; ties (which arise when the memory
+    # is empty and every detection scores identically) follow ``_ahead_of``
+    best_cell, best_score, candidate = None, 0.0, None
+    for s, m in zip(world.sightings, masks):
+        if not m or not _detects(params, rng):
+            continue
         feat = s.entity.appearance
         # one draw for the angle, range and (when on) feature noise
-        noise = rng.normal(size=2 + feat.size if params.feature_noise > 0.0 else 2)
+        noise = rng.normal(size=2 + feat.size if feature_noise else 2)
         angle_z, dist_z = noise[:2].tolist()
-        theta = s.rel.theta + angle_z * params.angle_noise
-        dist = s.rel.dist + dist_z * params.dist_noise
         # the entity was deemed observable from its true range; noise only
         # jitters the cell, it cannot push the detection out of the annulus
-        dist = min(max(dist, grid.r_min), grid.r_max)
-        cell = encode(grid, PolarPoint(theta, dist))
-        if params.feature_noise > 0.0:
+        dist = min(max(s.rel.dist + dist_z * params.dist_noise, grid.r_min), grid.r_max)
+        cell = cell_of(grid, wrap_degrees(s.rel.theta + angle_z * params.angle_noise), dist)
+        if feature_noise:
             feat = feat + noise[2:] * params.feature_noise
         sim = params.empty_mem_similarity if mem.slots is None else memory_similarity(mem, feat)
         score = params.detect_score + params.sim_temperature * sim
-        best = cell_owner.get(cell)
-        if best is None or score > best[0]:
-            cell_owner[cell] = (score, feat)
+        owned = cell_owner.get(cell)
+        if owned is None or score > owned:
+            cell_owner[cell] = score
+            if best_cell is None or score > best_score or (
+                    score == best_score and _ahead_of(grid, cell, best_cell)):
+                best_cell, best_score, candidate = cell, score, feat
 
     invalid = params.invalid_bias
     if not cell_owner:  # every detection owns or shares a cell
@@ -164,24 +179,11 @@ def observe(
     logits = SparseLogits(
         grid.vocab_size,
         invalid,
-        {cell: max(0.0, score) for cell, (score, _) in cell_owner.items()},
+        {cell: max(0.0, score) for cell, score in cell_owner.items()},
     )
-
-    # argmax with a deterministic tie policy: ties (which arise when the
-    # memory is empty and every detection scores identically) go to the
-    # most dead-ahead cell, then the nearest ring, then the lowest index
-    token = grid.invalid_index
-    if cell_owner:
-        def rank(item):
-            cell, (score, _) = item
-            a, r = divmod(cell, grid.n_dist)
-            return (score, -min(a, grid.n_angle - a), -r, -cell)
-
-        best_cell, (best_score, _) = max(cell_owner.items(), key=rank)
-        if best_score >= invalid:
-            token = best_cell
-    candidate = None if token == grid.invalid_index else cell_owner[token][1]
-    return ReasonerOutput(logits=logits, token=token, candidate=candidate)
+    if best_cell is not None and best_score >= invalid:
+        return ReasonerOutput(logits=logits, token=best_cell, candidate=candidate)
+    return ReasonerOutput(logits=logits, token=grid.invalid_index, candidate=None)
 
 
 def nearest_detection(
@@ -195,8 +197,8 @@ def nearest_detection(
     appearance handling. This is the degraded front end used by the arm
     that runs without spatial-token reasoning."""
     best: Optional[PolarPoint] = None
-    for s in _detected(world, masks, params, rng):
-        if best is None or s.rel.dist < best.dist:
+    for s, m in zip(world.sightings, masks):
+        if m and _detects(params, rng) and (best is None or s.rel.dist < best.dist):
             best = s.rel
     if best is None:
         return None

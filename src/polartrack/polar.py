@@ -88,15 +88,20 @@ class PolarPoint:
 _BIN_EPS = 1e-9
 
 
+def cell_of(grid: PolarGrid, theta: float, dist: float) -> int:
+    """The cell of a bearing in [0, 360) and a range in [r_min, r_max]. Bins are
+    lower-inclusive; the exact outer boundary dist == r_max falls into the last ring."""
+    a = min(int(theta / grid.angle_width + _BIN_EPS), grid.n_angle - 1)
+    r = min(int((dist - grid.r_min) / grid.dist_width + _BIN_EPS), grid.n_dist - 1)
+    return a * grid.n_dist + r
+
+
 def encode(grid: PolarGrid, p: PolarPoint) -> int:
-    """Map a relative position to its cell token, or the invalid token when
-    the point lies outside the annulus. Bins are lower-inclusive; the
-    exact outer boundary dist == r_max falls into the last ring."""
+    """Map a relative position to its cell token (``cell_of``), or the
+    invalid token when the point lies outside the annulus."""
     if p.dist < grid.r_min or p.dist > grid.r_max:
         return grid.invalid_index
-    a = min(int(p.theta / grid.angle_width + _BIN_EPS), grid.n_angle - 1)
-    r = min(int((p.dist - grid.r_min) / grid.dist_width + _BIN_EPS), grid.n_dist - 1)
-    return a * grid.n_dist + r
+    return cell_of(grid, p.theta, p.dist)
 
 
 def decode(grid: PolarGrid, token: int) -> PolarPoint | None:

@@ -61,9 +61,9 @@ def advance_hold(hold: Optional[PolarPoint], cmd: Command) -> Optional[PolarPoin
     return PolarPoint(math.degrees(math.atan2(y, x)), math.hypot(x, y))
 
 
-def _segment_plan(goal_range: float, bearing: float, limits: MotionLimits) -> np.ndarray:
-    """Equal subdivision of the straight segment to the goal. ``bearing``
-    is signed degrees; negative goal_range backs away along the bearing."""
+def _first_waypoint(goal_range: float, bearing: float, limits: MotionLimits) -> tuple:
+    """Row 0 of ``_segment_plan``: one equal piece of the segment to the goal (none
+    when it is shorter than 1e-12), facing the bearing as far as one turn allows."""
     gx = goal_range * math.cos(math.radians(bearing))
     gy = goal_range * math.sin(math.radians(bearing))
     length = math.hypot(gx, gy)
@@ -71,8 +71,15 @@ def _segment_plan(goal_range: float, bearing: float, limits: MotionLimits) -> np
     if length > 1e-12:
         step = min(length / NUM_WAYPOINTS, limits.max_speed)
         sx, sy = gx / length * step, gy / length * step
-    rows = []
-    for k in range(1, NUM_WAYPOINTS + 1):
+    return sx, sy, max(-limits.max_turn, min(limits.max_turn, bearing))
+
+
+def _segment_plan(goal_range: float, bearing: float, limits: MotionLimits) -> np.ndarray:
+    """Equal subdivision of the straight segment to the goal. ``bearing``
+    is signed degrees; negative goal_range backs away along the bearing."""
+    sx, sy, turn = _first_waypoint(goal_range, bearing, limits)
+    rows = [(sx, sy, turn)]
+    for k in range(2, NUM_WAYPOINTS + 1):
         turn_cap = k * limits.max_turn
         rows.append((sx * k, sy * k, max(-turn_cap, min(turn_cap, bearing))))
     return np.array(rows, dtype=np.float64)
@@ -101,7 +108,8 @@ def _cell_plan(
 
 def plan_from_polar(p: PolarPoint, standoff: float, limits: MotionLimits) -> np.ndarray:
     """Plan toward an un-tokenized relative position, pulled back to the
-    standoff distance (used directly by the no-reasoning ablation arm)."""
+    standoff distance (the no-reasoning arm acts on its first command,
+    ``command_toward``)."""
     return _segment_plan(p.dist - standoff, signed_degrees(p.theta), limits)
 
 
@@ -135,16 +143,29 @@ def plan(
     return _segment_plan(hold.dist, signed_degrees(hold.theta), limits), hold
 
 
+def _command(x1: float, y1: float, th1: float, limits: MotionLimits) -> Command:
+    """``execute_first``'s command for the first waypoint ``(x1, y1, th1)``: turn
+    toward it, or to its heading when it is within 1e-12 of the origin."""
+    length = math.hypot(x1, y1)
+    if length < 1e-12:
+        v, heading = 0.0, th1
+    else:
+        v, heading = min(length, limits.max_speed), math.degrees(math.atan2(y1, x1))
+    return Command(v=v, dtheta=max(-limits.max_turn, min(limits.max_turn, signed_degrees(heading))))
+
+
 def execute_first(traj: np.ndarray, limits: MotionLimits) -> Command:
     """Command that reproduces the first waypoint as closely as the
     limits allow (exactly, when it is within them)."""
     if traj.shape != (NUM_WAYPOINTS, 3):
         raise ValueError(f"trajectory must be ({NUM_WAYPOINTS}, 3), got {traj.shape}")
-    x1, y1, th1 = traj[0].tolist()
-    length = math.hypot(x1, y1)
-    if length < 1e-12:
-        dtheta = max(-limits.max_turn, min(limits.max_turn, signed_degrees(th1)))
-        return Command(v=0.0, dtheta=dtheta)
-    heading_to = signed_degrees(math.degrees(math.atan2(y1, x1)))
-    dtheta = max(-limits.max_turn, min(limits.max_turn, heading_to))
-    return Command(v=min(length, limits.max_speed), dtheta=dtheta)
+    return _command(*traj[0].tolist(), limits)
+
+
+def command_toward(p: Optional[PolarPoint], standoff: float, limits: MotionLimits) -> Command:
+    """``execute_first(plan_from_polar(p, standoff, limits), limits)``, bit
+    for bit, without building the plan; for None, the command of a
+    trajectory of zeros (the no-reasoning arm before any sighting)."""
+    row = (0.0, 0.0, 0.0) if p is None else _first_waypoint(p.dist - standoff,
+                                                            signed_degrees(p.theta), limits)
+    return _command(*row, limits)

@@ -17,8 +17,9 @@ Three arms share this loop:
 ``perfbench/instrument.py`` traces the loop by rebinding the names it
 calls here: ``run_episode``, ``annotate_frame``, ``view_visibility``,
 ``plan``, ``observe``, ``confidence``, ``update_memory``,
-``nearest_detection``, ``plan_from_polar``, ``execute_first``,
-``advance_hold`` and ``score_episode``. It counts a ``plan`` call right
+``nearest_detection``, ``execute_first``, ``advance_hold`` and
+``score_episode``; also ``plan_from_polar``, which no_cot's untraced
+``command_toward`` replaced, so it reads 0. It counts a ``plan`` call right
 after ``view_visibility`` as the expert's, any other as the agent's, and
 ``tests/test_trace.py`` pins how often each role, ``nearest_detection``
 and ``World.step`` are called per step.
@@ -27,8 +28,6 @@ and ``World.step`` are called per step.
 from __future__ import annotations
 
 from typing import Optional
-
-import numpy as np
 
 from .episodes import (  # ARMS is re-exported
     ARMS,
@@ -43,9 +42,9 @@ from .gating import confidence
 from .memory import TargetMemory, update_memory
 from .metrics import StepResult, episode_end, score_episode
 from .perception import ReasonerOutput, nearest_detection, observe, view_masks
-from .policy import (
-    NUM_WAYPOINTS,
+from .policy import (  # plan_from_polar is re-exported
     advance_hold,
+    command_toward,
     execute_first,
     plan,
     plan_from_polar,
@@ -130,6 +129,12 @@ def run_episode(
                 traj, hold = plan(out.token, grid, hold, policy, limits)
                 acted_token = out.token
                 act = token_acts.get(out.token)
+                if act is None:
+                    cmd = execute_first(traj, limits)
+                    act = cmd, advance_hold(hold, cmd)
+                    if out.token != grid.invalid_index:
+                        token_acts[out.token] = act
+                cmd, hold = act
             else:
                 # no tokens, no invalid semantics: steer at the latest raw
                 # reading, or the dead-reckoned previous one when nothing
@@ -137,21 +142,11 @@ def run_episode(
                 raw = nearest_detection(world, masks, params, world.rng)
                 if raw is not None:
                     hold = raw
-                if hold is None:
-                    traj = np.zeros((NUM_WAYPOINTS, 3))
-                else:
-                    traj = plan_from_polar(hold, policy.standoff, limits)
                 if record:
                     acted_token = grid.invalid_index if raw is None else encode(grid, raw)
                     conf = 0.0
-                act = None
-
-            if act is None:
-                cmd = execute_first(traj, limits)
-                act = cmd, advance_hold(hold, cmd)
-                if out is not None and out.token != grid.invalid_index:
-                    token_acts[out.token] = act
-            cmd, hold = act
+                cmd = command_toward(hold, policy.standoff, limits)
+                hold = advance_hold(hold, cmd)
             events = world.step(cmd)
         except Exception as e:
             raise RuntimeError(f"episode failed at step {world.step_index}: {e}") from e

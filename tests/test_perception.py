@@ -457,3 +457,48 @@ def test_observe_matches_the_scalar_draw_oracle(
         w.step(Command(w.limits.max_speed, turns[k % len(turns)]))
         if w.terminated:
             break
+
+
+def at_bearing(eid, theta, dist, appearance):
+    t = np.radians(theta)
+    return entity(eid, "distractor" if eid else "target", (dist * np.cos(t), dist * np.sin(t)),
+                  appearance)
+
+
+# (bearing, range) of each entity; sectors are 6 degrees and rings 0.147 m wide on GRID
+TIES = {
+    # sectors 5 and 55 (= n_angle - 5), one ring: the lower index wins
+    "mirrored_sectors": [(333.0, 3.0), (33.0, 3.0)],
+    "mirrored_sectors_reversed": [(33.0, 3.0), (333.0, 3.0)],
+    # mirrored sectors on different rings: the nearer ring wins over the lower index
+    "mirrored_sectors_far_and_near": [(33.0, 4.0), (333.0, 2.0)],
+    # one sector, different rings
+    "one_sector_two_rings": [(3.0, 4.0), (3.0, 2.0)],
+    # sector 0 on a far ring against sector 59 on a near one: dead-ahead comes first
+    "ahead_beats_near": [(357.0, 2.0), (3.0, 4.0)],
+    # two detections in one cell (sector 5, ring 16)
+    "one_cell": [(33.2, 3.0), (33.4, 3.02)],
+    "one_cell_and_a_tie": [(333.0, 3.0), (33.2, 3.0), (33.4, 3.02)],
+}
+
+
+@pytest.mark.parametrize("layout", TIES.values(), ids=TIES.keys())
+@pytest.mark.parametrize("params", [NOISELESS, PerceptionParams()], ids=["noiseless", "noisy"])
+def test_observe_breaks_ties_as_the_oracle_does(layout, params):
+    # an empty memory scores every detection alike, so the argmax falls to
+    # the tie rule; a memory that knows the last entity breaks it by score
+    apps = [np.eye(4)[k] + 0.5 for k in range(len(layout))]
+    for mem in (TargetMemory.empty(), bootstrapped(apps[-1])):
+        for seed in range(5):
+            w = static_world([at_bearing(k, *where, a) for k, (where, a)
+                              in enumerate(zip(layout, apps))])
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = observe(w, view_masks(w, RING, GRID), mem, GRID, params, rng)
+            want = observe_oracle(w, RING, mem, GRID, params, oracle_rng)
+            assert output_bytes(out) == output_bytes(want)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            scores = list(out.logits.cells.values())
+            if mem.is_empty and params is NOISELESS:
+                # the layout does tie: fewer cells than detections, or equal cell scores
+                assert len(scores) < len(layout) or len(set(scores)) < len(scores)
+                assert out.token != GRID.invalid_index

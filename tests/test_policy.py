@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -286,6 +287,39 @@ def test_segment_plan_matches_the_element_fill_oracle(goal_range, bearing, max_s
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()  # tells -0.0 from 0.0
     assert policy._scan_plan(limits).tobytes() == scan_plan_oracle(limits).tobytes()
+
+
+def command_bytes(cmd: Command) -> bytes:
+    return struct.pack("<dd", cmd.v, cmd.dtheta)  # tells -0.0 from 0.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    theta=st.one_of(
+        st.floats(-720.0, 720.0, allow_nan=False),
+        st.sampled_from([0.0, -0.0, 180.0, -180.0, 540.0, -540.0, 1e-20, -1e-20]),
+    ),
+    standoff=st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 1.0, 2.0, 2.5])),
+    # the goal range p.dist - standoff, negative ones included (a target inside the
+    # standoff backs the agent away); the first row is 1/8 of it, so 8e-12 is its edge
+    goal_range=st.one_of(
+        st.floats(-3.0, 6.0, allow_nan=False),
+        st.floats(-1e-11, 1e-11, allow_nan=False),
+        st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 2e-12, 8e-12, -8e-12, 8.000000000000001e-12]),
+    ),
+    max_speed=limit_values,
+    max_turn=limit_values,
+)
+def test_command_toward_is_the_first_command_of_the_plan(theta, standoff, goal_range,
+                                                         max_speed, max_turn):
+    limits = MotionLimits(max_speed=max_speed, max_turn=max_turn)
+    p = PolarPoint(theta, abs(standoff + goal_range))
+    got = policy.command_toward(p, standoff, limits)
+    want = execute_first(plan_from_polar(p, standoff, limits), limits)
+    assert command_bytes(got) == command_bytes(want)
+    none = policy.command_toward(None, standoff, limits)
+    assert command_bytes(none) == command_bytes(execute_first(np.zeros((NUM_WAYPOINTS, 3)),
+                                                              limits))
 
 
 @pytest.mark.parametrize("grid", [GRID, PolarGrid(r_min=1, r_max=4.5, n_angle=7, n_dist=5)])

@@ -427,7 +427,8 @@ def test_acted_poses_match_an_uncached_replay(name, mode):
 @pytest.mark.parametrize("record", [True, False])
 def test_a_valid_tokens_command_is_worked_out_once_per_episode(monkeypatch, record):
     # the token arms work out a command and its next hold point once per
-    # distinct valid token and on every invalid-token step; no_cot every step
+    # distinct valid token and on every invalid-token step; no_cot steers
+    # without a plan (command_toward) and dead-reckons its hold every step
     calls = {"execute_first": 0, "advance_hold": 0}
 
     def counting(name):
@@ -460,10 +461,11 @@ def test_a_valid_tokens_command_is_worked_out_once_per_episode(monkeypatch, reco
             steps = log.outcome.episode_length
             if arm == "no_cot":
                 assert not tokens
-                want = steps
+                want = {"execute_first": 0, "advance_hold": steps}
             else:
                 assert len(tokens) == steps
                 invalid = tokens.count(GRID.invalid_index)
-                want = len(set(tokens) - {GRID.invalid_index}) + invalid
-                assert 0 < invalid and want < steps, (arm, seed)
-            assert calls == {"execute_first": want, "advance_hold": want}, (arm, seed)
+                acts = len(set(tokens) - {GRID.invalid_index}) + invalid
+                assert 0 < invalid and acts < steps, (arm, seed)
+                want = {"execute_first": acts, "advance_hold": acts}
+            assert calls == want, (arm, seed)
