@@ -14,6 +14,7 @@ a run of poor ones gets extra pull.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -21,14 +22,32 @@ from typing import NamedTuple
 import numpy as np
 
 
-class SparseLogits(NamedTuple):
+class SparseLogits(NamedTuple("SparseLogits",
+                              [("size", int), ("invalid", float), ("cells", dict)])):
     """Logits over ``size`` tokens that are zero except for the last
     (invalid) entry, ``invalid``, and the entries of ``cells``, which maps
-    a cell index below ``size - 1`` to its logit."""
+    a cell index below ``size - 1`` to its logit.
 
-    size: int
-    invalid: float
-    cells: dict
+    The constructor, ``from_pairs``, ``_make`` and ``_replace`` raise on a
+    vocabulary below two tokens, a cell outside ``[0, size - 1)`` or a
+    non-finite value; the methods trust what they read. ``trusted`` takes
+    the three values as one tuple and skips the checks, for logits whose
+    parts were checked where they were made."""
+
+    __slots__ = ()
+
+    def __new__(cls, size: int, invalid: float, cells: dict):
+        if size < 2:
+            raise ValueError(f"need a vocabulary of >= 2 tokens, got {size}")
+        for i in cells:
+            if not (0 <= i < size - 1):
+                raise ValueError(f"cell {i} out of range for {size} logits")
+        if not all(map(math.isfinite, [invalid, *cells.values()])):
+            raise ValueError("logits must be finite")
+        return tuple.__new__(cls, (size, invalid, cells))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # checked, as _replace calls it
+    trusted = classmethod(tuple.__new__)  # SparseLogits.trusted((size, invalid, cells))
 
     @classmethod
     def from_pairs(cls, size: int, pairs) -> "SparseLogits":
@@ -43,18 +62,9 @@ class SparseLogits(NamedTuple):
         return cls(size, invalid, cells)
 
     def values(self) -> list:
-        """The explicit logits, invalid first; raises on a vocabulary
-        below two tokens, a cell outside ``[0, size - 1)`` or a
-        non-finite value. The other ``size - 1 - len(cells)`` are zero."""
-        if self.size < 2:
-            raise ValueError(f"need a vocabulary of >= 2 tokens, got {self.size}")
-        for i in self.cells:
-            if not (0 <= i < self.size - 1):
-                raise ValueError(f"cell {i} out of range for {self.size} logits")
-        vals = [self.invalid, *self.cells.values()]
-        if not all(map(math.isfinite, vals)):
-            raise ValueError("logits must be finite")
-        return vals
+        """The explicit logits, invalid first. The other
+        ``size - 1 - len(cells)`` are zero."""
+        return [self.invalid, *self.cells.values()]
 
     def softmax_terms(self) -> tuple:
         """``(M, Z, S)`` of the softmax in closed form: M the largest
@@ -77,7 +87,6 @@ class SparseLogits(NamedTuple):
 
     def dense(self) -> np.ndarray:
         """The full ``size``-entry vector."""
-        self.values()
         x = np.zeros(self.size)
         x[list(self.cells)] = list(self.cells.values())
         x[-1] = self.invalid
@@ -90,19 +99,13 @@ class SparseLogits(NamedTuple):
         free index."""
         if k < 1:
             raise ValueError(f"top-k needs k >= 1, got {k}")
-        self.values()
         # (-value, index, value): indices are distinct, so plain tuple
         # order is value descending then index ascending
         entries = [(-self.invalid, self.size - 1, self.invalid),
                    *((-v, i, v) for i, v in self.cells.items())]
         taken = {self.size - 1, *self.cells}
-        need = min(k, self.size - len(taken))
-        i = 0
-        while need > 0:
-            if i not in taken:
-                entries.append((-0.0, i, 0.0))
-                need -= 1
-            i += 1
+        free = (i for i in range(self.size - 1) if i not in taken)
+        entries += ((-0.0, i, 0.0) for i in itertools.islice(free, k))
         entries.sort()
         return [[i, float(v)] for _, i, v in entries[:k]]
 
@@ -150,7 +153,19 @@ class ConfidenceTrace:
     def record(self, c: float) -> "ConfidenceTrace":
         if not (0.0 <= c <= 1.0):
             raise ValueError(f"confidence {c} outside [0, 1]")
-        return ConfidenceTrace(count=self.count + 1, total=self.total + c)
+        return trusted_trace(self.count + 1, self.total + c)
+
+
+_SET_COUNT, _SET_TOTAL = ConfidenceTrace.count.__set__, ConfidenceTrace.total.__set__
+
+
+def trusted_trace(count: int, total: float) -> ConfidenceTrace:
+    """``ConfidenceTrace(count, total)`` built without ``__init__``, for a
+    ``total`` of confidences already checked to lie in [0, 1]."""
+    t = object.__new__(ConfidenceTrace)
+    _SET_COUNT(t, count)
+    _SET_TOTAL(t, total)
+    return t
 
 
 def gate_weight(trace: ConfidenceTrace, c_prev: float) -> float:

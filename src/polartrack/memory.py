@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gating import ConfidenceTrace, gate_weight
+from .gating import ConfidenceTrace, gate_weight, trusted_trace
 from .polar import PolarGrid
 
 
@@ -87,9 +87,9 @@ def update_memory(
         if cand.shape != slots.shape:
             raise ValueError(f"candidate dim {cand.shape[0]} != memory dim {slots.shape[0]}")
         w = gate_weight(trace, conf)  # checks conf, and that trace holds a record
-        # trace.record(conf) without a second range check
-        new = TargetMemory((1.0 - w) * slots + w * cand,
-                           ConfidenceTrace(trace.count + 1, trace.total + conf))
+        # gate_weight has range-checked conf: trace.record(conf) without a second check
+        trace = trusted_trace(trace.count + 1, trace.total + conf)
+        new = TargetMemory((1.0 - w) * slots + w * cand, trace)
     # a non-finite candidate entry makes a non-finite new one (even at w = 0), so
     # a finite norm clears the candidate; an overflowed one takes the exact test
     if not math.isfinite(new.norm) and not np.isfinite(cand).all():

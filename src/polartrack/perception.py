@@ -16,6 +16,7 @@ large bonus when nothing is detected at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Annotated, Optional
 
@@ -166,6 +167,9 @@ def observe(
             feat = feat + noise[2:] * params.feature_noise
         sim = params.empty_mem_similarity if mem.slots is None else memory_similarity(mem, feat)
         score = params.detect_score + params.sim_temperature * sim
+        # the logits' one check: a NaN similarity or an overflow must not be clamped to 0.0
+        if not math.isfinite(score):
+            raise ValueError(f"non-finite detection score {score} (similarity {sim})")
         owned = cell_owner.get(cell)
         if owned is None or score > owned:
             cell_owner[cell] = score
@@ -175,12 +179,12 @@ def observe(
 
     invalid = params.invalid_bias
     if not cell_owner:  # every detection owns or shares a cell
-        invalid += params.no_detection_bonus
-    logits = SparseLogits(
-        grid.vocab_size,
-        invalid,
-        {cell: max(0.0, score) for cell, score in cell_owner.items()},
-    )
+        invalid += params.no_detection_bonus  # two finite parameters, whose sum can overflow
+        if not math.isfinite(invalid):
+            raise ValueError(f"non-finite invalid logit {invalid}")
+    # trusted: vocab_size >= 2, cell_of gives only cells, and each value is checked above
+    logits = SparseLogits.trusted(
+        (grid.vocab_size, invalid, {cell: max(0.0, score) for cell, score in cell_owner.items()}))
     if best_cell is not None and best_score >= invalid:
         return ReasonerOutput(logits=logits, token=best_cell, candidate=candidate)
     return ReasonerOutput(logits=logits, token=grid.invalid_index, candidate=None)

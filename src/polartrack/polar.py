@@ -6,6 +6,12 @@ token index; one extra index signals "no target visible" (occluded, too
 close, too far, or outside every camera's field of view). Token indices
 are plain ints: cell ``(a, r)`` maps to ``a * n_dist + r`` and the final
 index ``n_angle * n_dist`` is the invalid token.
+
+Values are checked where they enter the program: the constructors of
+``PolarPoint`` and ``world.Pose2D`` check every field. Points and poses
+derived from checked ones are built with ``trusted_point`` and
+``world.trusted_pose``, which skip ``__init__``; each caller checks inline
+only what can still fail there (an overflow to inf) and says why.
 """
 
 from __future__ import annotations
@@ -81,6 +87,18 @@ class PolarPoint:
             raise ValueError(f"negative distance {dist}")
         object.__setattr__(self, "theta", wrap_degrees(theta))
         object.__setattr__(self, "dist", dist)
+
+
+_SET_THETA, _SET_DIST = PolarPoint.theta.__set__, PolarPoint.dist.__set__
+
+
+def trusted_point(theta: float, dist: float) -> PolarPoint:
+    """``PolarPoint(theta, dist)`` without its checks and wrapping, for a
+    ``theta`` already in [0, 360) and a finite ``dist`` >= 0."""
+    p = object.__new__(PolarPoint)
+    _SET_THETA(p, theta)
+    _SET_DIST(p, dist)
+    return p
 
 
 # nudges values sitting exactly on a bin edge into the upper bin, which

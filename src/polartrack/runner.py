@@ -7,6 +7,11 @@ behind the observation that produced it, so the snapshot logged at step T
 depends only on outputs 1..T-1 and the first valid sighting lands in the
 memory at the step after it happened.
 
+The token arms' agent plans only on an invalid token or on a valid
+token's first visit in the episode: a valid token's command and next
+hold point do not depend on the hold point, so later visits read them
+back from a per-episode table.
+
 Three arms share this loop:
 
 * ``full``    token reasoning plus gated appearance memory
@@ -86,7 +91,8 @@ def run_episode(
     frames: list = []
     # a valid token plans its cell's trajectory and centroid whatever the hold
     # point, so on its first visit its expert rows, and its command with the
-    # next hold point, are built once and read back on every later visit
+    # next hold point, are built once and read back on every later visit,
+    # where the agent does not plan at all
     expert_rows: dict[int, list] = {}
     token_acts: dict[int, tuple] = {}
     # the memory vector stays unchanged on most steps, so its logged digest
@@ -126,14 +132,14 @@ def run_episode(
                         mem = update_memory(mem, prev.token, prev_conf, prev.candidate, grid,
                                             runtime.count_invalid_in_mean)
                     pending = out, conf
-                traj, hold = plan(out.token, grid, hold, policy, limits)
                 acted_token = out.token
-                act = token_acts.get(out.token)
+                act = token_acts.get(acted_token)
                 if act is None:
+                    traj, hold = plan(acted_token, grid, hold, policy, limits)
                     cmd = execute_first(traj, limits)
                     act = cmd, advance_hold(hold, cmd)
-                    if out.token != grid.invalid_index:
-                        token_acts[out.token] = act
+                    if acted_token != grid.invalid_index:
+                        token_acts[acted_token] = act
                 cmd, hold = act
             else:
                 # no tokens, no invalid semantics: steer at the latest raw

@@ -7,6 +7,11 @@ Obstacles are convex polygons that block line of sight and collide with
 the agent disc. All randomness comes from the per-world generator seeded
 at construction, so a (scenario, seed, command sequence) triple replays
 bit-exactly.
+
+Public constructors check their values. The step loop builds the agent's
+pose and the sightings, which it derives from checked values, with
+``trusted_pose`` and ``polar.trusted_point``; it keeps inline only the
+finiteness test that an overflow can still fail.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Annotated, NamedTuple, Optional
 
 import numpy as np
 
-from .polar import PolarPoint, wrap_degrees
+from .polar import PolarPoint, trusted_point, wrap_degrees
 from .records import FieldError, Range, Record
 
 TARGET = "target"
@@ -36,6 +41,19 @@ class Pose2D:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "heading", wrap_degrees(heading))
+
+
+_SET_X, _SET_Y, _SET_HEADING = Pose2D.x.__set__, Pose2D.y.__set__, Pose2D.heading.__set__
+
+
+def trusted_pose(x: float, y: float, heading: float) -> Pose2D:
+    """``Pose2D(x, y, heading)`` without its checks and wrapping, for
+    finite ``x`` and ``y`` and a ``heading`` already in [0, 360)."""
+    p = object.__new__(Pose2D)
+    _SET_X(p, x)
+    _SET_Y(p, y)
+    _SET_HEADING(p, heading)
+    return p
 
 
 @dataclass(frozen=True)
@@ -62,10 +80,12 @@ class Command:
 def relative_polar(pose: Pose2D, point) -> PolarPoint:
     """Bearing (ccw from heading) and range of a world point as seen from
     a pose."""
-    dx = point[0] - pose.x
-    dy = point[1] - pose.y
-    # PolarPoint wraps the bearing
-    return PolarPoint(math.degrees(math.atan2(dy, dx)) - pose.heading, math.hypot(dx, dy))
+    dx, dy = point[0] - pose.x, point[1] - pose.y
+    theta, dist = math.degrees(math.atan2(dy, dx)) - pose.heading, math.hypot(dx, dy)
+    # PolarPoint's checks inline: hypot is >= 0, but finite coordinates can overflow dx
+    if not (math.isfinite(theta) and math.isfinite(dist)):
+        raise ValueError(f"non-finite polar point ({theta}, {dist})")
+    return trusted_point(wrap_degrees(theta), dist)
 
 
 class Entity:
@@ -310,11 +330,12 @@ class World:
         # rotate, then translate along the new heading
         heading = wrap_degrees(self.agent.heading + cmd.dtheta)
         rad = math.radians(heading)
-        self.agent = Pose2D(
-            self.agent.x + cmd.v * math.cos(rad),
-            self.agent.y + cmd.v * math.sin(rad),
-            heading,
-        )
+        x = self.agent.x + cmd.v * math.cos(rad)
+        y = self.agent.y + cmd.v * math.sin(rad)
+        # the limits pass only finite commands: the heading is finite, x and y can overflow
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError("pose must be finite")
+        self.agent = trusted_pose(x, y, heading)
 
         for e in self.entities:
             e.advance()

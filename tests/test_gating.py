@@ -207,17 +207,21 @@ def test_sparse_examples_and_validation():
     full = SparseLogits(3, 2.0, {0: 2.0, 1: 2.0})
     assert confidence(full) == pytest.approx(0.0, abs=1e-12)
     assert SparseLogits(6, 1.0, {4: 3.0}).topk(4) == [[4, 3.0], [5, 1.0], [0, 0.0], [1, 0.0]]
+    # the constructor checks, so the methods can trust what they read
     for bad in (
-        SparseLogits(1, 0.0, {}),  # log K = 0
-        SparseLogits(4, float("nan"), {}),
-        SparseLogits(4, 0.0, {1: float("inf")}),
-        SparseLogits(4, 0.0, {3: 1.0}),  # the invalid index is not a cell
-        SparseLogits(4, 0.0, {-1: 1.0}),
+        (1, 0.0, {}),  # log K = 0
+        (4, float("nan"), {}),
+        (4, 0.0, {1: float("inf")}),
+        (4, 0.0, {3: 1.0}),  # the invalid index is not a cell
+        (4, 0.0, {-1: 1.0}),
     ):
         with pytest.raises(ValueError):
-            confidence(bad)
-        with pytest.raises(ValueError):
-            bad.dense()
+            SparseLogits(*bad)
+    # the other public builds go through the same checks
+    with pytest.raises(ValueError, match="out of range"):
+        SparseLogits.from_pairs(4, [[3, 1.0], [4, 2.0]])
+    with pytest.raises(ValueError, match="finite"):
+        SparseLogits(4, 0.0, {})._replace(invalid=float("nan"))
     with pytest.raises(ValueError):
         reason_loss(SparseLogits(4, 0.0, {}), 4)
     with pytest.raises(ValueError):

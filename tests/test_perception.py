@@ -502,3 +502,17 @@ def test_observe_breaks_ties_as_the_oracle_does(layout, params):
                 # the layout does tie: fewer cells than detections, or equal cell scores
                 assert len(scores) < len(layout) or len(set(scores)) < len(scores)
                 assert out.token != GRID.invalid_index
+
+
+def test_a_non_finite_detection_score_fails_the_episode():
+    # a remembered vector whose norm overflows to inf (update_memory keeps
+    # it, as it is finite) makes every later similarity NaN; clamped into a
+    # 0.0 logit it read as "target absent" with the target in plain view,
+    # until the agent walked into it. The score is checked where it is made.
+    from polartrack.runner import AgentRuntime, run_episode
+
+    target = entity(0, "target", (2.0, 0.0), np.full(16, 1e160))
+    with pytest.raises(RuntimeError, match=r"^episode failed at step 2: ") as failed:
+        run_episode(static_world([target]), AgentRuntime())
+    assert isinstance(failed.value.__cause__, ValueError)
+    assert "non-finite detection score nan" in str(failed.value.__cause__)

@@ -10,6 +10,7 @@ from polartrack.polar import PolarGrid
 from polartrack.policy import INVALID_MODES, PolicySettings, advance_hold, execute_first, plan
 from polartrack.records import FieldError
 from polartrack import episodes, runner
+from polartrack import world as world_module
 from polartrack.runner import ARMS, AgentRuntime, run_episode
 from polartrack.scenarios import SCENARIO_NAMES, ScenarioSpec, make_scenario
 from polartrack.world import Pose2D, World
@@ -348,20 +349,26 @@ def test_a_score_only_run_has_the_recorded_outcome(name):
 
 
 def test_a_score_only_step_builds_only_the_agents_pose(monkeypatch):
-    # entities keep their position as plain floats, so the
-    # agent's pose is the one Pose2D a step builds
+    # entities keep their position as plain floats, so the agent's pose is
+    # the one Pose2D a step builds, checked or (as World.step does) trusted
     spec = ScenarioSpec("dt", max_steps=120)
     built = 0
-    init = Pose2D.__init__
+    init, trusted = Pose2D.__init__, world_module.trusted_pose
 
     def counting(self, *args):
         nonlocal built
         built += 1
         init(self, *args)
 
+    def counting_trusted(*args):
+        nonlocal built
+        built += 1
+        return trusted(*args)
+
     worlds = {arm: make_scenario(spec, 3) for arm in ARMS}
     assert all(len(w.entities) == 4 for w in worlds.values())
     monkeypatch.setattr(Pose2D, "__init__", counting)
+    monkeypatch.setattr(world_module, "trusted_pose", counting_trusted)
     for arm, w in worlds.items():
         built = 0
         log = run_episode(w, runtime(arm), spec, 3, record=False)
@@ -426,46 +433,59 @@ def test_acted_poses_match_an_uncached_replay(name, mode):
 
 @pytest.mark.parametrize("record", [True, False])
 def test_a_valid_tokens_command_is_worked_out_once_per_episode(monkeypatch, record):
-    # the token arms work out a command and its next hold point once per
-    # distinct valid token and on every invalid-token step; no_cot steers
-    # without a plan (command_toward) and dead-reckons its hold every step
-    calls = {"execute_first": 0, "advance_hold": 0}
+    # the token arms plan, and work out a command and its next hold point,
+    # once per distinct valid token and on every invalid-token step; no_cot
+    # steers without a plan (command_toward) and dead-reckons its hold every
+    # step. A plan right after the view flags is the expert's, any other the
+    # agent's.
+    calls = {"plan": 0, "execute_first": 0, "advance_hold": 0}
+    expert_next = False
 
     def counting(name):
         real = getattr(runner, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            nonlocal expert_next
+            if name == "plan" and expert_next:
+                expert_next = False
+            else:
+                calls[name] += 1
             return real(*args)
 
         return wrapper
 
     tokens = []
-    observe = runner.observe
+    observe, view_visibility = runner.observe, runner.view_visibility
 
     def recording_observe(*args):
         out = observe(*args)
         tokens.append(out.token)
         return out
 
+    def marking_view_visibility(*args):
+        nonlocal expert_next
+        expert_next = True
+        return view_visibility(*args)
+
     for name in calls:
         monkeypatch.setattr(runner, name, counting(name))
     monkeypatch.setattr(runner, "observe", recording_observe)
+    monkeypatch.setattr(runner, "view_visibility", marking_view_visibility)
     spec = ScenarioSpec("obstacle", max_steps=300)
     for arm in ARMS:
         for seed in (0, 1):
             tokens.clear()
-            calls.update(execute_first=0, advance_hold=0)
+            calls.update(plan=0, execute_first=0, advance_hold=0)
             log = run_episode(make_scenario(spec, seed), runtime(arm), spec, seed,
                               record=record)
             steps = log.outcome.episode_length
             if arm == "no_cot":
                 assert not tokens
-                want = {"execute_first": 0, "advance_hold": steps}
+                want = {"plan": 0, "execute_first": 0, "advance_hold": steps}
             else:
                 assert len(tokens) == steps
                 invalid = tokens.count(GRID.invalid_index)
                 acts = len(set(tokens) - {GRID.invalid_index}) + invalid
                 assert 0 < invalid and acts < steps, (arm, seed)
-                want = {"execute_first": acts, "advance_hold": acts}
+                want = {"plan": acts, "execute_first": acts, "advance_hold": acts}
             assert calls == want, (arm, seed)

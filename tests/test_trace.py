@@ -56,9 +56,18 @@ def test_traced_episodes_match_untraced(instrument, tmp_path):
     steps = {r.arm: r.outcome.episode_length for r in traced[1]}
     entities = len(bench.make_scenario(ScenarioSpec("dt"), 0).entities)
     # the expert plans every step and is told apart from the agent by
-    # call order; the agent plans only in the token arms
+    # call order; the agent plans only in the token arms, on each invalid
+    # token and on each valid token's first visit in its episode
     assert counts["policy.plan_expert"] == sum(steps.values())
-    assert counts["policy.plan_agent"] == steps["full"] + steps["no_tim"]
+    agent_plans = 0
+    for path in sorted((tmp_path / "traced").glob("*.jsonl")):
+        log = episodes.read_episode(path)
+        if log.header.arm != "no_cot":
+            tokens = [f.token for f in log.frames]
+            invalid = log.header.grid.invalid_index
+            agent_plans += tokens.count(invalid) + len(set(tokens) - {invalid})
+    assert 0 < agent_plans < steps["full"] + steps["no_tim"]
+    assert counts["policy.plan_agent"] == agent_plans
     assert counts["perception.nearest_detection"] == steps["no_cot"]
     assert counts["world.step"] == sum(steps.values())
     # one line-of-sight query per entity per step, none repeated

@@ -6,14 +6,25 @@ import dataclasses
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polartrack.gating import ConfidenceTrace, SparseLogits
-from polartrack.perception import ReasonerOutput
-from polartrack.polar import PolarGrid, PolarPoint, wrap_degrees
-from polartrack.world import Command, Pose2D, StepEvents
+from polartrack.gating import ConfidenceTrace, SparseLogits, confidence, trusted_trace
+from polartrack.memory import TargetMemory
+from polartrack.perception import CameraRig, PerceptionParams, ReasonerOutput, observe, view_masks
+from polartrack.polar import PolarGrid, PolarPoint, trusted_point, wrap_degrees
+from polartrack.world import (
+    TARGET,
+    Command,
+    Entity,
+    MotionLimits,
+    Pose2D,
+    StepEvents,
+    World,
+    trusted_pose,
+)
 
 finite = st.floats(-1e6, 1e6)
 FROZEN = {
@@ -96,3 +107,62 @@ def test_grid_constants_are_not_fields():
     r = dataclasses.replace(g, n_angle=72)
     assert (r.angle_width, r.n_cells, r.vocab_size) == (5.0, 1440, 1441)
     assert pickle.loads(pickle.dumps(g)).vocab_size == 721
+
+
+TRUSTED = {PolarPoint: trusted_point, Pose2D: trusted_pose, ConfidenceTrace: trusted_trace}
+
+
+@pytest.mark.parametrize("cls", list(TRUSTED), ids=lambda c: c.__name__)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_a_trusted_build_is_the_checked_value(cls, data):
+    v = data.draw(FROZEN[cls])
+    t = TRUSTED[cls](*(getattr(v, f.name) for f in dataclasses.fields(cls)))
+    assert type(t) is cls and not hasattr(t, "__dict__")
+    assert t == v and hash(t) == hash(v) and repr(t) == repr(v)
+    assert pickle.dumps(t) == pickle.dumps(v) and pickle.loads(pickle.dumps(t)) == v
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(t, dataclasses.fields(cls)[0].name, 1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_trusted_logits_are_the_checked_ones(data):
+    v = data.draw(MUTABLE[ReasonerOutput]).logits
+    t = SparseLogits.trusted(v)
+    assert type(t) is SparseLogits and t == v and repr(t) == repr(v)
+    assert pickle.dumps(t) == pickle.dumps(v) and pickle.loads(pickle.dumps(t)) == v
+    for logits in (t, v):  # a dict field: neither hashes
+        with pytest.raises(TypeError):
+            hash(logits)
+
+
+def target_at(x, y, appearance=(1.0, 0.0)):
+    return Entity(0, TARGET, (x, y), 0.3, np.array(appearance), np.array([[x, y]]),
+                  np.array([0.0]), leg=0)
+
+
+def test_each_moved_check_fires_on_the_same_input():
+    # the sightings: two finite coordinates whose difference overflows
+    with pytest.raises(ValueError, match="non-finite polar point"):
+        World(Pose2D(-1e308, 0.0, 0.0), [target_at(1e308, 0.0)], [], np.random.default_rng(0))
+    # the agent's pose: a step past the largest float
+    top = 1.7976931348623157e308
+    w = World(Pose2D(top, 0.0, 0.0), [target_at(top, 3.0)], [], np.random.default_rng(0),
+              limits=MotionLimits(max_speed=1e300))
+    with pytest.raises(ValueError, match="pose must be finite"):
+        w.step(Command(1e300, 0.0))
+    # the logits: a score and an invalid entry that overflow, which the parent
+    # code let through observe and rejected in confidence
+    grid, rig = PolarGrid(), CameraRig.ring(4)
+    for params, seen, match in (
+        (PerceptionParams(detect_score=1e308, sim_temperature=1e308), True,
+         "non-finite detection score inf"),
+        (PerceptionParams(invalid_bias=1e308, no_detection_bonus=1e308), False,
+         "non-finite invalid logit inf"),
+    ):
+        w = World(Pose2D(0.0, 0.0, 0.0), [target_at(2.0 if seen else 9.0, 0.0)], [],
+                  np.random.default_rng(0))
+        with pytest.raises(ValueError, match=match):
+            confidence(observe(w, view_masks(w, rig, grid), TargetMemory.empty(), grid, params,
+                               w.rng).logits)
