@@ -99,7 +99,9 @@ def update_memory(
 
 def memory_similarity(mem: TargetMemory, feature) -> float:
     """Cosine similarity between a feature and the remembered vector.
-    Zero-norm inputs score 0."""
+    Zero-norm inputs score 0. When the quotient is not finite (a norm and
+    the dot product overflow), the cosine is taken again of both vectors
+    scaled to a largest entry of magnitude 1."""
     if mem.slots is None:
         raise ValueError("similarity against empty memory; callers must branch")
     f = np.asarray(feature, dtype=np.float64)
@@ -109,4 +111,8 @@ def memory_similarity(mem: TargetMemory, feature) -> float:
     nr = mem.norm
     if nf == 0.0 or nr == 0.0:
         return 0.0
-    return float(f.dot(mem.slots)) / (nf * nr)  # the same IEEE quotient as numpy's
+    sim = float(f.dot(mem.slots)) / (nf * nr)  # the same IEEE quotient as numpy's
+    if not math.isfinite(sim):
+        f, r = f / np.abs(f).max(), mem.slots / np.abs(mem.slots).max()
+        sim = float(f.dot(r)) / (math.sqrt(f.dot(f)) * math.sqrt(r.dot(r)))
+    return sim

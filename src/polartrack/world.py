@@ -8,6 +8,11 @@ the agent disc. All randomness comes from the per-world generator seeded
 at construction, so a (scenario, seed, command sequence) triple replays
 bit-exactly.
 
+A step moves the agent, then walks the entities once: each advances, is
+sighted (bearing, range, line of sight) and is tested for contact with
+the agent; the obstacles are tested for contact only when no entity
+touched.
+
 Public constructors check their values. The step loop builds the agent's
 pose and the sightings, which it derives from checked values, with
 ``trusted_pose`` and ``polar.trusted_point``; it keeps inline only the
@@ -138,15 +143,14 @@ class Entity:
                 break
             tx, ty = path[leg]
             d = math.hypot(tx - x, ty - y)
-            if d > remaining:
+            if d > remaining:  # the step ends inside this leg
                 x += (tx - x) / d * remaining
                 y += (ty - y) / d * remaining
-                remaining = 0.0
-            else:
-                x, y = tx, ty
-                remaining -= d
-                leg = (leg + 1) % len(path)
-                remaining = min(remaining, speeds[leg])
+                break
+            x, y = tx, ty
+            remaining -= d
+            leg = (leg + 1) % len(path)
+            remaining = min(remaining, speeds[leg])
         self.x, self.y, self.leg = x, y, leg
 
 
@@ -310,14 +314,16 @@ class World:
         return True
 
     def step(self, cmd: Command) -> StepEvents:
-        """Turn and move the agent by ``cmd``, advance every entity, refresh
-        the sightings, then check for collisions at the new poses, entities
-        first (from the sightings' ranges). Collisions are checked
-        after each step only, not along the paths between steps: no
-        entity moves more than the 0.6 m contact distance relative to the
-        agent in one step (about 0.5 m at most over the scenario suite;
-        ``tests/test_world.py`` checks this and that no contact falls
-        between steps)."""
+        """Turn and move the agent by ``cmd``, then make one pass over the
+        entities: advance each, and in ``_sight`` build its sighting and
+        test its contact with the agent at the new poses. The obstacles are
+        tested only when no entity touched, so ``collided_with`` names the
+        first touching entity in entity order, else the lowest-index
+        touching obstacle. Collisions are checked after each step only,
+        not along the paths between steps: no entity moves more than the
+        0.6 m contact distance relative to the agent in one step (about
+        0.5 m at most over the scenario suite; ``tests/test_world.py``
+        checks this and that no contact falls between steps)."""
         if self.terminated:
             raise RuntimeError(f"step on terminated world (step {self.step_index})")
         eps = 1e-9
@@ -337,24 +343,14 @@ class World:
             raise ValueError("pose must be finite")
         self.agent = trusted_pose(x, y, heading)
 
-        for e in self.entities:
-            e.advance()
-
         self.step_index += 1
-        self._sight()
-
-        collided_with: Optional[str] = None
-        for s in self.sightings:
-            # rel.dist is the agent-entity distance
-            if s.rel.dist < self.agent_radius + s.entity.radius:
-                collided_with = f"{s.entity.kind}:{s.entity.id}"
-                break
-        else:
-            ax, ay = apos = (self.agent.x, self.agent.y)
+        collided_with = self._sight(advance=True)
+        if collided_with is None:
+            apos = (x, y)
             r = self.agent_radius
             for k, obs in enumerate(self.obstacles):
                 x0, y0, x1, y1 = obs.bounds
-                if ax < x0 - r or ax > x1 + r or ay < y0 - r or ay > y1 + r:
+                if x < x0 - r or x > x1 + r or y < y0 - r or y > y1 + r:
                     continue
                 if obs.distance_to(apos) < r:
                     collided_with = f"obstacle:{k}"
@@ -363,10 +359,21 @@ class World:
         return StepEvents(collided_with is not None, collided_with,
                           self.sightings[self.target_index].rel)
 
-    def _sight(self) -> None:
-        agent = self.agent
+    def _sight(self, advance: bool = False) -> Optional[str]:
+        """Refresh ``sightings`` (advancing each entity first when asked) and
+        return ``"kind:id"`` of the first entity whose disc touches the
+        agent's, or None."""
+        agent, r = self.agent, self.agent_radius
         apos = (agent.x, agent.y)
-        self.sightings = [
-            Sighting(e, relative_polar(agent, (e.x, e.y)), self.line_of_sight(apos, (e.x, e.y)))
-            for e in self.entities
-        ]
+        sightings, touched = [], None
+        for e in self.entities:
+            if advance:
+                e.advance()
+            epos = (e.x, e.y)
+            rel = relative_polar(agent, epos)
+            sightings.append(Sighting(e, rel, self.line_of_sight(apos, epos)))
+            # rel.dist is the agent-entity distance
+            if touched is None and rel.dist < r + e.radius:
+                touched = f"{e.kind}:{e.id}"
+        self.sightings = sightings
+        return touched

@@ -208,6 +208,33 @@ def test_similarity_matches_the_linalg_norm_formula(vectors):
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 20).flatmap(
+    lambda n: st.tuples(st.lists(finite, min_size=n, max_size=n),
+                        st.lists(finite, min_size=n, max_size=n))
+))
+def test_similarity_of_finite_vectors_is_a_finite_cosine(vectors):
+    slots, feature = (np.array(v, dtype=np.float64) for v in vectors)
+    mem = TargetMemory(slots, ConfidenceTrace())
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, plain = memory_similarity(mem, feature), similarity_oracle(mem, feature)
+    assert math.isfinite(got) and -1.0 - 1e-9 <= got <= 1.0 + 1e-9
+    # where the plain quotient was finite, it is still the answer, byte for byte
+    if math.isfinite(plain):
+        assert np.array(got).tobytes() == np.array(plain).tobytes()
+
+
+def test_similarity_survives_a_norm_that_overflows():
+    with np.errstate(over="ignore"):
+        mem = TargetMemory(np.full(16, 1e160), ConfidenceTrace())
+        assert mem.norm == math.inf
+        assert memory_similarity(mem, np.full(16, 1e160)) == 1.0
+        assert memory_similarity(mem, -np.full(16, 1e160)) == -1.0
+
+
 def test_convexity_and_boundedness():
     rng = np.random.default_rng(31)
     dim, bound = 6, 3.0

@@ -505,14 +505,32 @@ def test_observe_breaks_ties_as_the_oracle_does(layout, params):
 
 
 def test_a_non_finite_detection_score_fails_the_episode():
-    # a remembered vector whose norm overflows to inf (update_memory keeps
-    # it, as it is finite) makes every later similarity NaN; clamped into a
-    # 0.0 logit it read as "target absent" with the target in plain view,
-    # until the agent walked into it. The score is checked where it is made.
+    # scores near the float maximum: the empty memory's stand-in similarity
+    # keeps the first score finite, the bootstrapped target's similarity of
+    # about 1 overflows it. Clamped into a 0.0 logit it would read as
+    # "target absent" with the target in plain view. The score is checked
+    # where it is made.
     from polartrack.runner import AgentRuntime, run_episode
 
-    target = entity(0, "target", (2.0, 0.0), np.full(16, 1e160))
+    target = entity(0, "target", (2.0, 0.0), np.ones(16))
+    runtime = AgentRuntime(perception=PerceptionParams(detect_score=8e307, sim_temperature=1e308))
     with pytest.raises(RuntimeError, match=r"^episode failed at step 2: ") as failed:
-        run_episode(static_world([target]), AgentRuntime())
+        run_episode(static_world([target]), runtime)
     assert isinstance(failed.value.__cause__, ValueError)
-    assert "non-finite detection score nan" in str(failed.value.__cause__)
+    assert "non-finite detection score inf" in str(failed.value.__cause__)
+
+
+def test_a_memory_whose_norm_overflows_still_tracks():
+    # every norm of a 1e160 vector overflows; the similarity is the cosine
+    # of the scaled vectors, so the target in plain view keeps a valid token
+    # and the episode goes as it does for a unit-scale appearance
+    from polartrack.runner import AgentRuntime, run_episode
+
+    def run(appearance):
+        target = entity(0, "target", (2.0, 0.0), appearance)
+        return run_episode(static_world([target]), AgentRuntime())
+
+    with np.errstate(over="ignore"):
+        log = run(np.full(16, 1e160))
+    assert not any(f.gt_invalid or f.token == GRID.invalid_index for f in log.frames)
+    assert log.outcome.reason == "cap" and log.outcome == run(np.ones(16)).outcome

@@ -103,6 +103,22 @@ def test_collision_at_disc_contact():
     assert discs_collide((w.agent.x, w.agent.y), r_agent, position(e), r_entity)
 
 
+def test_collision_names_the_first_touching_entity_else_the_first_obstacle():
+    # after one step the agent sits at (1, 0); both entities' discs and both
+    # walls touch its disc, and the wall at x = 3 touches nothing
+    walls = [Obstacle.rect(3.0, -1.0, 4.0, 1.0), Obstacle.rect(1.1, -0.2, 2.0, 0.2),
+             Obstacle.rect(0.5, 0.25, 0.9, 0.6)]
+    assert [o.distance_to((1.0, 0.0)) < 0.3 for o in walls] == [False, True, True]
+    touching = [make_entity(5, "distractor", pos=(1.0, 0.5), speed=0.0),
+                make_entity(0, "target", pos=(1.0, -0.5), speed=0.0)]
+    ev = make_world(touching, walls).step(Command(v=1.0, dtheta=0.0))
+    assert (ev.collided, ev.collided_with) == (True, "distractor:5")
+    apart = [make_entity(5, "distractor", pos=(1.0, 2.0), speed=0.0),
+             make_entity(0, "target", pos=(1.0, -2.0), speed=0.0)]
+    ev = make_world(apart, walls).step(Command(v=1.0, dtheta=0.0))
+    assert (ev.collided, ev.collided_with) == (True, "obstacle:1")
+
+
 def test_collision_symmetry():
     rng = np.random.default_rng(3)
     for _ in range(200):
