@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from typing import Optional
 
 import numpy as np
@@ -97,11 +98,15 @@ def update_memory(
     return new
 
 
+# the smallest norm whose square is a normal float
+_MIN_NORM = math.sqrt(sys.float_info.min)
+
+
 def memory_similarity(mem: TargetMemory, feature) -> float:
     """Cosine similarity between a feature and the remembered vector.
-    Zero-norm inputs score 0. When the quotient is not finite (a norm and
-    the dot product overflow), the cosine is taken again of both vectors
-    scaled to a largest entry of magnitude 1."""
+    Zero-norm inputs score 0. When a norm's square is not a normal float
+    (it overflows, or it is subnormal and has lost precision), the cosine
+    is taken of both vectors scaled to a largest entry of magnitude 1."""
     if mem.slots is None:
         raise ValueError("similarity against empty memory; callers must branch")
     f = np.asarray(feature, dtype=np.float64)
@@ -111,8 +116,7 @@ def memory_similarity(mem: TargetMemory, feature) -> float:
     nr = mem.norm
     if nf == 0.0 or nr == 0.0:
         return 0.0
-    sim = float(f.dot(mem.slots)) / (nf * nr)  # the same IEEE quotient as numpy's
-    if not math.isfinite(sim):
-        f, r = f / np.abs(f).max(), mem.slots / np.abs(mem.slots).max()
-        sim = float(f.dot(r)) / (math.sqrt(f.dot(f)) * math.sqrt(r.dot(r)))
-    return sim
+    if _MIN_NORM <= nf < math.inf and _MIN_NORM <= nr < math.inf:
+        return float(f.dot(mem.slots)) / (nf * nr)  # the same IEEE quotient as numpy's
+    f, r = f / np.abs(f).max(), mem.slots / np.abs(mem.slots).max()
+    return float(f.dot(r)) / (math.sqrt(f.dot(f)) * math.sqrt(r.dot(r)))

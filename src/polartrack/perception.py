@@ -24,7 +24,7 @@ import numpy as np
 
 from .gating import SparseLogits
 from .memory import TargetMemory, memory_similarity
-from .polar import PolarGrid, PolarPoint, cell_of, trusted_point, wrap_degrees
+from .polar import PolarGrid, PolarPoint, cell_of, polar_point, wrap_degrees
 from .records import Range, Record
 from .world import World
 
@@ -140,17 +140,17 @@ def observe(
     An observable entity registers with probability ``base_detectability``
     (one draw when that is below 1). Deterministic given the generator
     state; draws happen in entity-list order so replays are bit-exact.
-    A detection's noisy feature is built where its similarity reads it;
-    while the memory is empty nothing reads it, so only the winning
-    detection's is built, after the loop, as its candidate.
+    Each detection's noisy feature is built as it is scored, from the
+    same draw as its angle and range noise, also while the memory is empty
+    and no similarity reads it: the winner's is the candidate.
     """
     feature_noise = params.feature_noise > 0.0
     p = params.base_detectability
-    detect_all, empty = p >= 1.0, mem.slots is None
+    detect_all = p >= 1.0
     cell_owner: dict[int, float] = {}  # each cell's best score, in first-detection order
     # the argmax as the detections arrive; ties (which arise when the memory
     # is empty and every detection scores identically) follow ``_ahead_of``
-    best_cell, best_score, candidate, best_noise = None, 0.0, None, None
+    best_cell, best_score, candidate = None, 0.0, None
     for s, m in zip(world.sightings, masks):
         if not m or not (detect_all or rng.random() < p):
             continue
@@ -162,12 +162,9 @@ def observe(
         # jitters the cell, it cannot push the detection out of the annulus
         dist = min(max(s.rel.dist + dist_z * params.dist_noise, grid.r_min), grid.r_max)
         cell = cell_of(grid, wrap_degrees(s.rel.theta + angle_z * params.angle_noise), dist)
-        if empty:
-            sim = params.empty_mem_similarity
-        else:
-            if feature_noise:
-                feat = feat + noise[2:] * params.feature_noise
-            sim = memory_similarity(mem, feat)
+        if feature_noise:
+            feat = feat + noise[2:] * params.feature_noise
+        sim = params.empty_mem_similarity if mem.slots is None else memory_similarity(mem, feat)
         score = params.detect_score + params.sim_temperature * sim
         # the logits' one check: a NaN similarity or an overflow must not be clamped to 0.0
         if not math.isfinite(score):
@@ -177,7 +174,7 @@ def observe(
             cell_owner[cell] = score
             if best_cell is None or score > best_score or (
                     score == best_score and _ahead_of(grid, cell, best_cell)):
-                best_cell, best_score, candidate, best_noise = cell, score, feat, noise
+                best_cell, best_score, candidate = cell, score, feat
 
     invalid = params.invalid_bias
     if not cell_owner:  # every detection owns or shares a cell
@@ -188,8 +185,6 @@ def observe(
     logits = SparseLogits.trusted(
         (grid.vocab_size, invalid, {cell: max(0.0, score) for cell, score in cell_owner.items()}))
     if best_cell is not None and best_score >= invalid:
-        if empty and feature_noise:
-            candidate = candidate + best_noise[2:] * params.feature_noise
         return ReasonerOutput(logits=logits, token=best_cell, candidate=candidate)
     return ReasonerOutput(logits=logits, token=grid.invalid_index, candidate=None)
 
@@ -214,7 +209,5 @@ def nearest_detection(
         return None
     theta = best.theta + rng.normal() * params.angle_noise
     dist = max(best.dist + rng.normal() * params.dist_noise, 0.0)
-    # PolarPoint's checks inline: dist is >= 0 unless NaN, and finite terms can overflow
-    if not (math.isfinite(theta) and math.isfinite(dist)):
-        raise ValueError(f"non-finite polar point ({theta}, {dist})")
-    return trusted_point(wrap_degrees(theta), dist)
+    # dist is >= 0 unless NaN, but finite terms can overflow
+    return polar_point(theta, dist)

@@ -11,7 +11,9 @@ Values are checked where they enter the program: the constructors of
 ``PolarPoint`` and ``world.Pose2D`` check every field. Points and poses
 derived from checked ones are built with ``trusted_point`` and
 ``world.trusted_pose``, which skip ``__init__``; each caller checks inline
-only what can still fail there (an overflow to inf) and says why.
+only what can still fail there (an overflow to inf) and says why. A
+derived point whose range cannot be negative is built with
+``polar_point``, which keeps only the finiteness test.
 """
 
 from __future__ import annotations
@@ -99,6 +101,15 @@ def trusted_point(theta: float, dist: float) -> PolarPoint:
     _SET_THETA(p, theta)
     _SET_DIST(p, dist)
     return p
+
+
+def polar_point(theta: float, dist: float) -> PolarPoint:
+    """``PolarPoint(theta, dist)`` for a derived ``dist`` that is >= 0
+    unless NaN: only the finiteness test, which an overflow can still
+    fail, then the wrap and a trusted build."""
+    if not (math.isfinite(theta) and math.isfinite(dist)):
+        raise ValueError(f"non-finite polar point ({theta}, {dist})")
+    return trusted_point(wrap_degrees(theta), dist)
 
 
 # nudges values sitting exactly on a bin edge into the upper bin, which

@@ -25,7 +25,7 @@ from typing import Annotated, Literal, Optional
 
 import numpy as np
 
-from .polar import PolarGrid, PolarPoint, decode, signed_degrees, trusted_point, wrap_degrees
+from .polar import PolarGrid, PolarPoint, decode, polar_point, signed_degrees
 from .records import Range, Record
 from .world import Command, MotionLimits
 
@@ -58,11 +58,8 @@ def advance_hold(hold: Optional[PolarPoint], cmd: Command) -> Optional[PolarPoin
     th = math.radians(hold.theta - cmd.dtheta)
     x = hold.dist * math.cos(th) - cmd.v
     y = hold.dist * math.sin(th)
-    theta, dist = math.degrees(math.atan2(y, x)), math.hypot(x, y)
-    # PolarPoint's checks inline: hypot is >= 0, but finite terms can overflow
-    if not (math.isfinite(theta) and math.isfinite(dist)):
-        raise ValueError(f"non-finite polar point ({theta}, {dist})")
-    return trusted_point(wrap_degrees(theta), dist)
+    # hypot is >= 0, but finite terms can overflow
+    return polar_point(math.degrees(math.atan2(y, x)), math.hypot(x, y))
 
 
 def _first_waypoint(goal_range: float, bearing: float, limits: MotionLimits) -> tuple:

@@ -8,14 +8,14 @@ the agent disc. All randomness comes from the per-world generator seeded
 at construction, so a (scenario, seed, command sequence) triple replays
 bit-exactly.
 
-A step moves the agent, then walks the entities once: each advances, is
-sighted (bearing, range, line of sight) and is tested for contact with
-the agent; the obstacles are tested for contact only when no entity
-touched.
+A step moves the agent and advances the entities, then walks the
+entities once: each is sighted (bearing, range, line of sight) and
+tested for contact with the agent in the same pass; the obstacles are
+tested for contact only when no entity touched.
 
 Public constructors check their values. The step loop builds the agent's
 pose and the sightings, which it derives from checked values, with
-``trusted_pose`` and ``polar.trusted_point``; it keeps inline only the
+``trusted_pose`` and ``polar.polar_point``, which keep only the
 finiteness test that an overflow can still fail.
 """
 
@@ -27,7 +27,7 @@ from typing import Annotated, NamedTuple, Optional
 
 import numpy as np
 
-from .polar import PolarPoint, trusted_point, wrap_degrees
+from .polar import PolarPoint, polar_point, wrap_degrees
 from .records import FieldError, Range, Record
 
 TARGET = "target"
@@ -86,11 +86,8 @@ def relative_polar(pose: Pose2D, point) -> PolarPoint:
     """Bearing (ccw from heading) and range of a world point as seen from
     a pose."""
     dx, dy = point[0] - pose.x, point[1] - pose.y
-    theta, dist = math.degrees(math.atan2(dy, dx)) - pose.heading, math.hypot(dx, dy)
-    # PolarPoint's checks inline: hypot is >= 0, but finite coordinates can overflow dx
-    if not (math.isfinite(theta) and math.isfinite(dist)):
-        raise ValueError(f"non-finite polar point ({theta}, {dist})")
-    return trusted_point(wrap_degrees(theta), dist)
+    # hypot is >= 0, but finite coordinates can overflow dx
+    return polar_point(math.degrees(math.atan2(dy, dx)) - pose.heading, math.hypot(dx, dy))
 
 
 class Entity:
@@ -314,11 +311,11 @@ class World:
         return True
 
     def step(self, cmd: Command) -> StepEvents:
-        """Turn and move the agent by ``cmd``, then make one pass over the
-        entities: advance each, and in ``_sight`` build its sighting and
-        test its contact with the agent at the new poses. The obstacles are
-        tested only when no entity touched, so ``collided_with`` names the
-        first touching entity in entity order, else the lowest-index
+        """Turn and move the agent by ``cmd`` and advance every entity, then
+        make one pass over the entities in ``_sight``: build each sighting
+        and test its contact with the agent at the new poses. The obstacles
+        are tested only when no entity touched, so ``collided_with`` names
+        the first touching entity in entity order, else the lowest-index
         touching obstacle. Collisions are checked after each step only,
         not along the paths between steps: no entity moves more than the
         0.6 m contact distance relative to the agent in one step (about
@@ -343,8 +340,11 @@ class World:
             raise ValueError("pose must be finite")
         self.agent = trusted_pose(x, y, heading)
 
+        for e in self.entities:
+            e.advance()
+
         self.step_index += 1
-        collided_with = self._sight(advance=True)
+        collided_with = self._sight()
         if collided_with is None:
             apos = (x, y)
             r = self.agent_radius
@@ -359,16 +359,13 @@ class World:
         return StepEvents(collided_with is not None, collided_with,
                           self.sightings[self.target_index].rel)
 
-    def _sight(self, advance: bool = False) -> Optional[str]:
-        """Refresh ``sightings`` (advancing each entity first when asked) and
-        return ``"kind:id"`` of the first entity whose disc touches the
-        agent's, or None."""
+    def _sight(self) -> Optional[str]:
+        """Refresh ``sightings`` and return ``"kind:id"`` of the first entity
+        whose disc touches the agent's, or None."""
         agent, r = self.agent, self.agent_radius
         apos = (agent.x, agent.y)
         sightings, touched = [], None
         for e in self.entities:
-            if advance:
-                e.advance()
             epos = (e.x, e.y)
             rel = relative_polar(agent, epos)
             sightings.append(Sighting(e, rel, self.line_of_sight(apos, epos)))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -188,6 +189,13 @@ def similarity_oracle(mem, feature):
     return float(np.dot(f, mem.slots) / (nf * nr))
 
 
+def takes_the_plain_quotient(slots, feature):
+    """Whether ``memory_similarity`` is the formula's quotient: a norm is 0,
+    or both norms' squares are normal floats (not overflowed, not subnormal)."""
+    norms = [np.linalg.norm(v) for v in (slots, feature)]
+    return 0.0 in norms or all(math.sqrt(sys.float_info.min) <= n < math.inf for n in norms)
+
+
 coords = st.one_of(
     st.floats(-1e3, 1e3, allow_nan=False),
     st.floats(-1e-150, 1e-150, allow_nan=False),
@@ -205,7 +213,8 @@ def test_similarity_matches_the_linalg_norm_formula(vectors):
     mem = TargetMemory(slots, ConfidenceTrace())
     got, want = memory_similarity(mem, feature), similarity_oracle(mem, feature)
     assert type(got) is type(want)
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    if takes_the_plain_quotient(slots, feature):
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -221,9 +230,9 @@ def test_similarity_of_finite_vectors_is_a_finite_cosine(vectors):
     mem = TargetMemory(slots, ConfidenceTrace())
     with np.errstate(over="ignore", invalid="ignore"):
         got, plain = memory_similarity(mem, feature), similarity_oracle(mem, feature)
+        plain_holds = takes_the_plain_quotient(slots, feature)
     assert math.isfinite(got) and -1.0 - 1e-9 <= got <= 1.0 + 1e-9
-    # where the plain quotient was finite, it is still the answer, byte for byte
-    if math.isfinite(plain):
+    if plain_holds:
         assert np.array(got).tobytes() == np.array(plain).tobytes()
 
 
@@ -233,6 +242,24 @@ def test_similarity_survives_a_norm_that_overflows():
         assert mem.norm == math.inf
         assert memory_similarity(mem, np.full(16, 1e160)) == 1.0
         assert memory_similarity(mem, -np.full(16, 1e160)) == -1.0
+
+
+def test_similarity_survives_a_norm_that_overflows_under_a_finite_dot():
+    # the memory's norm overflows but the dot product does not, so the plain
+    # quotient is a finite but wrong 0.0
+    with np.errstate(over="ignore"):
+        mem = TargetMemory(np.array([1.5e154, 0.0]), ConfidenceTrace())
+    feature = np.array([0.75e154, 1.3e154])
+    assert mem.norm == math.inf and similarity_oracle(mem, feature) == 0.0
+    assert memory_similarity(mem, feature) == pytest.approx(0.75 / math.hypot(0.75, 1.3))
+
+
+def test_similarity_survives_a_norm_whose_square_is_subnormal():
+    # 7.3e-161 squared is subnormal, with 8 significant bits: the plain
+    # quotient of two parallel vectors reads 1.00005
+    mem = TargetMemory(np.array([7.257579265657828e-161]), ConfidenceTrace())
+    assert similarity_oracle(mem, [1.0]) > 1.00004
+    assert memory_similarity(mem, [1.0]) == 1.0
 
 
 def test_convexity_and_boundedness():

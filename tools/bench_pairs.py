@@ -2,18 +2,18 @@
 in a parent checkout and a change checkout.
 
     python tools/bench_pairs.py --parent <checkout> --change <checkout> \\
-        --pairs 10 --seconds 25 --seed 2711 --claim dt_ablation:steps_per_ref \\
+        --seed 2711 --claim dt_ablation:steps_per_ref \\
         --trace dt_ablation --what "<one paragraph>" --out BENCH_27.json
 
 A checkout is a directory holding ``src/`` and ``perfbench/``, for example
 ``git archive <commit> | tar -x -C <dir>``. For each workload of the
-change's ``BENCHMARK.json``, in its order, pair ``k`` runs both sides with
-seed ``--seed + k`` for ``--seconds`` each, the parent first when ``k`` is
-even and the change first otherwise. Medians and quartiles
+change's ``BENCHMARK.json``, in its order, each of the ``PAIRS`` pairs ``k``
+runs both sides with seed ``--seed + k`` for the file's ``run_seconds``
+each, the parent first when ``k`` is even and the change first otherwise. Medians and quartiles
 (``statistics.quantiles(n=4, method="inclusive")``), pair wins, ties, the
 median change and the claim are computed here from the runs; none is
 typed in. ``--claim`` may be left out, and ``--trace`` names the workloads
-that get one traced run per side (seed ``--seed + pairs``) after the
+that get one traced run per side (seed ``--seed + PAIRS``) after the
 pairs. ``tests/test_bench_files.py`` checks the file it writes.
 """
 
@@ -31,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from source_size import source_size  # noqa: E402
 
 SIDES = ("parent", "change")
+PAIRS = 10  # a claimed gain must win 9 of them
 # the traced metrics a perf change is read by; the full set stays in each side's run
 TRACED = ("world.step_us", "world.los_calls_per_step", "perception.observe_us",
           "perception.nearest_detection_us", "memory.similarity_us",
@@ -95,8 +96,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--seed", type=int, required=True, help="seed of pair 0")
     ap.add_argument("--claim", help="<workload>:<metric> the change claims a gain on")
     ap.add_argument("--trace", nargs="*", default=[], help="workloads to trace once per side")
@@ -107,14 +106,15 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
-    seeds = [args.seed + k for k in range(args.pairs)]
+    seconds = bench["run_seconds"]
+    seeds = [args.seed + k for k in range(PAIRS)]
 
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     for w in workloads:
         for k, seed in enumerate(seeds):
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                runs[w][side].append(run(checkouts[side], w, seed, args.seconds, 0))
-    traced = {w: {side: run(checkouts[side], w, args.seed + args.pairs, args.seconds, 1)
+                runs[w][side].append(run(checkouts[side], w, seed, seconds, 0))
+    traced = {w: {side: run(checkouts[side], w, args.seed + PAIRS, seconds, 1)
                   for side in SIDES} for w in args.trace}
 
     def values(w, side, name):
@@ -132,9 +132,9 @@ def main(argv=None) -> int:
             "tool": shlex.join(["python", "tools/bench_pairs.py",
                                 *(argv if argv is not None else sys.argv[1:])]),
             "end_to_end": f"python3 perfbench/run.py --workload <w> --seed <s> "
-                          f"--seconds {args.seconds:g} --trace 0",
+                          f"--seconds {seconds:g} --trace 0",
             "seeds": seeds,
-            "order": f"{args.pairs} pairs per workload, workloads in BENCHMARK.json order; "
+            "order": f"{PAIRS} pairs per workload, workloads in BENCHMARK.json order; "
                      "the parent runs first in pairs with an even index, the change first "
                      "otherwise; each side from its own checkout",
             "quartiles": "statistics.quantiles(n=4, method='inclusive') over the runs",
@@ -158,8 +158,8 @@ def main(argv=None) -> int:
     for w, sides in traced.items():
         metrics = {side: sides[side]["result"]["metrics"] for side in SIDES}
         out[f"trace_{w}"] = {
-            "command": f"python3 perfbench/run.py --workload {w} --seed {args.seed + args.pairs} "
-                       f"--seconds {args.seconds:g} --trace 1",
+            "command": f"python3 perfbench/run.py --workload {w} --seed {args.seed + PAIRS} "
+                       f"--seconds {seconds:g} --trace 1",
             "order": list(SIDES),
             "metrics": {name: {side: metrics[side][name]["value"] for side in SIDES}
                         for name in TRACED if name in metrics["parent"]},
