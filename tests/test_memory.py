@@ -236,30 +236,20 @@ def test_similarity_of_finite_vectors_is_a_finite_cosine(vectors):
         assert np.array(got).tobytes() == np.array(plain).tobytes()
 
 
-def test_similarity_survives_a_norm_that_overflows():
-    with np.errstate(over="ignore"):
-        mem = TargetMemory(np.full(16, 1e160), ConfidenceTrace())
-        assert mem.norm == math.inf
-        assert memory_similarity(mem, np.full(16, 1e160)) == 1.0
-        assert memory_similarity(mem, -np.full(16, 1e160)) == -1.0
-
-
-def test_similarity_survives_a_norm_that_overflows_under_a_finite_dot():
-    # the memory's norm overflows but the dot product does not, so the plain
-    # quotient is a finite but wrong 0.0
-    with np.errstate(over="ignore"):
-        mem = TargetMemory(np.array([1.5e154, 0.0]), ConfidenceTrace())
-    feature = np.array([0.75e154, 1.3e154])
-    assert mem.norm == math.inf and similarity_oracle(mem, feature) == 0.0
-    assert memory_similarity(mem, feature) == pytest.approx(0.75 / math.hypot(0.75, 1.3))
-
-
-def test_similarity_survives_a_norm_whose_square_is_subnormal():
-    # 7.3e-161 squared is subnormal, with 8 significant bits: the plain
-    # quotient of two parallel vectors reads 1.00005
-    mem = TargetMemory(np.array([7.257579265657828e-161]), ConfidenceTrace())
-    assert similarity_oracle(mem, [1.0]) > 1.00004
-    assert memory_similarity(mem, [1.0]) == 1.0
+@pytest.mark.parametrize("slots, feature, plain, want", [
+    # every norm overflows: the plain quotient is NaN
+    (np.full(16, 1e160), np.full(16, 1e160), math.nan, 1.0),
+    (np.full(16, 1e160), -np.full(16, 1e160), math.nan, -1.0),
+    # the memory's norm overflows, the dot product does not: a finite, wrong 0.0
+    ([1.5e154, 0.0], [0.75e154, 1.3e154], 0.0, 0.75 / math.hypot(0.75, 1.3)),
+    # 7.3e-161 squared is subnormal, with 8 significant bits: past 1
+    ([7.257579265657828e-161], [1.0], 1.0000480261922764, 1.0),
+])
+def test_similarity_survives_a_norm_whose_square_is_not_a_normal_float(slots, feature, plain, want):
+    with np.errstate(over="ignore", invalid="ignore"):
+        mem = TargetMemory(np.asarray(slots, dtype=np.float64), ConfidenceTrace())
+        assert similarity_oracle(mem, feature) == pytest.approx(plain, nan_ok=True)
+        assert memory_similarity(mem, feature) == pytest.approx(want, abs=1e-15)
 
 
 def test_convexity_and_boundedness():
