@@ -26,7 +26,7 @@ import numpy as np
 
 from .metrics import EpisodeOutcome, MetricRules, score_episode
 from .perception import CameraRig, CameraView, PerceptionParams
-from .polar import PolarGrid, PolarPoint, encode
+from .polar import PolarGrid, PolarPoint, cell_of, encode
 from .policy import NUM_WAYPOINTS, PolicySettings
 from .records import FieldError, Range, Record, check
 from .scenarios import ScenarioSpec, make_scenario
@@ -53,13 +53,14 @@ class VisibilityRules(Record):
 
 def annotate_frame(
     world: World, masks: list[int], grid: PolarGrid, vis_rules: VisibilityRules
-) -> tuple[Optional[PolarPoint], int]:
-    """Ground-truth polar position and token for the target right now: invalid
+) -> tuple[Optional[tuple[float, float]], int]:
+    """Ground-truth ``(theta, dist)`` and token for the target right now: invalid
     when no view sees it (its ``view_masks`` entry is 0) or it looks too small."""
     s = world.sightings[world.target_index]
-    if not masks[world.target_index] or s.entity.radius / s.rel.dist < vis_rules.min_apparent_size:
+    if not masks[world.target_index] or s.entity.radius / s.dist < vis_rules.min_apparent_size:
         return None, grid.invalid_index
-    return s.rel, encode(grid, s.rel)
+    # a seen target is inside the annulus, where encode is cell_of
+    return (s.theta, s.dist), cell_of(grid, s.theta, s.dist)
 
 
 def view_visibility(world: World, masks: list[int], rig: CameraRig) -> list[bool]:

@@ -3,10 +3,11 @@
 Stands in for a learned perception stack: ground-truth visibility plus
 appearance similarity against the target memory are turned into sparse
 logits over the cell tokens (``SparseLogits``: the invalid entry plus one
-score per detected cell, every other cell zero). Positions and line of
-sight come from the world's per-step ``sightings``; nothing here
-recomputes them. ``view_masks`` works out once per step whether a camera view
-sees each entity (line of sight, annulus, field of view): a seen one is observable.
+score per detected cell, every other cell zero). Positions (each a plain
+bearing and range) and line of sight come from the world's per-step
+``sightings``; nothing here recomputes them. ``view_masks`` works out
+once per step whether a camera view sees each entity (line of sight,
+annulus, field of view): a seen one is observable.
 Each detected entity puts mass on its (noise-jittered) cell; how much
 depends on how similar it looks to the remembered target, which is what
 lets a bootstrapped memory pull the argmax onto the true target and away
@@ -104,8 +105,8 @@ def view_masks(world: World, rig: CameraRig, grid: PolarGrid,
     masks = []
     for i, s in enumerate(world.sightings):
         mask = 0
-        if s.los and r_min <= s.rel.dist <= r_max:
-            theta = s.rel.theta
+        if s.los and r_min <= s.dist <= r_max:
+            theta = s.theta
             for yaw, half_fov, bit in cones:
                 # abs(signed_degrees(theta - yaw)) <= half_fov, without the calls: d is
                 # wrap_degrees(theta - yaw) (360 where it gives 0); 360 - d is exact for d >= 180
@@ -160,8 +161,8 @@ def observe(
         angle_z, dist_z = noise[:2].tolist()
         # the entity was deemed observable from its true range; noise only
         # jitters the cell, it cannot push the detection out of the annulus
-        dist = min(max(s.rel.dist + dist_z * params.dist_noise, grid.r_min), grid.r_max)
-        cell = cell_of(grid, wrap_degrees(s.rel.theta + angle_z * params.angle_noise), dist)
+        dist = min(max(s.dist + dist_z * params.dist_noise, grid.r_min), grid.r_max)
+        cell = cell_of(grid, wrap_degrees(s.theta + angle_z * params.angle_noise), dist)
         if feature_noise:
             feat = feat + noise[2:] * params.feature_noise
         sim = params.empty_mem_similarity if mem.slots is None else memory_similarity(mem, feat)
@@ -201,10 +202,10 @@ def nearest_detection(
     that runs without spatial-token reasoning."""
     p = params.base_detectability
     detect_all = p >= 1.0
-    best: Optional[PolarPoint] = None
+    best = None
     for s, m in zip(world.sightings, masks):
-        if m and (detect_all or rng.random() < p) and (best is None or s.rel.dist < best.dist):
-            best = s.rel
+        if m and (detect_all or rng.random() < p) and (best is None or s.dist < best.dist):
+            best = s
     if best is None:
         return None
     theta = best.theta + rng.normal() * params.angle_noise

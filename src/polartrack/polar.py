@@ -13,7 +13,8 @@ derived from checked ones are built with ``trusted_point`` and
 ``world.trusted_pose``, which skip ``__init__``; each caller checks inline
 only what can still fail there (an overflow to inf) and says why. A
 derived point whose range cannot be negative is built with
-``polar_point``, which keeps only the finiteness test.
+``polar_point``, which keeps only the finiteness test. The world's
+per-step sightings are no points: each is a plain bearing and range.
 """
 
 from __future__ import annotations

@@ -157,7 +157,6 @@ def run_episode(
         except Exception as e:
             raise RuntimeError(f"episode failed at step {world.step_index}: {e}") from e
 
-        target_rel = (events.target_rel.theta, events.target_rel.dist)
         if record:
             topk = None
             if out is not None and runtime.log_topk > 0:
@@ -181,10 +180,10 @@ def run_episode(
                     step=len(frames),
                     agent=(world.agent.x, world.agent.y, world.agent.heading),
                     target=(world.target.x, world.target.y),
-                    target_rel=target_rel,
+                    target_rel=events.target_rel,
                     view_visible=views,
                     gt_invalid=gt_polar is None,
-                    gt_polar=None if gt_polar is None else (gt_polar.theta, gt_polar.dist),
+                    gt_polar=gt_polar,
                     gt_token=gt_token,
                     token=acted_token,
                     confidence=conf,
@@ -196,9 +195,9 @@ def run_episode(
                 )
             )
         else:
-            frames.append(StepResult(target_rel, events.collided))
+            frames.append(StepResult(events.target_rel, events.collided))
 
-        lost_run, reason = episode_end(lost_run, events.target_rel.dist, events.collided,
+        lost_run, reason = episode_end(lost_run, events.target_rel[1], events.collided,
                                        world.terminated, runtime.rules)
 
     log = EpisodeLog(header=header, frames=frames)

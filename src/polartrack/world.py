@@ -14,9 +14,9 @@ tested for contact with the agent in the same pass; the obstacles are
 tested for contact only when no entity touched.
 
 Public constructors check their values. The step loop builds the agent's
-pose and the sightings, which it derives from checked values, with
-``trusted_pose`` and ``polar.polar_point``, which keep only the
-finiteness test that an overflow can still fail.
+pose, which it derives from checked values, with ``trusted_pose``. A
+sighting is plain floats, a bearing and a range that ``_bearing_range``
+computes, with only the finiteness test that an overflow can still fail.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Annotated, NamedTuple, Optional
 
 import numpy as np
 
-from .polar import PolarPoint, polar_point, wrap_degrees
+from .polar import PolarPoint, trusted_point, wrap_degrees
 from .records import FieldError, Range, Record
 
 TARGET = "target"
@@ -82,12 +82,20 @@ class Command:
     dtheta: float
 
 
+def _bearing_range(dx: float, dy: float, heading: float) -> tuple[float, float]:
+    """Bearing in [0, 360), ccw from ``heading``, and range of the offset
+    ``(dx, dy)``: the one copy of the sightings' arithmetic."""
+    theta, dist = math.degrees(math.atan2(dy, dx)) - heading, math.hypot(dx, dy)
+    # hypot is >= 0, but the offset of two finite coordinates can overflow
+    if not (math.isfinite(theta) and math.isfinite(dist)):
+        raise ValueError(f"non-finite polar point ({theta}, {dist})")
+    return wrap_degrees(theta), dist
+
+
 def relative_polar(pose: Pose2D, point) -> PolarPoint:
     """Bearing (ccw from heading) and range of a world point as seen from
     a pose."""
-    dx, dy = point[0] - pose.x, point[1] - pose.y
-    # hypot is >= 0, but finite coordinates can overflow dx
-    return polar_point(math.degrees(math.atan2(dy, dx)) - pose.heading, math.hypot(dx, dy))
+    return trusted_point(*_bearing_range(point[0] - pose.x, point[1] - pose.y, pose.heading))
 
 
 class Entity:
@@ -105,14 +113,17 @@ class Entity:
                  appearance: np.ndarray, path: np.ndarray, speeds: np.ndarray, leg: int = 1):
         if kind not in (TARGET, DISTRACTOR):
             raise ValueError(f"unknown entity kind {kind!r}")
-        if radius <= 0:
-            raise ValueError("entity radius must be positive")
+        # written so that NaN fails: every comparison with it is false
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"entity radius must be positive and finite, got {radius!r}")
         path = np.asarray(path, dtype=np.float64)  # (P, 2)
         speeds = np.asarray(speeds, dtype=np.float64)  # (P,)
         if path.ndim != 2 or path.shape[1] != 2 or len(path) < 1:
             raise ValueError("path must be a (P, 2) array")
         if speeds.shape != (len(path),):
             raise ValueError("need one speed per path waypoint")
+        if not 0 <= leg < len(path):
+            raise ValueError(f"leg {leg!r} is outside a path of {len(path)} waypoints")
         # a finite start, waypoints and speeds keep every position advance() walks to finite
         if not (np.isfinite(position).all() and np.isfinite(path).all()
                 and np.isfinite(speeds).all()):
@@ -224,22 +235,25 @@ def _proper_intersect(p, q, a, b) -> bool:
 
 
 class Sighting(NamedTuple):
-    """One entity as the agent stands right now: its position in agent
-    polar coordinates and whether the agent has line of sight to it."""
+    """One entity as the agent stands right now: its bearing in [0, 360)
+    ccw from the heading, its range and whether the agent has line of
+    sight to it."""
 
     entity: Entity
-    rel: PolarPoint
+    theta: float
+    dist: float
     los: bool
 
 
 @dataclass(slots=True)
 class StepEvents:
     """What one world step produced: collision flag (and who) and the
-    exact post-step target position in agent polar coordinates."""
+    exact post-step target position in agent polar coordinates, as the
+    pair ``(theta, dist)``."""
 
     collided: bool
     collided_with: Optional[str]
-    target_rel: PolarPoint
+    target_rel: tuple[float, float]
 
 
 class World:
@@ -356,21 +370,22 @@ class World:
                     collided_with = f"obstacle:{k}"
                     break
 
-        return StepEvents(collided_with is not None, collided_with,
-                          self.sightings[self.target_index].rel)
+        s = self.sightings[self.target_index]
+        return StepEvents(collided_with is not None, collided_with, (s.theta, s.dist))
 
     def _sight(self) -> Optional[str]:
         """Refresh ``sightings`` and return ``"kind:id"`` of the first entity
         whose disc touches the agent's, or None."""
         agent, r = self.agent, self.agent_radius
-        apos = (agent.x, agent.y)
+        ax, ay, heading = agent.x, agent.y, agent.heading
+        apos = (ax, ay)
         sightings, touched = [], None
         for e in self.entities:
-            epos = (e.x, e.y)
-            rel = relative_polar(agent, epos)
-            sightings.append(Sighting(e, rel, self.line_of_sight(apos, epos)))
-            # rel.dist is the agent-entity distance
-            if touched is None and rel.dist < r + e.radius:
+            ex, ey = e.x, e.y
+            theta, dist = _bearing_range(ex - ax, ey - ay, heading)
+            sightings.append(Sighting(e, theta, dist, self.line_of_sight(apos, (ex, ey))))
+            # dist is the agent-entity distance
+            if touched is None and dist < r + e.radius:
                 touched = f"{e.kind}:{e.id}"
         self.sightings = sightings
         return touched

@@ -72,8 +72,9 @@ def test_annotate_visible_target():
     rel, token = annotate_frame(w, view_masks(w, RING, GRID), GRID, VIS)
     assert rel is not None
     assert token == encode(GRID, relative_polar(w.agent, (w.target.x, w.target.y)))
-    assert rel.theta == pytest.approx(10.0)
-    assert rel.dist == pytest.approx(2.0)
+    theta, dist = rel
+    assert theta == pytest.approx(10.0)
+    assert dist == pytest.approx(2.0)
 
 
 def test_annotate_occluded_target():

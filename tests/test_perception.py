@@ -79,7 +79,7 @@ def bearing_masks(rig, bearings, dist=3.0):
     ``target_views``) in line of sight at ``dist`` m and each of the given
     bearings (degrees ccw from the agent's heading). Checks on the way
     that every other entity's entry is the lowest of those bits."""
-    sightings = [Sighting(None, PolarPoint(theta, dist), True) for theta in bearings]
+    sightings = [Sighting(None, PolarPoint(theta, dist).theta, dist, True) for theta in bearings]
     full = [view_masks(SimpleNamespace(sightings=[s], target_index=0), rig, GRID, True)[0]
             for s in sightings]
     first = view_masks(SimpleNamespace(sightings=sightings), rig, GRID)
@@ -155,8 +155,8 @@ def test_view_mask_outside_the_annulus_is_zero():
 def observable_oracle(s, rig):
     """Line of sight, inside the annulus and inside some view, written
     with ``signed_degrees``."""
-    return (s.los and GRID.r_min <= s.rel.dist <= GRID.r_max
-            and any(covers(v, s.rel.theta) for v in rig.views))
+    return (s.los and GRID.r_min <= s.dist <= GRID.r_max
+            and any(covers(v, s.theta) for v in rig.views))
 
 
 @pytest.mark.parametrize("name", ["dt", "obstacle"])
@@ -178,7 +178,7 @@ def test_a_nonzero_mask_means_the_entity_is_observable(name):
                     assert (m != 0) == observable_oracle(s, rig), (i, m)
                     if target_views and i == w.target_index:
                         assert m == sum(1 << j for j, v in enumerate(rig.views)
-                                        if m and covers(v, s.rel.theta))
+                                        if m and covers(v, s.theta))
                     else:
                         assert m & (m - 1) == 0  # at most one bit: the first view's
                     seen += m != 0
@@ -374,14 +374,14 @@ def observe_oracle(world, rig, mem, grid, params, rng):
     cell_owner = {}
     detected_any = False
     for s in world.sightings:
-        if not (grid.r_min <= s.rel.dist <= grid.r_max and s.los
-                and any(covers(v, s.rel.theta) for v in rig.views)):
+        if not (grid.r_min <= s.dist <= grid.r_max and s.los
+                and any(covers(v, s.theta) for v in rig.views)):
             continue
         if params.base_detectability < 1.0 and rng.random() >= params.base_detectability:
             continue
         detected_any = True
-        theta = s.rel.theta + rng.normal() * params.angle_noise
-        dist = s.rel.dist + rng.normal() * params.dist_noise
+        theta = s.theta + rng.normal() * params.angle_noise
+        dist = s.dist + rng.normal() * params.dist_noise
         dist = min(max(dist, grid.r_min), grid.r_max)
         cell = encode(grid, PolarPoint(theta, dist))
         feat = s.entity.appearance

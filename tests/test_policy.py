@@ -209,7 +209,7 @@ def test_convergence_to_standoff_band():
             cmd = execute_first(traj, LIMITS)
             ev = w.step(cmd)
             hold = advance_hold(hold, cmd)
-            dists.append(ev.target_rel.dist)
+            dists.append(ev.target_rel[1])
         lo = 2.0 - GRID.dist_width
         hi = 2.0 + GRID.dist_width
         entered = next(i for i, d in enumerate(dists) if lo <= d <= hi)

@@ -83,7 +83,7 @@ def test_line_of_sight_once_per_entity_per_step(monkeypatch):
         return los(self, a, b)
 
     monkeypatch.setattr(World, "line_of_sight", counting)
-    for name, arm in (("stt", "full"), ("dt", "full"), ("dt", "no_cot")):
+    for name, arm in (("stt", "full"), ("dt", "full"), ("dt", "no_cot"), ("obstacle", "full")):
         spec = ScenarioSpec(name, max_steps=60)
         calls = 0
         w = make_scenario(spec, 1)
@@ -117,7 +117,7 @@ def test_each_bearing_meets_each_view_at_most_once_per_step(arm, record):
     keys = []
 
     def seen(bearing, view):
-        (entity,) = [j for j, s in enumerate(w.sightings) if s.rel.theta == bearing]
+        (entity,) = [j for j, s in enumerate(w.sightings) if s.theta == bearing]
         keys.append((w.step_index, entity, view))
 
     ring = CameraRig.ring(4)

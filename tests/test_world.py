@@ -3,10 +3,11 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polartrack.config import RunConfig
+from polartrack.polar import PolarPoint, wrap_degrees
 from polartrack.records import FieldError
 from polartrack.runner import ARMS, run_episode
 from polartrack.scenarios import SCENARIO_NAMES, ScenarioSpec, make_scenario
@@ -17,6 +18,7 @@ from polartrack.world import (
     Obstacle,
     Pose2D,
     World,
+    _bearing_range,
     relative_polar,
 )
 
@@ -30,7 +32,7 @@ def position(e: Entity) -> tuple[float, float]:
 
 
 def make_entity(eid=0, kind="target", pos=(5.0, 0.0), path=None, speed=0.1, radius=0.3,
-                appearance=(1.0, 0.0)):
+                appearance=(1.0, 0.0), leg=0):
     path = np.array(path if path is not None else [pos])
     return Entity(
         id=eid,
@@ -40,7 +42,7 @@ def make_entity(eid=0, kind="target", pos=(5.0, 0.0), path=None, speed=0.1, radi
         appearance=np.array(appearance),
         path=path,
         speeds=np.full(len(path), speed),
-        leg=0,
+        leg=leg,
     )
 
 
@@ -256,6 +258,37 @@ def test_world_rejects_entities_whose_appearance_shapes_differ():
     make_world([target, make_entity(1, "distractor", appearance=(0.0, 1.0))])
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -0.3],
+                         ids=["nan", "inf", "-inf", "zero", "negative"])
+def test_entity_rejects_a_radius_that_is_not_positive_and_finite(radius):
+    # a NaN radius used to pass: its target never collided, even 0.2 m away
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        make_entity(pos=(0.2, 0.0), radius=radius)
+
+
+@pytest.mark.parametrize("path, leg", [([(5.0, 0.0)], 1), ([(5.0, 0.0), (6.0, 0.0)], 5),
+                                       ([(5.0, 0.0), (6.0, 0.0)], 2),
+                                       ([(5.0, 0.0), (6.0, 0.0)], -1)])
+def test_entity_rejects_a_leg_outside_its_path(path, leg):
+    # the first World.step used to raise a bare IndexError instead
+    with pytest.raises(ValueError, match=rf"leg {leg} is outside a path of {len(path)} waypoints"):
+        make_entity(path=path, leg=leg)
+
+
+def test_entity_default_leg_needs_a_second_waypoint():
+    with pytest.raises(ValueError, match="leg 1 is outside a path of 1 waypoints"):
+        Entity(0, "target", (5.0, 0.0), 0.3, np.ones(2), np.array([[5.0, 0.0]]), np.zeros(1))
+
+
+@pytest.mark.parametrize("speed", [0.0, 0.1])
+def test_a_one_waypoint_entity_on_leg_0_steps(speed):
+    e = make_entity(pos=(5.0, 0.0), speed=speed)
+    w = make_world([e])
+    for _ in range(5):
+        w.step(Command(0.0, 0.0))
+    assert (position(e), e.leg) == ((5.0, 0.0), 0)
+
+
 def test_entity_rejects_a_negative_speed():
     # advance() would never move it: the leg's budget starts below zero
     with pytest.raises(ValueError, match=">= 0"):
@@ -374,13 +407,19 @@ def test_obstacle_validation():
     assert o.distance_to((0.5, 0.5)) == 0.0
 
 
+def bits(*xs: float) -> list[str]:
+    """Every bit of each float: unlike ``==``, tells -0.0 from 0.0."""
+    return [float.hex(x) for x in xs]
+
+
 def assert_sightings_fresh(w: World):
     """Every sighting equals a fresh computation, bit for bit."""
     apos = (w.agent.x, w.agent.y)
     assert len(w.sightings) == len(w.entities)
     for s, e in zip(w.sightings, w.entities):
         assert s.entity is e
-        assert s.rel == relative_polar(w.agent, position(e))
+        want = relative_polar(w.agent, position(e))
+        assert bits(s.theta, s.dist) == bits(want.theta, want.dist)
         assert s.los == w.line_of_sight(apos, position(e))
     assert w.sightings[w.target_index].entity is w.target
 
@@ -396,8 +435,59 @@ def test_target_rel_matches_recomputation():
                 dtheta=float(rng.uniform(-w.limits.max_turn, w.limits.max_turn)),
             )
             ev = w.step(cmd)
-            assert ev.target_rel == relative_polar(w.agent, position(w.target))
+            want = relative_polar(w.agent, position(w.target))
+            assert type(ev.target_rel) is tuple
+            assert bits(*ev.target_rel) == bits(want.theta, want.dist)
             assert_sightings_fresh(w)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# a pose's heading is wrapped: 0.0, the float just below 360 and any wrapped value
+headings = st.one_of(st.sampled_from([0.0, math.nextafter(360.0, 0.0)]), finite.map(wrap_degrees))
+
+
+def checked_polar(dx, dy, heading):
+    """The bearing and range of an offset through ``PolarPoint``'s own
+    checks and wrap, or the text of the error it raises."""
+    try:
+        p = PolarPoint(math.degrees(math.atan2(dy, dx)) - heading, math.hypot(dx, dy))
+    except ValueError as e:
+        return str(e)
+    return bits(p.theta, p.dist)
+
+
+def bearing_range_or_error(dx, dy, heading):
+    try:
+        return bits(*_bearing_range(dx, dy, heading))
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(dx=finite, dy=st.one_of(finite, st.sampled_from([0.0, -0.0])), heading=headings)
+@example(dx=-1.0, dy=-0.0, heading=0.0)
+@example(dx=-1.0, dy=0.0, heading=math.nextafter(360.0, 0.0))
+@example(dx=1e308, dy=1e308, heading=0.0)
+def test_bearing_range_is_the_checked_polar_point(dx, dy, heading):
+    assert bearing_range_or_error(dx, dy, heading) == checked_polar(dx, dy, heading)
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=finite, y=st.one_of(finite, st.sampled_from([0.0, -0.0])), heading=headings,
+       px=finite, py=st.one_of(finite, st.sampled_from([0.0, -0.0])))
+@example(x=-1e308, y=0.0, heading=0.0, px=1e308, py=0.0)
+@example(x=1.0, y=0.0, heading=90.0, px=-1.0, py=-0.0)
+def test_relative_polar_is_the_bearing_range_of_the_offset(x, y, heading, px, py):
+    pose = Pose2D(x, y, heading)
+    dx, dy = px - x, py - y
+    want = bearing_range_or_error(dx, dy, pose.heading)
+    assert want == checked_polar(dx, dy, pose.heading)
+    try:
+        p = relative_polar(pose, (px, py))
+    except ValueError as e:
+        assert str(e) == want
+    else:
+        assert type(p) is PolarPoint and bits(p.theta, p.dist) == want
 
 
 def test_world_requires_one_target():
@@ -505,7 +595,7 @@ def test_world_replay_is_bit_exact(name, seed, cmds, split):
     def state(w, events):
         # repr tells -0.0 from 0.0 and shows every bit of a float
         return repr((events, w.agent, [(e.x, e.y, e.leg) for e in w.entities],
-                     [(s.rel, s.los) for s in w.sightings]))
+                     [(s.theta, s.dist, s.los) for s in w.sightings]))
 
     a, b = (make_scenario(ScenarioSpec(name), seed) for _ in range(2))
     for k, cmd in enumerate(cmds):

@@ -12,9 +12,11 @@ runs both sides with seed ``--seed + k`` for the file's ``run_seconds``
 each, the parent first when ``k`` is even and the change first otherwise. Medians and quartiles
 (``statistics.quantiles(n=4, method="inclusive")``), pair wins, ties, the
 median change and the claim are computed here from the runs; none is
-typed in. ``--claim`` may be left out, and ``--trace`` names the workloads
-that get one traced run per side (seed ``--seed + PAIRS``) after the
-pairs. ``tests/test_bench_files.py`` checks the file it writes.
+typed in. A figure of ``DETAILS`` that a workload's runs report in their
+details line (dataset_eval's ``eval_frames_per_ref``) gets the same
+summaries under ``details``. ``--claim`` may be left out, and ``--trace``
+names the workloads that get one traced run per side (seed
+``--seed + PAIRS``) after the pairs. ``tests/test_bench_files.py`` checks the file it writes.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ PAIRS = 10  # a claimed gain must win 9 of them
 TRACED = ("world.step_us", "world.los_calls_per_step", "perception.observe_us",
           "perception.nearest_detection_us", "memory.similarity_us",
           "memory.similarity_calls_per_step", "runner.self_us", "trace.overhead_pct")
+# figures of the details line, which no end-to-end metric covers
+DETAILS = ("eval_frames_per_ref",)
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -55,11 +59,15 @@ def summary(runs: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
+def median_change_pct(parent: list[float], change: list[float]) -> float:
+    pm, cm = statistics.median(parent), statistics.median(change)
+    return 0.0 if pm == cm else (cm - pm) / pm * 100
+
+
 def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
     """The end-to-end entry ``tests/test_bench_files.py`` checks."""
     higher = metric["better"] == "higher"
-    pm, cm = statistics.median(parent), statistics.median(change)
-    pct = 0.0 if pm == cm else (cm - pm) / pm * 100
+    pct = median_change_pct(parent, change)
     return {
         "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
         "parent": summary(parent), "change": summary(change),
@@ -166,6 +174,18 @@ def main(argv=None) -> int:
             "runs": sides,
         }
     out["end_to_end"] = end_to_end
+
+    def figure(w, name):
+        parent, change = ([r["detail"]["extra"][name]["value"] for r in runs[w][side]]
+                          for side in SIDES)
+        return {"unit": runs[w]["change"][0]["detail"]["extra"][name]["unit"],
+                "parent": summary(parent), "change": summary(change),
+                "median_change_pct": round(median_change_pct(parent, change), 2)}
+
+    reported = {w: [name for name in DETAILS if name in runs[w]["change"][0]["detail"]["extra"]]
+                for w in workloads}
+    out["details"] = {w: {name: figure(w, name) for name in names}
+                      for w, names in reported.items() if names}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
