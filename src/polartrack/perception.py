@@ -13,6 +13,18 @@ depends on how similar it looks to the remembered target, which is what
 lets a bootstrapped memory pull the argmax onto the true target and away
 from look-alikes. The invalid entry gets a small standing bias, plus a
 large bonus when nothing is detected at all.
+
+The noise comes from a per-episode ``NoiseStream`` on the world's
+generator. Each detection takes its angle and range normals, then its
+feature normals when feature noise is on, in the order the detections
+arrive. When ``base_detectability`` is 1 no other draw comes between
+them, so the stream draws ``BLOCK`` normals per generator call, ahead of
+need: ``Generator.normal(size=n)`` gives the values of n scalar draws,
+and scaling by ``feature_noise`` is elementwise, so every detection reads
+the values it read from its own draws and the logs keep their bytes; only
+the generator's state after the episode, which nothing reads, moves.
+Below 1 the detectability uniforms come between the normals, and the
+stream draws only what each detection asks for.
 """
 
 from __future__ import annotations
@@ -84,6 +96,54 @@ class PerceptionParams(Record):
         return replace(self, angle_noise=0.0, dist_noise=0.0, feature_noise=0.0)
 
 
+BLOCK = 1024  # normals per generator call when no detectability draw comes between them
+
+
+class NoiseStream:
+    """An episode's perception draws from ``rng``: the detectability draw
+    (``detects``) and each detection's noise normals (``take``).
+
+    ``take(n)`` hands out the next ``n`` normals as an index into ``z``, a
+    memoryview of the drawn block that reads each value as a Python float,
+    and into ``scaled``, the block times ``feature_noise`` (None when that
+    is 0). It draws ``BLOCK`` at a time when ``base_detectability`` is 1,
+    and exactly ``n`` otherwise, so the uniforms keep their place between
+    the normals."""
+
+    __slots__ = ("rng", "p", "feature_noise", "z", "scaled", "i", "drawn", "_block")
+
+    def __init__(self, rng: np.random.Generator, params: PerceptionParams):
+        self.rng, self.p = rng, params.base_detectability
+        self.feature_noise = params.feature_noise if params.feature_noise > 0.0 else None
+        self._block = BLOCK if self.p >= 1.0 else 0
+        self.z, self.scaled = memoryview(np.empty(0)), None
+        self.i = self.drawn = 0  # next index into ``z``; normals drawn so far
+
+    @property
+    def taken(self) -> int:
+        """The normals handed out so far."""
+        return self.drawn - len(self.z) + self.i
+
+    def detects(self) -> bool:
+        """Whether an observable entity registers: one uniform draw below 1."""
+        return self.p >= 1.0 or self.rng.random() < self.p
+
+    def take(self, n: int) -> int:
+        """The index in ``z`` (and ``scaled``) of the next ``n`` normals."""
+        i, left = self.i, len(self.z) - self.i
+        if n > left:
+            block = self.rng.normal(size=max(self._block, n - left))
+            self.drawn += block.size
+            if left:  # the row starts in the block before
+                block = np.concatenate((self.z[i:], block))
+            self.z = memoryview(block)
+            if self.feature_noise is not None:
+                self.scaled = block * self.feature_noise
+            i = 0
+        self.i = i + n
+        return i
+
+
 @dataclass(slots=True)
 class ReasonerOutput:
     """Logits over the token vocabulary, the argmax token, and the
@@ -133,38 +193,40 @@ def observe(
     mem: TargetMemory,
     grid: PolarGrid,
     params: PerceptionParams,
-    rng: np.random.Generator,
+    noise: NoiseStream,
 ) -> ReasonerOutput:
     """One reasoning step: build logits from the currently detectable
     entities (``masks`` from ``view_masks``) and pick the argmax token.
 
     An observable entity registers with probability ``base_detectability``
-    (one draw when that is below 1). Deterministic given the generator
-    state; draws happen in entity-list order so replays are bit-exact.
-    Each detection's noisy feature is built as it is scored, from the
-    same draw as its angle and range noise, also while the memory is empty
-    and no similarity reads it: the winner's is the candidate.
+    (``noise.detects``). Deterministic given the stream; draws happen in
+    entity-list order so replays are bit-exact. Each detection takes its
+    angle and range normals, then its feature normals when feature noise is
+    on, and its noisy feature is built as it is scored, also while the
+    memory is empty and no similarity reads it: the winner's is the
+    candidate.
     """
-    feature_noise = params.feature_noise > 0.0
-    p = params.base_detectability
-    detect_all = p >= 1.0
+    scaled_noise = noise.feature_noise is not None
     cell_owner: dict[int, float] = {}  # each cell's best score, in first-detection order
     # the argmax as the detections arrive; ties (which arise when the memory
     # is empty and every detection scores identically) follow ``_ahead_of``
     best_cell, best_score, candidate = None, 0.0, None
     for s, m in zip(world.sightings, masks):
-        if not m or not (detect_all or rng.random() < p):
+        if not m or not noise.detects():
             continue
         feat = s.entity.appearance
-        # one draw for the angle, range and (when on) feature noise
-        noise = rng.normal(size=2 + feat.size if feature_noise else 2)
-        angle_z, dist_z = noise[:2].tolist()
+        n = 2 + feat.size if scaled_noise else 2
+        i = noise.take(n)
+        z = noise.z
         # the entity was deemed observable from its true range; noise only
         # jitters the cell, it cannot push the detection out of the annulus
-        dist = min(max(s.dist + dist_z * params.dist_noise, grid.r_min), grid.r_max)
-        cell = cell_of(grid, wrap_degrees(s.theta + angle_z * params.angle_noise), dist)
-        if feature_noise:
-            feat = feat + noise[2:] * params.feature_noise
+        dist = min(max(s.dist + z[i + 1] * params.dist_noise, grid.r_min), grid.r_max)
+        theta = s.theta + z[i] * params.angle_noise
+        if not math.isfinite(theta):  # finite terms can overflow
+            raise ValueError(f"non-finite polar point ({theta}, {dist})")
+        cell = cell_of(grid, wrap_degrees(theta), dist)
+        if scaled_noise:
+            feat = feat + noise.scaled[i + 2:i + n]
         sim = params.empty_mem_similarity if mem.slots is None else memory_similarity(mem, feat)
         score = params.detect_score + params.sim_temperature * sim
         # the logits' one check: a NaN similarity or an overflow must not be clamped to 0.0
@@ -194,21 +256,22 @@ def nearest_detection(
     world: World,
     masks: list[int],
     params: PerceptionParams,
-    rng: np.random.Generator,
+    noise: NoiseStream,
 ) -> Optional[PolarPoint]:
     """Kind-blind raw readout: the noisy polar position of the nearest
     detected entity, with no tokenization, no invalid semantics and no
     appearance handling. This is the degraded front end used by the arm
-    that runs without spatial-token reasoning."""
-    p = params.base_detectability
-    detect_all = p >= 1.0
+    that runs without spatial-token reasoning. It takes two normals, the
+    angle's and the range's, after every entity's detectability draw."""
     best = None
     for s, m in zip(world.sightings, masks):
-        if m and (detect_all or rng.random() < p) and (best is None or s.dist < best.dist):
+        if m and noise.detects() and (best is None or s.dist < best.dist):
             best = s
     if best is None:
         return None
-    theta = best.theta + rng.normal() * params.angle_noise
-    dist = max(best.dist + rng.normal() * params.dist_noise, 0.0)
+    i = noise.take(2)
+    z = noise.z
+    theta = best.theta + z[i] * params.angle_noise
+    dist = max(best.dist + z[i + 1] * params.dist_noise, 0.0)
     # dist is >= 0 unless NaN, but finite terms can overflow
     return polar_point(theta, dist)

@@ -7,6 +7,14 @@ behind the observation that produced it, so the snapshot logged at step T
 depends only on outputs 1..T-1 and the first valid sighting lands in the
 memory at the step after it happened.
 
+Perception draws its noise from one ``NoiseStream`` per episode on the
+world's generator, which nothing else in the loop draws from. At
+``base_detectability`` 1 it draws normals a block at a time, ahead of
+need, and hands each detection the values that detection's own draws
+would have given, so the log's bytes do not depend on the block size;
+below 1 the detectability draws come between the normals and it draws
+only what each detection asks for.
+
 The token arms' agent plans only on an invalid token or on a valid
 token's first visit in the episode: a valid token's command and next
 hold point do not depend on the hold point, so later visits read them
@@ -46,7 +54,7 @@ from .episodes import (  # ARMS is re-exported
 from .gating import confidence
 from .memory import TargetMemory, update_memory
 from .metrics import StepResult, episode_end, score_episode
-from .perception import ReasonerOutput, nearest_detection, observe, view_masks
+from .perception import NoiseStream, ReasonerOutput, nearest_detection, observe, view_masks
 from .policy import (  # plan_from_polar is re-exported
     advance_hold,
     command_toward,
@@ -85,6 +93,7 @@ def run_episode(
     grid, rig, params = runtime.grid, runtime.rig, runtime.perception
     limits, policy = runtime.limits, runtime.policy
     mem = TargetMemory.empty()
+    noise = NoiseStream(world.rng, params)
     hold = expert_hold = None
     out: Optional[ReasonerOutput] = None  # stays None in the no_cot arm
     pending: Optional[tuple[ReasonerOutput, float]] = None
@@ -122,7 +131,7 @@ def run_episode(
                 expert_traj, expert_hold = plan(gt_token, grid, expert_hold, policy, limits)
 
             if runtime.arm != "no_cot":
-                out = observe(world, masks, mem, grid, params, world.rng)
+                out = observe(world, masks, mem, grid, params, noise)
                 # the memory and the frame are the confidence's only readers
                 if record or runtime.arm == "full":
                     conf = confidence(out.logits)
@@ -145,7 +154,7 @@ def run_episode(
                 # no tokens, no invalid semantics: steer at the latest raw
                 # reading, or the dead-reckoned previous one when nothing
                 # is detected this step
-                raw = nearest_detection(world, masks, params, world.rng)
+                raw = nearest_detection(world, masks, params, noise)
                 if raw is not None:
                     hold = raw
                 if record:

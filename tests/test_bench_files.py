@@ -57,20 +57,32 @@ def test_medians_and_quartiles_recompute_from_the_runs(path):
                 assert e[side][key] == pytest.approx(value, rel=1e-12, abs=1e-12), (w, name, side)
 
 
+def check_figure(e, where):
+    """A figure's summaries and median change recompute from its runs."""
+    for side in ("parent", "change"):
+        runs = e[side]["runs"]
+        assert len(runs) == len(e["parent"]["runs"]), (where, side)
+        for key, value in summary(runs).items():
+            assert e[side][key] == pytest.approx(value, rel=1e-12, abs=1e-12), (where, side)
+    pm, cm = statistics.median(e["parent"]["runs"]), statistics.median(e["change"]["runs"])
+    pct = 0.0 if pm == cm else (cm - pm) / pm * 100
+    assert e["median_change_pct"] == pytest.approx(pct, abs=0.006), where
+
+
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
 def test_detail_summaries_recompute_from_the_runs(path):
     # figures of the runs' details lines, such as dataset_eval's eval_frames_per_ref
     for w, figures in load(path).get("details", {}).items():
         for name, e in figures.items():
-            for side in ("parent", "change"):
-                runs = e[side]["runs"]
-                assert len(runs) == len(e["parent"]["runs"]), (w, name, side)
-                for key, value in summary(runs).items():
-                    assert e[side][key] == pytest.approx(value, rel=1e-12, abs=1e-12), (
-                        w, name, side)
-            pm, cm = statistics.median(e["parent"]["runs"]), statistics.median(e["change"]["runs"])
-            pct = 0.0 if pm == cm else (cm - pm) / pm * 100
-            assert e["median_change_pct"] == pytest.approx(pct, abs=0.006), (w, name)
+            check_figure(e, (w, name))
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_wall_clock_summaries_recompute_from_the_runs(path):
+    # the acceptance timings that tools/bench_pairs.py writes; earlier files
+    # kept bare lists, which have no summary to recompute
+    for name, e in load(path).get("wall_clock", {}).get("figures", {}).items():
+        check_figure(e, name)
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)

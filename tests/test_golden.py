@@ -5,7 +5,8 @@ Every log of a `bench run --out` over the four scenarios x three arms
 log of a `generate_dataset(..., randomize_rig=True)` run and the stdout of
 `eval losses` over that dataset; and the same bench run again with
 ``STOP_SETTINGS`` (``GOLDEN_STOP``), so the non-default policy branches
-are pinned too. A change meant to leave the program's
+are pinned too, and with ``DETECT_SETTINGS`` (``GOLDEN_DETECT``), so is a
+``base_detectability`` below 1. A change meant to leave the program's
 output alone (a speed-up, a refactor) must leave every digest as it is.
 
 A change that alters bytes on purpose updates the digests in ``GOLDEN``
@@ -73,6 +74,28 @@ GOLDEN_STOP = {
 }
 
 
+# the same bench run where an observable entity registers with probability
+# 0.7, so the detectability draws sit between the noise draws
+DETECT_SETTINGS = {"perception": {"base_detectability": 0.7}}
+
+GOLDEN_DETECT = {
+    'dt_full_0000.jsonl': '5c133ef6764ddf8856ca59a91f8b1c6a3e270e91f60c00ec5c7666cd13049bea',
+    'dt_no_cot_0000.jsonl': '5f4d41a9dd5c5f6dee04f5463855d4a265cf8a2124a0bb7a6211a70511a7d58f',
+    'dt_no_tim_0000.jsonl': 'a7c20fe90ec3b655aed14889edcb151e574572777c4c0b2f2583fb0fe14d15d8',
+    'obstacle_full_0000.jsonl': '5ef8574c0acf04a04efac68cf77084f9d471620a3f0875b100809cd5f4fe8361',
+    'obstacle_no_cot_0000.jsonl': '14d475827cf772c2a1422b1654ebf9097c98244cff8cc6f01cb2746e1a93d98f',
+    'obstacle_no_tim_0000.jsonl': '3578a43f67871f80d89112502c140d1646b80540fe2b4a470d8928886d86c3bc',
+    'report.json': 'fd8dcea527300600e268a99491514f13415d098c4201cb024b37b60baba3a6b2',
+    'report.txt': 'ef62a040d179f64de5342937deed72ddd983a33878c5885369a646471a142122',
+    'stt_full_0000.jsonl': '3d4d90c1976c18b4096900022082a92a7554825cc8581b83df6447c08e744dc6',
+    'stt_no_cot_0000.jsonl': '701401c46377a75e6c2c58247c8fe88006592b632068ca7025a122dbe96a1f04',
+    'stt_no_tim_0000.jsonl': 'e2b96a05c3e3ec29d8155cea7584854308fe1e5aa60b04292e0b32195052b968',
+    'winding_full_0000.jsonl': '978df338f085538512b6956d9af714aedcee744581c09f18edeb3779c4bd2ef1',
+    'winding_no_cot_0000.jsonl': 'a967f93b7f2ddd8fefc795b610ea9ec395cb2ef08e5c2dcc70c3764c9b087f72',
+    'winding_no_tim_0000.jsonl': 'ee9635cd913ce195109bc48466328e600e5a73c7901cf4b8359ea7ecbae138f2',
+}
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -106,9 +129,17 @@ def digests(tmp: Path) -> dict:
     return out
 
 
-def stop_digests(tmp: Path) -> dict:
-    bench(tmp, **STOP_SETTINGS)
+def bench_digests(tmp: Path, settings: dict) -> dict:
+    bench(tmp, **settings)
     return {p.name: sha(p.read_bytes()) for p in sorted((tmp / "bench").iterdir())}
+
+
+def stop_digests(tmp: Path) -> dict:
+    return bench_digests(tmp, STOP_SETTINGS)
+
+
+def detect_digests(tmp: Path) -> dict:
+    return bench_digests(tmp, DETECT_SETTINGS)
 
 
 def test_outputs_match_the_golden_digests(tmp_path):
@@ -119,13 +150,18 @@ def test_stop_mode_outputs_match_the_golden_digests(tmp_path):
     assert stop_digests(tmp_path) == GOLDEN_STOP
 
 
+def test_detectability_outputs_match_the_golden_digests(tmp_path):
+    assert detect_digests(tmp_path) == GOLDEN_DETECT
+
+
 def print_digests():
-    """Print fresh ``GOLDEN`` and ``GOLDEN_STOP`` tables (run from the
+    """Print fresh ``GOLDEN``, ``GOLDEN_STOP`` and ``GOLDEN_DETECT`` tables (run from the
     repository root with
     ``PYTHONPATH=src:tests python -c 'import test_golden as g; g.print_digests()'``)."""
     import tempfile
 
-    for name, table in (("GOLDEN", digests), ("GOLDEN_STOP", stop_digests)):
+    for name, table in (("GOLDEN", digests), ("GOLDEN_STOP", stop_digests),
+                        ("GOLDEN_DETECT", detect_digests)):
         print(f"{name} = {{")
         with tempfile.TemporaryDirectory() as d:
             for key, digest in table(Path(d)).items():

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from polartrack.gating import SparseLogits, confidence
 from polartrack.memory import TargetMemory, memory_similarity, update_memory
 from polartrack.perception import (
+    BLOCK,
     CameraRig,
     CameraView,
+    NoiseStream,
     PerceptionParams,
     ReasonerOutput,
     nearest_detection,
@@ -55,6 +57,10 @@ def static_world(entities, obstacles=()):
         rng=np.random.default_rng(0),
         limits=MotionLimits(),
     )
+
+
+def stream(world, params=NOISELESS):
+    return NoiseStream(world.rng, params)
 
 
 def bootstrapped(appearance):
@@ -191,7 +197,7 @@ def test_nothing_observable_yields_invalid():
     app = np.ones(4)
     wall = Obstacle.rect(1.0, -2.0, 1.4, 2.0)
     w = static_world([entity(0, "target", (3.0, 0.0), app)], [wall])
-    out = observe(w, view_masks(w, RING, GRID), TargetMemory.empty(), GRID, NOISELESS, w.rng)
+    out = observe(w, view_masks(w, RING, GRID), TargetMemory.empty(), GRID, NOISELESS, stream(w))
     assert out.token == GRID.invalid_index
     assert out.candidate is None
     # the no-detection bonus dominates the distribution
@@ -202,7 +208,7 @@ def test_single_target_matches_encode_oracle():
     app = np.array([1.0, 0.0, 0.0, 0.0])
     w = static_world([entity(0, "target", (2.5, 1.0), app)])
     mem = bootstrapped(app)
-    out = observe(w, view_masks(w, RING, GRID), mem, GRID, NOISELESS, w.rng)
+    out = observe(w, view_masks(w, RING, GRID), mem, GRID, NOISELESS, stream(w))
     expected = encode(GRID, relative_polar(w.agent, (2.5, 1.0)))
     assert out.token == expected
     assert out.candidate == pytest.approx(app)
@@ -213,7 +219,7 @@ def test_identical_distractor_lowers_confidence():
     app = np.array([1.0, 0.0])
     solo = static_world([entity(0, "target", (2.5, 1.0), app)])
     out_solo = observe(solo, view_masks(solo, RING, GRID), bootstrapped(app), GRID, NOISELESS,
-                       solo.rng)
+                       stream(solo))
 
     pair = static_world(
         [
@@ -222,7 +228,7 @@ def test_identical_distractor_lowers_confidence():
         ]
     )
     out_pair = observe(pair, view_masks(pair, RING, GRID), bootstrapped(app), GRID, NOISELESS,
-                       pair.rng)
+                       stream(pair))
 
     t_cell = encode(GRID, relative_polar(pair.agent, (2.5, 1.0)))
     d_cell = encode(GRID, relative_polar(pair.agent, (2.5, -1.0)))
@@ -240,7 +246,7 @@ def test_visibility_soundness():
             entity(2, "distractor", (9.0, 0.0), app),  # out of range
         ]
     )
-    out = observe(w, view_masks(w, RING, GRID), TargetMemory.empty(), GRID, NOISELESS, w.rng)
+    out = observe(w, view_masks(w, RING, GRID), TargetMemory.empty(), GRID, NOISELESS, stream(w))
     observable_cells = {
         encode(GRID, relative_polar(w.agent, (2.0, 0.5))),
         encode(GRID, relative_polar(w.agent, (3.0, -2.0))),
@@ -259,7 +265,7 @@ def test_single_front_view_restriction():
             3.0 * np.sin(np.radians(theta)),
         )
         w = static_world([entity(0, "target", pos, app)])
-        out = observe(w, view_masks(w, front, GRID), bootstrapped(app), GRID, NOISELESS, w.rng)
+        out = observe(w, view_masks(w, front, GRID), bootstrapped(app), GRID, NOISELESS, stream(w))
         assert out.token == GRID.invalid_index, f"theta={theta}"
 
 
@@ -272,7 +278,8 @@ def test_look_alike_alone_reads_as_target_absent():
     lookalike_app = 0.45 * target_app + np.sqrt(1 - 0.45**2) * np.eye(16)[1]
     w = static_world([entity(1, "target", (9.0, 9.0), target_app),
                       entity(2, "distractor", (2.5, 0.0), lookalike_app)])
-    out = observe(w, view_masks(w, RING, GRID), bootstrapped(target_app), GRID, NOISELESS, w.rng)
+    out = observe(w, view_masks(w, RING, GRID), bootstrapped(target_app), GRID, NOISELESS,
+                  stream(w))
     assert out.token == GRID.invalid_index
     assert out.candidate is None
 
@@ -283,7 +290,8 @@ def test_detectability_dropout():
         angle_noise=0.0, dist_noise=0.0, feature_noise=0.0, base_detectability=0.0
     )
     w = static_world([entity(0, "target", (2.5, 0.0), app)])
-    out = observe(w, view_masks(w, RING, GRID), TargetMemory.empty(), GRID, params, w.rng)
+    out = observe(w, view_masks(w, RING, GRID), TargetMemory.empty(), GRID, params,
+                  stream(w, params))
     assert out.token == GRID.invalid_index
 
 
@@ -293,9 +301,9 @@ def test_determinism_given_rng_state():
     w1 = static_world([entity(0, "target", (2.5, 1.2), app)])
     w2 = static_world([entity(0, "target", (2.5, 1.2), app)])
     o1 = observe(w1, view_masks(w1, RING, GRID), bootstrapped(app), GRID, params,
-                 np.random.default_rng(42))
+                 NoiseStream(np.random.default_rng(42), params))
     o2 = observe(w2, view_masks(w2, RING, GRID), bootstrapped(app), GRID, params,
-                 np.random.default_rng(42))
+                 NoiseStream(np.random.default_rng(42), params))
     assert o1.token == o2.token
     assert o1.logits == o2.logits
     assert np.array_equal(o1.candidate, o2.candidate)
@@ -320,12 +328,12 @@ def test_memory_benefit_over_random_distractor_fields():
 
         w = static_world(ents)
         out = observe(w, view_masks(w, RING, GRID), bootstrapped(app), GRID, params,
-                      np.random.default_rng(1000 + _))
+                      NoiseStream(np.random.default_rng(1000 + _), params))
         hits_mem += out.token == true_cell
 
         w = static_world(ents)
         out = observe(w, view_masks(w, RING, GRID), TargetMemory.empty(), GRID, params,
-                      np.random.default_rng(1000 + _))
+                      NoiseStream(np.random.default_rng(1000 + _), params))
         hits_empty += out.token == true_cell
     assert hits_mem > hits_empty
 
@@ -338,7 +346,7 @@ def test_nearest_detection_returns_closest():
             entity(1, "distractor", (2.0, 1.0), app),
         ]
     )
-    raw = nearest_detection(w, view_masks(w, RING, GRID), NOISELESS, w.rng)
+    raw = nearest_detection(w, view_masks(w, RING, GRID), NOISELESS, stream(w))
     expected = relative_polar(w.agent, (2.0, 1.0))
     assert raw.dist == pytest.approx(expected.dist)
     assert raw.theta == pytest.approx(expected.theta)
@@ -348,7 +356,7 @@ def test_nearest_detection_returns_closest():
         [Obstacle.rect(1.0, -1.0, 1.5, 1.0)],
     )
     masks = view_masks(blocked, RING, GRID)
-    assert nearest_detection(blocked, masks, NOISELESS, blocked.rng) is None
+    assert nearest_detection(blocked, masks, NOISELESS, stream(blocked)) is None
 
 
 def test_perception_params_validation():
@@ -418,6 +426,30 @@ def observe_oracle(world, rig, mem, grid, params, rng):
     return ReasonerOutput(logits=logits, token=token, candidate=candidate)
 
 
+class CountingRng:
+    """A generator that counts the normals it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.normals = rng, 0
+
+    def random(self):
+        return self.rng.random()
+
+    def normal(self, size=None):
+        self.normals += 1 if size is None else size
+        return self.rng.normal(size=size)
+
+
+def check_draws(noise, oracle_rng):
+    """The stream consumed what the oracle did: the same generator state
+    where the stream draws only what is asked (detectability below 1),
+    else the same count of normals handed out."""
+    if noise.p < 1.0:
+        assert noise.rng.bit_generator.state == oracle_rng.rng.bit_generator.state
+    else:
+        assert noise.taken == oracle_rng.normals
+
+
 def output_bytes(out: ReasonerOutput):
     lg = out.logits
     return (
@@ -442,17 +474,19 @@ def output_bytes(out: ReasonerOutput):
 def test_observe_matches_the_scalar_draw_oracle(
     name, seed, steps, detectability, feature_noise, rig, turns
 ):
-    # the same output and the same generator state after every call,
-    # along a pursuit where the memory follows the outputs
+    # the same output after every call, and the same draws (``check_draws``),
+    # along a pursuit where the memory follows the outputs; one stream serves
+    # the whole pursuit, as in an episode, so its blocks run out on the way
     params = PerceptionParams(base_detectability=detectability, feature_noise=feature_noise)
     w = make_scenario(ScenarioSpec(name), seed)
-    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    noise = NoiseStream(np.random.default_rng(seed), params)
+    oracle_rng = CountingRng(np.random.default_rng(seed))
     mem = TargetMemory.empty()
     for k in range(steps):
-        out = observe(w, view_masks(w, rig, GRID), mem, GRID, params, rng)
+        out = observe(w, view_masks(w, rig, GRID), mem, GRID, params, noise)
         want = observe_oracle(w, rig, mem, GRID, params, oracle_rng)
         assert output_bytes(out) == output_bytes(want)
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        check_draws(noise, oracle_rng)
         mem = update_memory(mem, out.token, confidence(out.logits), out.candidate, GRID)
         w.step(Command(w.limits.max_speed, turns[k % len(turns)]))
         if w.terminated:
@@ -492,11 +526,12 @@ def test_observe_breaks_ties_as_the_oracle_does(layout, params):
         for seed in range(5):
             w = static_world([at_bearing(k, *where, a) for k, (where, a)
                               in enumerate(zip(layout, apps))])
-            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            out = observe(w, view_masks(w, RING, GRID), mem, GRID, params, rng)
+            noise = NoiseStream(np.random.default_rng(seed), params)
+            oracle_rng = CountingRng(np.random.default_rng(seed))
+            out = observe(w, view_masks(w, RING, GRID), mem, GRID, params, noise)
             want = observe_oracle(w, RING, mem, GRID, params, oracle_rng)
             assert output_bytes(out) == output_bytes(want)
-            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            check_draws(noise, oracle_rng)
             scores = list(out.logits.cells.values())
             if mem.is_empty and params is NOISELESS:
                 # the layout does tie: fewer cells than detections, or equal cell scores
@@ -534,3 +569,83 @@ def test_a_memory_whose_norm_overflows_still_tracks():
         log = run(np.full(16, 1e160))
     assert not any(f.gt_invalid or f.token == GRID.invalid_index for f in log.frames)
     assert log.outcome.reason == "cap" and log.outcome == run(np.ones(16)).outcome
+
+
+@pytest.mark.parametrize("arm", ["full", "no_tim", "no_cot"])
+def test_an_overflowing_noisy_bearing_fails_the_episode_by_name(arm):
+    # a finite angle_noise times a normal can overflow the bearing; every arm
+    # names it as a non-finite polar point rather than leaving it to the
+    # wrap, whose fmod(inf, 360) reads "math domain error"
+    from polartrack.runner import AgentRuntime, run_episode
+
+    target = entity(0, "target", (2.0, 0.0), np.ones(16))
+    runtime = AgentRuntime(arm=arm, perception=PerceptionParams(angle_noise=1e308))
+    with pytest.raises(RuntimeError, match=r"^episode failed at step \d+: ") as failed:
+        run_episode(static_world([target]), runtime)
+    assert isinstance(failed.value.__cause__, ValueError)
+    assert str(failed.value.__cause__).startswith(("non-finite polar point (inf, ",
+                                                   "non-finite polar point (-inf, "))
+
+
+def scalar_draws(rng, n):
+    return np.array([rng.normal() for _ in range(n)])
+
+
+def test_the_stream_hands_out_scalar_draws_across_block_ends():
+    # rows of 2 + feature_dim (observe with feature noise on) and rows of 2
+    # (nearest_detection), interleaved as the full and no_cot arms take them,
+    # over three blocks: the floats and the scaled feature noise are those of
+    # scalar draws, bit for bit, also for a row that straddles a block end
+    params = PerceptionParams(feature_noise=0.05)
+    noise = NoiseStream(np.random.default_rng(7), params)
+    oracle = np.random.default_rng(7)
+    rows = [18, 18, 2, 18, 2, 2, 18, 18, 18, 2]
+    taken = straddles = 0
+    while taken < 3 * BLOCK:
+        for n in rows:
+            straddles += 0 < noise.drawn - noise.taken < n
+            i = noise.take(n)
+            want = scalar_draws(oracle, n)
+            assert np.array(noise.z[i:i + n]).tobytes() == want.tobytes()
+            assert noise.scaled[i + 2:i + n].tobytes() == (want[2:] * 0.05).tobytes()
+            taken += n
+            assert noise.taken == taken
+    assert straddles and noise.drawn % BLOCK == 0
+
+
+def test_without_feature_noise_a_detection_reads_no_scaled_values():
+    # two normals per detection, no scaled block to read, and the candidate
+    # is the winner's own appearance
+    params = PerceptionParams(feature_noise=0.0)
+    apps = [np.eye(4)[0] + 0.5, np.eye(4)[1] + 0.5]
+    w = static_world([entity(0, "target", (2.5, 0.0), apps[0]),
+                      entity(1, "distractor", (2.0, 1.5), apps[1])])
+    noise = stream(w, params)
+    out = observe(w, view_masks(w, RING, GRID), bootstrapped(apps[0]), GRID, params, noise)
+    assert noise.scaled is None and noise.taken == 4
+    assert out.candidate is w.entities[0].appearance
+
+
+@pytest.mark.parametrize("detectability", [0.0, 0.3, 0.7, 0.999])
+def test_below_full_detectability_the_stream_draws_only_what_is_asked(detectability):
+    # the uniforms sit between the normals, so after every draw the generator
+    # is where scalar draws leave it
+    params = PerceptionParams(base_detectability=detectability)
+    noise = NoiseStream(np.random.default_rng(3), params)
+    oracle = np.random.default_rng(3)
+    for k in range(300):
+        assert noise.detects() == (oracle.random() < detectability)
+        assert noise.rng.bit_generator.state == oracle.bit_generator.state
+        n = 18 if k % 3 else 2
+        i = noise.take(n)
+        want = scalar_draws(oracle, n)
+        assert np.array(noise.z[i:i + n]).tobytes() == want.tobytes()
+        assert noise.scaled[i + 2:i + n].tobytes() == (want[2:] * params.feature_noise).tobytes()
+        assert noise.rng.bit_generator.state == oracle.bit_generator.state
+
+
+def test_at_full_detectability_the_detectability_draw_takes_nothing():
+    noise = NoiseStream(np.random.default_rng(3), PerceptionParams())
+    state = noise.rng.bit_generator.state
+    assert all(noise.detects() for _ in range(10))
+    assert noise.rng.bit_generator.state == state and noise.drawn == 0

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 from polartrack.gating import ConfidenceTrace, SparseLogits, confidence, trusted_trace
 from polartrack.memory import TargetMemory
-from polartrack.perception import CameraRig, PerceptionParams, ReasonerOutput, observe, view_masks
+from polartrack.perception import (
+    CameraRig,
+    NoiseStream,
+    PerceptionParams,
+    ReasonerOutput,
+    observe,
+    view_masks,
+)
 from polartrack.polar import PolarGrid, PolarPoint, trusted_point, wrap_degrees
 from polartrack.world import (
     TARGET,
@@ -165,4 +172,4 @@ def test_each_moved_check_fires_on_the_same_input():
                   np.random.default_rng(0))
         with pytest.raises(ValueError, match=match):
             confidence(observe(w, view_masks(w, rig, grid), TargetMemory.empty(), grid, params,
-                               w.rng).logits)
+                               NoiseStream(w.rng, params)).logits)

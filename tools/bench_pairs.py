@@ -16,17 +16,24 @@ typed in. A figure of ``DETAILS`` that a workload's runs report in their
 details line (dataset_eval's ``eval_frames_per_ref``) gets the same
 summaries under ``details``. ``--claim`` may be left out, and ``--trace``
 names the workloads that get one traced run per side (seed
-``--seed + PAIRS``) after the pairs. ``tests/test_bench_files.py`` checks the file it writes.
+``--seed + PAIRS``) after the pairs. Last, the ``wall_clock`` block: in
+``WALL_RUNS`` alternating pairs, acceptance criterion 10 alone (the pytest
+call time of its test) and the whole acceptance suite (the wall time of
+its pytest process), with the same summaries and the tests each run
+passed. ``tests/test_bench_files.py`` checks the file it writes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import shlex
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -40,6 +47,10 @@ TRACED = ("world.step_us", "world.los_calls_per_step", "perception.observe_us",
           "memory.similarity_calls_per_step", "runner.self_us", "trace.overhead_pct")
 # figures of the details line, which no end-to-end metric covers
 DETAILS = ("eval_frames_per_ref",)
+WALL_RUNS = 3  # pairs of acceptance runs
+ACCEPTANCE = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0",
+              "--durations-min=0", "tests/test_acceptance.py"]
+CRITERION_10 = "test_criterion_10_throughput"
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -54,6 +65,23 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
     return {"result": result, "detail": detail}
 
 
+def acceptance(checkout: Path, only: str | None) -> dict:
+    """One pytest run of the acceptance suite, or of its test ``only``:
+    the wall time of the process, criterion 10's call time, and the count
+    of tests that passed."""
+    cmd = [sys.executable, *ACCEPTANCE, *(["-k", only] if only else [])]
+    start = time.perf_counter()
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": "src"})
+    wall = time.perf_counter() - start
+    call = re.search(rf"([0-9.]+)s call .*::{CRITERION_10}\b", done.stdout)
+    passed = re.search(r"(\d+) passed", done.stdout)
+    print(f"{checkout.name} acceptance {only or 'suite'} exit={done.returncode} "
+          f"wall={wall:.1f}s", file=sys.stderr, flush=True)
+    return {"wall_s": round(wall, 2), "criterion_10_s": float(call[1]) if call else None,
+            "passed": int(passed[1]) if passed else 0}
+
+
 def summary(runs: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
@@ -62,6 +90,11 @@ def summary(runs: list[float]) -> dict:
 def median_change_pct(parent: list[float], change: list[float]) -> float:
     pm, cm = statistics.median(parent), statistics.median(change)
     return 0.0 if pm == cm else (cm - pm) / pm * 100
+
+
+def figure(unit: str, parent: list[float], change: list[float]) -> dict:
+    return {"unit": unit, "parent": summary(parent), "change": summary(change),
+            "median_change_pct": round(median_change_pct(parent, change), 2)}
 
 
 def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
@@ -124,6 +157,11 @@ def main(argv=None) -> int:
                 runs[w][side].append(run(checkouts[side], w, seed, seconds, 0))
     traced = {w: {side: run(checkouts[side], w, args.seed + PAIRS, seconds, 1)
                   for side in SIDES} for w in args.trace}
+    wall = {only: {side: [] for side in SIDES} for only in (CRITERION_10, None)}
+    for only, sides in wall.items():
+        for k in range(WALL_RUNS):
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                sides[side].append(acceptance(checkouts[side], only))
 
     def values(w, side, name):
         return [r["result"]["metrics"][name]["value"] for r in runs[w][side]]
@@ -175,17 +213,31 @@ def main(argv=None) -> int:
         }
     out["end_to_end"] = end_to_end
 
-    def figure(w, name):
-        parent, change = ([r["detail"]["extra"][name]["value"] for r in runs[w][side]]
-                          for side in SIDES)
-        return {"unit": runs[w]["change"][0]["detail"]["extra"][name]["unit"],
-                "parent": summary(parent), "change": summary(change),
-                "median_change_pct": round(median_change_pct(parent, change), 2)}
+    def detail(w, name):
+        return figure(runs[w]["change"][0]["detail"]["extra"][name]["unit"],
+                      *([r["detail"]["extra"][name]["value"] for r in runs[w][side]]
+                        for side in SIDES))
 
     reported = {w: [name for name in DETAILS if name in runs[w]["change"][0]["detail"]["extra"]]
                 for w in workloads}
-    out["details"] = {w: {name: figure(w, name) for name in names}
+    out["details"] = {w: {name: detail(w, name) for name in names}
                       for w, names in reported.items() if names}
+
+    def timed(only, key):
+        return figure("s", *([r[key] for r in wall[only][side]] for side in SIDES))
+
+    out["wall_clock"] = {
+        "commands": {"criterion_10_alone": shlex.join(["python", *ACCEPTANCE, "-k", CRITERION_10]),
+                     "acceptance_suite": shlex.join(["python", *ACCEPTANCE])},
+        "order": f"after the traced runs, {WALL_RUNS} pairs of criterion 10 alone, then "
+                 f"{WALL_RUNS} pairs of the whole suite, alternating as the end-to-end pairs; "
+                 "PYTHONPATH=src in each side's checkout",
+        "figures": {"criterion_10_alone_s": timed(CRITERION_10, "criterion_10_s"),
+                    "acceptance_suite_s": timed(None, "wall_s")},
+        "tests_passed": {name: {side: [r["passed"] for r in wall[only][side]] for side in SIDES}
+                         for name, only in (("criterion_10_alone", CRITERION_10),
+                                            ("acceptance_suite", None))},
+    }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
